@@ -21,6 +21,10 @@ DEFAULT_PSD_TOL = 1e-9
 MIN_SEPARATION = 1e-3
 
 
+class DivisionHazard(ValueError):
+    """|K| fell below DIVISION_HAZARD_TOL at some point pair, so 1 - 1/K is unreliable."""
+
+
 def sample_points(
     n: int,
     rng: np.random.Generator,
@@ -100,7 +104,7 @@ def build_pick(
 
     The symbol must be a non-constant admissible multiplier; points must be
     distinct and inside the disk. Any point pair where |K| falls below
-    1e-12 is a division hazard and is reported as an error.
+    1e-12 is a division hazard and raises DivisionHazard.
     """
     a = as_weight(alpha)
     pts = np.asarray(points, dtype=complex)
@@ -125,7 +129,7 @@ def build_pick(
     if np.any(small):
         ii, jj = np.nonzero(small)
         pairs = ", ".join(f"({i},{j})" for i, j in zip(ii[:5], jj[:5]))
-        raise ValueError(f"division hazard: |K| < {DIVISION_HAZARD_TOL} at point pairs {pairs}")
+        raise DivisionHazard(f"division hazard: |K| < {DIVISION_HAZARD_TOL} at point pairs {pairs}")
     m = 1.0 - 1.0 / k
     m = (m + m.conj().T) / 2.0
     return PickMatrix(points=pts, entries=m, alpha=a, symbol_normalized=psi)
@@ -222,9 +226,7 @@ def cnp_scan(
         pts = sample_points(n_points, rng, a)
         try:
             pick = build_pick(symbol, a, pts)
-        except ValueError as exc:
-            if "division hazard" not in str(exc):
-                raise
+        except DivisionHazard as exc:
             hazards.append(f"trial {trial}: {exc}")
             continue
         report = psd_test(pick, tolerance)

@@ -20,11 +20,12 @@ import numpy as np
 from .cnp import cnp_scan
 from .kernels import rescaling_check
 from .operators import (
-    berezin,
+    defect_form,
     defect_matrix,
     inclusion_eigenvalues,
     inclusion_matrix,
     jacobi_eigenvalues,
+    normalized_kernel_coeffs,
     spectrum,
 )
 from .scalars import as_weight
@@ -121,7 +122,59 @@ def merge_config(*overrides: dict[str, object] | None) -> dict[str, object]:
                 cfg[key] = target(value)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad value for {key!r}: {value!r}") from exc
+    _validate_config(cfg)
     return cfg
+
+
+# smallest admissible value of each size and count key; a decay fit over the
+# first 3n/4 eigenvalues needs matrix_size >= 3
+_CONFIG_MINIMA = {
+    "matrix_size": 3,
+    "series_length": 1,
+    "singular_series_length": 1,
+    "boundary_size": 1,
+    "directions": 1,
+    "cnp_points": 3,
+    "cnp_trials": 1,
+    "berezin_points": 1,
+    "rescaling_points": 2,
+}
+
+
+def _validate_config(cfg: dict[str, object]) -> None:
+    """Reject values no check can run with, so they never show up as failed cells."""
+    for key, least in _CONFIG_MINIMA.items():
+        if cfg[key] < least:
+            raise ValueError(f"{key} must be >= {least}, got {cfg[key]}")
+    if not cfg["psd_tol"] > 0:
+        raise ValueError(f"psd_tol must be positive, got {cfg['psd_tol']}")
+    try:
+        radii = [float(t) for t in str(cfg["ratio_radii"]).split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad value for 'ratio_radii': {cfg['ratio_radii']!r}") from exc
+    for key, values in (
+        ("boundary_radius", [cfg["boundary_radius"]]),
+        ("berezin_radius", [cfg["berezin_radius"]]),
+        ("ratio_radii", radii),
+    ):
+        if not all(0.0 < r < 1.0 for r in values):
+            raise ValueError(f"{key} must lie strictly between 0 and 1, got {cfg[key]}")
+
+
+def check_fit_window(cfg: dict[str, object], checks) -> None:
+    """Reject a decay-fit window outside the usable spectrum when blaschke_decay will run.
+
+    The window only matters to that check, so it is validated against the
+    checks about to run rather than in merge_config.
+    """
+    if "blaschke_decay" not in checks:
+        return
+    usable = 3 * cfg["matrix_size"] // 4
+    if not 1 <= cfg["fit_lo"] < cfg["fit_hi"] <= usable:
+        raise ValueError(
+            f"fit window needs 1 <= fit_lo < fit_hi <= 3*matrix_size//4 = {usable}, "
+            f"got fit_lo={cfg['fit_lo']}, fit_hi={cfg['fit_hi']}"
+        )
 
 
 @dataclass(frozen=True)
@@ -286,23 +339,13 @@ def _bind(spec, alpha: float, cfg: dict):
     return spec, to_series(spec, length)
 
 
-def _mobius_like(spec, series: PowerSeriesSymbol) -> bool:
-    if isinstance(spec, MobiusSpec):
-        return True
-    if isinstance(spec, BlaschkeSpec):
-        return spec.degree == 1
-    if isinstance(spec, MonomialSpec):
-        return spec.n == 1 and spec.c is not None and abs(abs(spec.c) - 1.0) < 1e-12
-    if isinstance(spec, PowerSeriesSymbol):
-        psi = normalize(series).psi.coeffs
-        if len(psi) < 2 or abs(abs(psi[1]) - 1.0) > 1e-9:
-            return False
-        return len(psi) == 2 or float(np.max(np.abs(psi[2:]))) < 1e-9
-    return False
-
-
 def _blaschke_degree(spec, series: PowerSeriesSymbol):
-    """Degree of the finite Blaschke product the symbol represents, else None."""
+    """Degree of the finite Blaschke product the symbol represents, else None.
+
+    A raw series counts as degree k when its normalization at phi(0) is a
+    unimodular monomial zeta z^k up to 1e-9, so a truncated Moebius series
+    with phi(0) != 0 has degree 1.
+    """
     if isinstance(spec, MobiusSpec):
         return 1
     if isinstance(spec, BlaschkeSpec):
@@ -311,22 +354,13 @@ def _blaschke_degree(spec, series: PowerSeriesSymbol):
         if spec.c is not None and abs(abs(spec.c) - 1.0) < 1e-12:
             return spec.n
         return None
-    if isinstance(spec, PowerSeriesSymbol) and spec.tail_bound == 0.0:
-        nz = np.flatnonzero(np.abs(spec.coeffs) > 0)
-        if len(nz) == 1 and nz[0] >= 1 and abs(abs(spec.coeffs[nz[0]]) - 1.0) < 1e-12:
-            return int(nz[0])
+    if isinstance(spec, PowerSeriesSymbol) and abs(series.coeffs[0]) < 1:
+        psi = np.abs(normalize(series).psi.coeffs)
+        k = int(np.argmax(psi))
+        rest = np.delete(psi, k)
+        if k >= 1 and abs(psi[k] - 1.0) <= 1e-9 and (len(rest) == 0 or rest.max() <= 1e-9):
+            return k
     return None
-
-
-def _rotation_like(spec, series: PowerSeriesSymbol) -> bool:
-    """True when the symbol is a unimodular multiple of z (the pure shift)."""
-    if isinstance(spec, MobiusSpec):
-        return spec.a == 0
-    if isinstance(spec, BlaschkeSpec):
-        return spec.degree == 1 and spec.zeros[0] == 0
-    if isinstance(spec, MonomialSpec):
-        return spec.n == 1 and spec.c is not None and abs(abs(spec.c) - 1.0) < 1e-12
-    return _blaschke_degree(spec, series) == 1 and abs(series.coeffs[0]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +376,9 @@ def _seeded_disk_points(seed: int, tag: int, n: int, r_max: float) -> np.ndarray
 def _check_berezin_identity(alpha, spec, series, cfg):
     if alpha <= -1:
         return "skipped", "precondition alpha > -1 (finite weighted area measure)", {}
-    e = defect_matrix(series, alpha, int(cfg["matrix_size"]), "phi")
     pts = _seeded_disk_points(int(cfg["seed"]), 11, int(cfg["berezin_points"]), float(cfg["berezin_radius"]))
-    errs = [
-        abs(berezin(e, a) - (1.0 - abs(eval_exact(spec, a)) ** 2)) for a in pts
-    ]
-    worst = float(max(errs))
+    vals = _berezin_values(series, alpha, int(cfg["matrix_size"]), pts)
+    worst = float(np.max(np.abs(vals - (1.0 - np.abs(eval_exact(spec, pts)) ** 2))))
     status = "pass" if worst < BEREZIN_TOL else "fail"
     return status, "", {
         "max_error": worst,
@@ -357,12 +388,18 @@ def _check_berezin_identity(alpha, spec, series, cfg):
     }
 
 
+def _berezin_values(series, alpha, n: int, points) -> np.ndarray:
+    """Berezin transforms <E_phi k_a, k_a> of the n x n defect block at every point a."""
+    c = np.array([normalized_kernel_coeffs(alpha, a, n) for a in points])
+    return np.real(defect_form(series, alpha, n, "phi", c, c))
+
+
 def _boundary_berezin_max(series, alpha, cfg) -> tuple[float, float]:
-    e = defect_matrix(series, alpha, int(cfg["boundary_size"]), "phi")
     r = float(cfg["boundary_radius"])
     d = int(cfg["directions"])
-    vals = [berezin(e, r * np.exp(2j * np.pi * k / d)) for k in range(d)]
-    return float(max(vals)), float(min(vals))
+    pts = r * np.exp(2j * np.pi * np.arange(d) / d)
+    vals = _berezin_values(series, alpha, int(cfg["boundary_size"]), pts)
+    return float(vals.max()), float(vals.min())
 
 
 def _check_blaschke_decay(alpha, spec, series, cfg):
@@ -392,7 +429,7 @@ def _check_blaschke_decay(alpha, spec, series, cfg):
         and lo <= rep_conj.decay_exponent <= hi
         and bmax < BOUNDARY_COMPACT_MAX
     )
-    if _rotation_like(spec, series) and alpha == 0:
+    if degree == 1 and series.coeffs[0] == 0 and alpha == 0:
         # shift at alpha = 0: the conj defect is exactly diag(1/(k+2))
         ev = rep_conj.eigenvalues
         expected = 1.0 / (np.arange(n) + 2.0)
@@ -457,7 +494,7 @@ def _cnp_metrics(report) -> dict:
 
 
 def _check_cnp_moebius_pass(alpha, spec, series, cfg):
-    moebius = _mobius_like(spec, series)
+    moebius = _blaschke_degree(spec, series) == 1
     monomial_scaled = (
         isinstance(spec, MonomialSpec)
         and -2 < alpha < -1
@@ -478,7 +515,7 @@ def _check_cnp_moebius_pass(alpha, spec, series, cfg):
 
 
 def _check_cnp_nonmoebius_fail(alpha, spec, series, cfg):
-    moebius = _mobius_like(spec, series)
+    moebius = _blaschke_degree(spec, series) == 1
     if alpha <= -1:
         return "skipped", f"precondition alpha > -1 for the failure direction, got {alpha}", {}
     if moebius and alpha <= 0:
@@ -530,20 +567,21 @@ def _check_boundary_ratio(alpha, spec, series, cfg):
     radii = [float(t) for t in str(cfg["ratio_radii"]).split(",")]
     directions = int(cfg["directions"])
     sup, inf = boundary_ratio_check(series, radii, directions)
+    degree = _blaschke_degree(spec, series)
     metrics = {"sup": sup, "inf": inf, "radii": radii, "directions": directions}
     if isinstance(spec, SingularInnerSpec):
         threshold = float(cfg["ratio_threshold"])
         metrics["divergence_threshold"] = threshold
         metrics["diverging"] = bool(sup >= threshold)
         ok = sup >= threshold
-    elif isinstance(spec, (MobiusSpec, BlaschkeSpec)) and _mobius_like(spec, series):
+    elif isinstance(spec, (MobiusSpec, BlaschkeSpec)) and degree == 1:
         a = abs(spec.a) if isinstance(spec, MobiusSpec) else abs(spec.zeros[0])
         hi = (1.0 + a) / (1.0 - a)
         lo = 1.0 / hi
         metrics["expected_sup"] = hi
         metrics["expected_inf"] = lo
         ok = abs(sup - hi) <= RATIO_REL_TOL * hi and abs(inf - lo) <= RATIO_REL_TOL * lo
-    elif _rotation_like(spec, series):
+    elif degree == 1 and series.coeffs[0] == 0:
         metrics["expected_sup"] = 1.0
         metrics["expected_inf"] = 1.0
         ok = abs(sup - 1.0) <= 1e-9 and abs(inf - 1.0) <= 1e-9
@@ -606,6 +644,7 @@ def run_scenario(scenario: Scenario, config: dict | None = None) -> RunReport:
     abort before any cell runs.
     """
     cfg = merge_config(config)
+    check_fit_window(cfg, scenario.checks)
     started = datetime.now(timezone.utc).isoformat()
     results: list[CheckResult] = []
     for check in scenario.checks:

@@ -3,8 +3,8 @@
 Three kinds: the Bergman kernel (1 - z conj(w))^-(2+alpha), the sub-Bergman
 kernel (1 - phi(z) conj(phi(w))) (1 - z conj(w))^-(2+alpha), and the
 conjugate sub-Bergman kernel, which has no closed form and is evaluated in
-coefficient space through the defect matrix I - T* T, cross-validated by
-quadrature over the disk.
+coefficient space as a quadratic form of the defect operator I - T* T,
+cross-validated by quadrature over the disk.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .operators import defect_matrix
+from .operators import defect_form
 from .scalars import WeightParameter, as_weight, basis_weights
 from .symbols import MobiusSpec, PowerSeriesSymbol, normalize, to_series
 
@@ -60,7 +60,7 @@ def eval_kernel(spec: KernelSpec, z, w):
     The principal branch of the complex power is unambiguous here because
     Re(1 - z conj(w)) > 0 on the disk. conj_sub evaluation truncates at an
     automatically doubled basis size until the values settle below 1e-8
-    (raising if the cap is hit, which only happens near the boundary).
+    (raising ValueError if the cap is hit, which only happens near the boundary).
     """
     _check_disk(z, w)
     z = np.asarray(z, dtype=complex)
@@ -76,31 +76,30 @@ def eval_kernel(spec: KernelSpec, z, w):
     return complex(out) if out.ndim == 0 else out
 
 
-def _conj_sub_at_size(
-    symbol: PowerSeriesSymbol, alpha: WeightParameter, z: np.ndarray, w: np.ndarray, n: int
-):
-    e = defect_matrix(symbol, alpha, n, "conj").entries
-    sq = np.sqrt(basis_weights(alpha, n - 1).values)
-    m = np.arange(n)
-    uz = sq * z[..., None] ** m
-    uw = sq * w[..., None] ** m
-    return np.einsum("...m,mn,...n->...", uz, e, np.conj(uw))
-
-
 def _conj_sub_auto(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w):
-    z, w = np.broadcast_arrays(z, w)
+    """sum_{m,k} sqrt(w_m w_k) z^m E_mk conj(w)^k with E the n x n block of I - T* T.
+
+    The value is read off the quadratic form of E at the conjugated kernel
+    vectors, so E is never formed; n doubles until two sizes agree.
+    """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
+    prev = None
     n = CONJ_SUB_START_SIZE
-    prev = _conj_sub_at_size(symbol, alpha, z, w, n)
-    while n < CONJ_SUB_MAX_SIZE:
-        n *= 2
-        cur = _conj_sub_at_size(symbol, alpha, z, w, n)
-        if np.max(np.abs(cur - prev)) < CONJ_SUB_VALUE_TOL:
+    while n <= CONJ_SUB_MAX_SIZE:
+        sq = np.sqrt(basis_weights(alpha, n - 1).values)
+        m = np.arange(n)
+        x = sq * np.conj(z[..., None]) ** m
+        y = sq * np.conj(w[..., None]) ** m
+        cur = defect_form(symbol, alpha, n, "conj", x, y)
+        if prev is not None and np.max(np.abs(cur - prev)) < CONJ_SUB_VALUE_TOL:
             return cur
         prev = cur
-    raise RuntimeError(
-        f"conj_sub evaluation did not settle below {CONJ_SUB_VALUE_TOL} at size {CONJ_SUB_MAX_SIZE}"
+        n *= 2
+    radius = float(max(np.max(np.abs(z)), np.max(np.abs(w))))
+    raise ValueError(
+        f"conj_sub evaluation did not settle below {CONJ_SUB_VALUE_TOL} within the basis-size "
+        f"cap {CONJ_SUB_MAX_SIZE} at radius {radius:.6g}; move the points away from the boundary"
     )
 
 

@@ -34,6 +34,15 @@ class OperatorMatrix:
         self.entries.setflags(write=False)
 
 
+def _toeplitz_entries(symbol: PowerSeriesSymbol, sq: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols corner of the multiplication operator, sq = sqrt(w_k) for k < rows."""
+    t = np.zeros((rows, cols), dtype=complex)
+    for j in range(min(len(symbol), rows)):
+        k = np.arange(min(cols, rows - j))
+        t[k + j, k] = symbol.coeffs[j] * sq[k] / sq[k + j]
+    return t
+
+
 def toeplitz_matrix(
     symbol: PowerSeriesSymbol, alpha: WeightParameter | float, n: int
 ) -> OperatorMatrix:
@@ -42,11 +51,16 @@ def toeplitz_matrix(
     if n < 1:
         raise ValueError("matrix size must be >= 1")
     sq = np.sqrt(basis_weights(a, n - 1).values)
-    t = np.zeros((n, n), dtype=complex)
-    for j in range(min(len(symbol), n)):
-        k = np.arange(n - j)
-        t[k + j, k] = symbol.coeffs[j] * sq[k] / sq[k + j]
+    t = _toeplitz_entries(symbol, sq, n, n)
     return OperatorMatrix(entries=t, alpha=a, basis_size=n, kind="toeplitz")
+
+
+def _check_defect_args(alpha, n: int, which: str) -> WeightParameter:
+    if which not in ("phi", "conj"):
+        raise ValueError(f'which must be "phi" or "conj", got {which!r}')
+    if n < 1:
+        raise ValueError("matrix size must be >= 1")
+    return as_weight(alpha)
 
 
 def defect_matrix(
@@ -54,22 +68,60 @@ def defect_matrix(
 ) -> OperatorMatrix:
     """Top-left n x n block of I - T T* (which="phi") or I - T* T (which="conj").
 
-    T is built at padded size n + L, L the series length. Because T is
-    banded with bandwidth L, the first n rows and columns of the padded
-    products already agree with the infinite matrix, so the returned block
-    is exact for the truncated symbol.
+    T is lower-triangular with bandwidth L, the series length. Row i of T
+    vanishes past column i, so the phi block is exactly I - T_n T_n* with
+    T_n the n x n section. Column k of T vanishes past row k + L - 1, so
+    the conj block is I - S* S with S the first n + L - 1 rows of the
+    first n columns. Both blocks are exact for the truncated symbol.
     """
-    if which not in ("phi", "conj"):
-        raise ValueError(f'which must be "phi" or "conj", got {which!r}')
-    a = as_weight(alpha)
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
-    m = n + len(symbol)
-    t = toeplitz_matrix(symbol, a, m).entries
-    prod = t @ t.conj().T if which == "phi" else t.conj().T @ t
-    e = (np.eye(m) - prod)[:n, :n]
+    a = _check_defect_args(alpha, n, which)
+    rows = n if which == "phi" else n + len(symbol) - 1
+    sq = np.sqrt(basis_weights(a, rows - 1).values)
+    t = _toeplitz_entries(symbol, sq, rows, n)
+    e = np.eye(n) - (t @ t.conj().T if which == "phi" else t.conj().T @ t)
     e = (e + e.conj().T) / 2.0  # exact Hermitian symmetry for downstream solvers
     return OperatorMatrix(entries=e, alpha=a, basis_size=n, kind=f"defect_{which}")
+
+
+def defect_form(
+    symbol: PowerSeriesSymbol,
+    alpha: WeightParameter | float,
+    n: int,
+    which: str,
+    x: np.ndarray,
+    y: np.ndarray,
+):
+    """The quadratic form x* E y of the block E = defect_matrix(symbol, alpha, n, which).
+
+    E is never formed. With S as in defect_matrix, x* E y = x*y - (Sx)*(Sy)
+    for "conj" and x*y - (T_n* x)*(T_n* y) for "phi"; T is applied one
+    nonzero band diagonal at a time, in O(nL) time per vector. x and y have
+    length n in their last axis and broadcast over the leading axes.
+    """
+    a = _check_defect_args(alpha, n, which)
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.shape[-1] != n or y.shape[-1] != n:
+        raise ValueError(f"vectors must have length {n} in their last axis")
+    rows = n if which == "phi" else n + len(symbol) - 1
+    sq = np.sqrt(basis_weights(a, rows - 1).values)
+    diagonals = np.flatnonzero(symbol.coeffs[:rows])
+
+    def apply(v):
+        # conj: (Sv)_m = sum_j c_j sqrt(w_{m-j}) v_{m-j} / sqrt(w_m), m < rows
+        # phi: (T_n* v)_k = sqrt(w_k) sum_j conj(c_j) v_{k+j} / sqrt(w_{k+j}), k < n
+        out = np.zeros(v.shape[:-1] + (rows,), dtype=complex)
+        if which == "conj":
+            u = v * sq[:n]
+            for j in diagonals:
+                out[..., j : j + n] += symbol.coeffs[j] * u
+            return out / sq
+        u = v / sq
+        for j in diagonals:
+            out[..., : n - j] += np.conj(symbol.coeffs[j]) * u[..., j:]
+        return out * sq
+
+    return np.sum(np.conj(x) * y, axis=-1) - np.sum(np.conj(apply(x)) * apply(y), axis=-1)
 
 
 def normalized_kernel_coeffs(alpha: WeightParameter | float, a: complex, n: int) -> np.ndarray:
@@ -135,13 +187,18 @@ def spectrum(op: OperatorMatrix, fit_window: tuple[int, int] | None = None) -> S
     """
     _check_hermitian(op.entries)
     n = op.basis_size
-    ev = np.linalg.eigvalsh(op.entries)[::-1].copy()
     usable = 3 * n // 4
+    if usable < 2:
+        raise ValueError(
+            f"matrix size {n} is too small for a decay fit: the first 3n/4 eigenvalues "
+            "must hold at least 2, so the size must be >= 3"
+        )
     if fit_window is None:
-        fit_window = (max(1, n // 40), max(2, usable))
+        fit_window = (max(1, n // 40), usable)
     lo, hi = int(fit_window[0]), int(fit_window[1])
-    if not (1 <= lo < hi <= max(2, usable)):
+    if not (1 <= lo < hi <= usable):
         raise ValueError(f"fit window {fit_window} must lie within [1, {usable}]")
+    ev = np.linalg.eigvalsh(op.entries)[::-1].copy()
     idx = np.arange(lo, hi + 1)
     lam = ev[idx - 1]
     mask = lam > 0

@@ -93,6 +93,28 @@ def test_kernel_eval_batch_rejects_missing_header(tmp_path, capsys):
     assert "z_re" in capsys.readouterr().err
 
 
+def test_kernel_eval_conj_sub_past_the_cap_exits_2(capsys):
+    rc = main(
+        [
+            "kernel",
+            "eval",
+            "--kind",
+            "conj_sub",
+            "--alpha",
+            "0",
+            "--symbol",
+            "singular c=1",
+            "--z",
+            "0.999",
+            "--w",
+            "0.999i",
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cap 3200" in err and "radius 0.999" in err
+
+
 # ---------------------------------------------------------------------------
 # cnp test
 
@@ -235,6 +257,12 @@ def test_defect_spectrum_bad_window_exits_2(capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_defect_spectrum_too_small_for_a_fit_exits_2(capsys):
+    rc = main(["defect", "spectrum", "--alpha", "0", "--symbol", "series 0,1", "--size", "1"])
+    assert rc == 2
+    assert "too small" in capsys.readouterr().err
+
+
 def test_berezin_prints_identity_error(capsys):
     rc = main(
         [
@@ -324,3 +352,19 @@ def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target, setting, message",
+    [
+        ("blaschke_decay", "fit_hi=350", "fit window"),
+        ("all", "fit_hi=350", "fit window"),
+        ("berezin_identity", "matrix_size=0", "matrix_size"),
+    ],
+)
+def test_verify_config_mistakes_exit_2_without_report(tmp_path, capsys, target, setting, message):
+    # a window past the usable spectrum or an empty matrix is a usage error, not a failed cell
+    rc = main(["verify", target, "--set", setting, "--out", str(tmp_path / "reports")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from subbergman import cnp
 from subbergman.cnp import (
+    DivisionHazard,
     PickMatrix,
     build_pick,
     cnp_scan,
@@ -192,3 +194,35 @@ def test_psd_test_requires_positive_tolerance():
     pick = build_pick(SHIFT, 0.0, pts)
     with pytest.raises(ValueError):
         psd_test(pick, 0.0)
+
+
+def test_build_pick_raises_typed_division_hazard(monkeypatch):
+    # every |K| is below an absurdly large hazard threshold
+    monkeypatch.setattr(cnp, "DIVISION_HAZARD_TOL", 1e6)
+    with pytest.raises(DivisionHazard, match="division hazard") as info:
+        build_pick(SHIFT, 0.0, [0.1, 0.2])
+    assert isinstance(info.value, ValueError)
+
+
+def test_scan_records_hazards_and_propagates_other_errors(monkeypatch):
+    real_build = cnp.build_pick
+    calls = []
+
+    def hazard_on_first_trial(symbol, alpha, points):
+        calls.append(len(points))
+        if len(calls) == 1:
+            raise DivisionHazard("division hazard: forced")
+        return real_build(symbol, alpha, points)
+
+    monkeypatch.setattr(cnp, "build_pick", hazard_on_first_trial)
+    rep = cnp_scan(SHIFT, 1.0, n_points=8, n_trials=3, seed=7)
+    assert rep.hazards == ("trial 0: division hazard: forced",)
+    assert rep.trials == 3 and len(calls) == 3
+
+    def other_error(symbol, alpha, points):
+        # a message naming a hazard must not turn a plain ValueError into one
+        raise ValueError("not a division hazard")
+
+    monkeypatch.setattr(cnp, "build_pick", other_error)
+    with pytest.raises(ValueError, match="not a division hazard"):
+        cnp_scan(SHIFT, 1.0, n_points=8, n_trials=3, seed=7)

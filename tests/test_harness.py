@@ -13,13 +13,22 @@ from subbergman.harness import (
     Scenario,
     boundary_ratio_check,
     builtin_scenarios,
+    check_fit_window,
     emit_report,
     load_config,
     load_report,
     merge_config,
     run_scenario,
+    _blaschke_degree,
 )
-from subbergman.symbols import BlaschkeSpec, MobiusSpec, PowerSeriesSymbol, to_series
+from subbergman.symbols import (
+    BlaschkeSpec,
+    MobiusSpec,
+    MonomialSpec,
+    PowerSeriesSymbol,
+    SingularInnerSpec,
+    to_series,
+)
 
 SHIFT = PowerSeriesSymbol(np.array([0.0, 1.0]))
 
@@ -47,6 +56,39 @@ def test_merge_rejects_unknown_and_badly_typed_keys():
 def test_later_sources_win():
     cfg = merge_config({"cnp_trials": 5}, {"cnp_trials": 9})
     assert cfg["cnp_trials"] == 9
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"matrix_size": 0},
+        {"boundary_size": 0},
+        {"cnp_points": 2},
+        {"rescaling_points": 1},
+        {"cnp_trials": 0},
+        {"boundary_radius": 1.0},
+        {"berezin_radius": 0.0},
+        {"ratio_radii": "0.5,1.2"},
+        {"ratio_radii": "0.5,x"},
+        {"psd_tol": 0.0},
+    ],
+)
+def test_merge_rejects_values_no_check_can_run_with(override):
+    with pytest.raises(ValueError):
+        merge_config(override)
+
+
+def test_fit_window_is_checked_when_blaschke_decay_runs():
+    cfg = merge_config({"fit_hi": 350})
+    check_fit_window(cfg, ("berezin_identity",))  # the window plays no part
+    with pytest.raises(ValueError, match="fit window"):
+        check_fit_window(cfg, ("blaschke_decay",))
+    with pytest.raises(ValueError, match="fit window"):
+        check_fit_window(merge_config({"fit_lo": 30, "fit_hi": 30}), CHECK_IDS)
+    scenario = builtin_scenarios()["blaschke_decay"]
+    with pytest.raises(ValueError, match="fit window"):
+        run_scenario(scenario, {"fit_hi": 350})
+    check_fit_window(merge_config(_FAST), CHECK_IDS)
 
 
 def test_load_config_file(tmp_path):
@@ -153,6 +195,34 @@ def test_reports_are_deterministic():
         r.pop("started")
         r.pop("finished")
     assert r1 == r2
+
+
+@pytest.mark.parametrize(
+    "spec, degree",
+    [
+        (MobiusSpec(a=0.5), 1),
+        (MobiusSpec(a=0.0), 1),
+        (BlaschkeSpec(zeros=(0.5, -0.5)), 2),
+        (BlaschkeSpec(zeros=(0.5, -0.5, 0.0)), 3),
+        (MonomialSpec(n=2, c=1.0), 2),
+        (MonomialSpec(n=1, c=1j), 1),
+        (MonomialSpec(n=2, c=0.5), None),
+        (SingularInnerSpec(c=1.0), None),
+        (SHIFT, 1),
+        (PowerSeriesSymbol(np.array([0.0, 0.0, -1j])), 2),
+        (PowerSeriesSymbol(np.array([0.0, 0.5])), None),
+        (PowerSeriesSymbol(np.array([0.0, 1.3])), None),
+        # a truncated Moebius series with phi(0) = 0.5 normalizes to a rotation
+        (to_series(MobiusSpec(a=0.5), 200), 1),
+        # phi = b(z^2) with b a Moebius map, so the normalized series is z^2
+        (to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 200), 2),
+        # a degree-2 product that is not a monomial after normalization
+        (to_series(BlaschkeSpec(zeros=(0.5, 0.3)), 200), None),
+    ],
+)
+def test_blaschke_degree_classifies_every_spec_type(spec, degree):
+    series = spec if isinstance(spec, PowerSeriesSymbol) else to_series(spec, 200)
+    assert _blaschke_degree(spec, series) == degree
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from subbergman.operators import (
     berezin,
+    defect_form,
     defect_matrix,
     gram,
     inclusion_eigenvalues,
@@ -21,7 +22,13 @@ from subbergman.operators import (
     toeplitz_matrix,
 )
 from subbergman.scalars import basis_weights
-from subbergman.symbols import BlaschkeSpec, PowerSeriesSymbol, to_series
+from subbergman.symbols import (
+    BlaschkeSpec,
+    MonomialSpec,
+    PowerSeriesSymbol,
+    SingularInnerSpec,
+    to_series,
+)
 
 SHIFT = PowerSeriesSymbol(np.array([0.0, 1.0]))
 
@@ -118,6 +125,55 @@ def test_defect_eigenvalues_interlace_under_refinement():
     np.testing.assert_allclose(ev1[:top], ev2[:top], atol=1e-6)
 
 
+_FORM_SYMBOLS = (
+    SHIFT,
+    to_series(MonomialSpec(n=2, c=1.0), 5),  # zero coefficients inside the band
+    to_series(BlaschkeSpec(zeros=(0.5, -0.3 + 0.2j)), 30),
+    to_series(SingularInnerSpec(c=1.0), 40),
+)
+
+
+@pytest.mark.parametrize("alpha", [-1.5, -1.0, -0.5, 0.0, 1.0])
+@pytest.mark.parametrize("which", ["phi", "conj"])
+def test_defect_form_matches_dense_block(alpha, which):
+    # the dense block is the oracle for the matrix-free quadratic form
+    n = 50
+    rng = np.random.default_rng(29)
+    for series in _FORM_SYMBOLS:
+        e = defect_matrix(series, alpha, n, which).entries
+        x = rng.standard_normal((3, 1, n)) + 1j * rng.standard_normal((3, 1, n))
+        y = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        got = defect_form(series, alpha, n, which, x, y)
+        want = np.einsum("...m,mk,...k->...", x.conj(), e, y)
+        assert got.shape == (3, 4)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        scalar = defect_form(series, alpha, n, which, x[0, 0], y[0])
+        assert np.ndim(scalar) == 0
+        assert abs(scalar - x[0, 0].conj() @ e @ y[0]) < 1e-13
+
+
+@pytest.mark.parametrize("which", ["phi", "conj"])
+def test_defect_block_matches_padded_product(which):
+    # reference: the n x n corner of I - T_m T_m* (or I - T_m* T_m) at m = n + L
+    n = 60
+    for series in _FORM_SYMBOLS:
+        for alpha in (-1.5, -0.5, 0.0, 1.0):
+            m = n + len(series)
+            t = toeplitz_matrix(series, alpha, m).entries
+            prod = t @ t.conj().T if which == "phi" else t.conj().T @ t
+            ref = (np.eye(m) - prod)[:n, :n]
+            got = defect_matrix(series, alpha, n, which).entries
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+
+def test_defect_form_rejects_bad_arguments():
+    x = np.ones(8)
+    with pytest.raises(ValueError):
+        defect_form(SHIFT, 0.0, 8, "both", x, x)
+    with pytest.raises(ValueError):
+        defect_form(SHIFT, 0.0, 9, "phi", x, x)
+
+
 def test_defect_requires_valid_kind():
     with pytest.raises(ValueError):
         defect_matrix(SHIFT, 0.0, 8, "both")
@@ -193,6 +249,13 @@ def test_spectrum_window_validation():
     e = defect_matrix(SHIFT, 0.0, 40, "conj")
     with pytest.raises(ValueError):
         spectrum(e, fit_window=(1, 39))  # reaches into the polluted last quarter
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_spectrum_rejects_sizes_without_a_fit_window(n):
+    # 3n/4 < 2 leaves no two usable eigenvalues to fit
+    with pytest.raises(ValueError, match="too small"):
+        spectrum(defect_matrix(SHIFT, 0.0, n, "phi"))
 
 
 def test_schatten_partial_sums_against_series():
