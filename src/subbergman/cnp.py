@@ -97,9 +97,32 @@ class PickReport:
     note: str = ""
 
 
-def build_pick(
-    symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points
-) -> PickMatrix:
+def _admitted_psi(symbol: PowerSeriesSymbol, a: WeightParameter) -> PowerSeriesSymbol:
+    """Per-symbol step: refuse constant or inadmissible symbols, then normalize."""
+    if not np.any(np.abs(symbol.coeffs[1:]) > 0):
+        raise ValueError("constant symbols have no nondegenerate Pick matrix")
+    verdict = admissibility_check(symbol, a, grid=16, tolerance=1e-6)
+    if not verdict.admissible:
+        raise ValueError(
+            f"symbol is not an admissible multiplier (sup estimate {verdict.sup_estimate:.6f})"
+        )
+    return normalize(symbol).psi
+
+
+def _pick_on(psi: PowerSeriesSymbol, a: WeightParameter, pts: np.ndarray) -> PickMatrix:
+    """Per-point-set step: Pick matrix of the normalized kernel on checked points."""
+    k = eval_kernel(KernelSpec("sub", a, psi), pts[:, None], pts[None, :])
+    small = np.abs(k) < DIVISION_HAZARD_TOL
+    if np.any(small):
+        ii, jj = np.nonzero(small)
+        pairs = ", ".join(f"({i},{j})" for i, j in zip(ii[:5], jj[:5]))
+        raise DivisionHazard(f"division hazard: |K| < {DIVISION_HAZARD_TOL} at point pairs {pairs}")
+    m = 1.0 - 1.0 / k
+    m = (m + m.conj().T) / 2.0
+    return PickMatrix(points=pts, entries=m, alpha=a, symbol_normalized=psi)
+
+
+def build_pick(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points) -> PickMatrix:
     """Pick matrix of the sub-Bergman kernel after base-point normalization.
 
     The symbol must be a non-constant admissible multiplier; points must be
@@ -116,23 +139,7 @@ def build_pick(
         diff = np.abs(pts[:, None] - pts[None, :])
         if float(np.min(diff[~np.eye(len(pts), dtype=bool)])) == 0.0:
             raise ValueError("points must be pairwise distinct")
-    if not np.any(np.abs(symbol.coeffs[1:]) > 0):
-        raise ValueError("constant symbols have no nondegenerate Pick matrix")
-    verdict = admissibility_check(symbol, a, grid=16, tolerance=1e-6)
-    if not verdict.admissible:
-        raise ValueError(
-            f"symbol is not an admissible multiplier (sup estimate {verdict.sup_estimate:.6f})"
-        )
-    psi = normalize(symbol).psi
-    k = eval_kernel(KernelSpec("sub", a, psi), pts[:, None], pts[None, :])
-    small = np.abs(k) < DIVISION_HAZARD_TOL
-    if np.any(small):
-        ii, jj = np.nonzero(small)
-        pairs = ", ".join(f"({i},{j})" for i, j in zip(ii[:5], jj[:5]))
-        raise DivisionHazard(f"division hazard: |K| < {DIVISION_HAZARD_TOL} at point pairs {pairs}")
-    m = 1.0 - 1.0 / k
-    m = (m + m.conj().T) / 2.0
-    return PickMatrix(points=pts, entries=m, alpha=a, symbol_normalized=psi)
+    return _pick_on(_admitted_psi(symbol, a), a, pts)
 
 
 def _min_eig(entries: np.ndarray) -> tuple[float, np.ndarray]:
@@ -149,13 +156,13 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
     """PSD verdict with witness extraction.
 
     Pass iff the minimal eigenvalue is >= -tolerance * max(1, trace). On
-    failure the point set is greedily pruned (dropping the least involved
-    point while the submatrix keeps failing) down to a subset where no
-    single removal preserves the failure.
+    failure the smallest failing prefix (>= 2 points, by weight in the
+    minimal eigenvector) is pruned by one deletion pass, so the witness has
+    2 points or, by interlacing, no single removal keeps the failure.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    lam_min, _ = _min_eig(matrix.entries)
+    lam_min, vec = _min_eig(matrix.entries)
     if lam_min >= -tolerance * max(1.0, float(np.trace(matrix.entries).real)):
         return PickReport(
             verdict="psd_pass",
@@ -166,18 +173,15 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
             certificate=False,
             note="pass is sampled evidence, not a proof of the CNP property",
         )
-    keep = list(range(len(matrix.points)))
-    while len(keep) > 2:
-        sub = matrix.entries[np.ix_(keep, keep)]
-        _, vec = _min_eig(sub)
-        order = np.argsort(np.abs(vec))  # least involved candidates first
-        for pos in order:
-            cand = keep[:pos] + keep[pos + 1 :]
-            if _fails(matrix.entries[np.ix_(cand, cand)], tolerance):
-                keep = cand
-                break
-        else:
-            break
+    order = np.argsort(-np.abs(vec), kind="stable")  # most involved points first
+    m = 2  # the full set can read as passing at rounding level, so stop at n
+    while m < len(order) and not _fails(matrix.entries[np.ix_(order[:m], order[:m])], tolerance):
+        m += 1
+    keep = np.isin(np.arange(len(order)), order[:m])
+    for i in order[:m]:
+        keep[i] = False
+        if keep.sum() < 2 or not _fails(matrix.entries[np.ix_(keep, keep)], tolerance):
+            keep[i] = True
     sub = matrix.entries[np.ix_(keep, keep)]
     lam_sub, vec_sub = _min_eig(sub)
     witness = Witness(
@@ -208,24 +212,26 @@ def cnp_scan(
 ) -> PickReport:
     """Repeated Pick tests over seeded pseudo-random point sets.
 
-    Each trial derives its stream from (seed, trial index), so serial and
-    parallel execution see identical samples and verdicts. Returns the
-    report of the worst trial, annotated with the trial count and any
-    per-trial division hazards.
+    The symbol is checked and normalized once per scan. Each trial draws
+    its points from a stream seeded by (seed, trial index), so samples and
+    verdicts are reproducible. Returns the report of the worst trial,
+    annotated with the trial count and any per-trial division hazards.
     """
     a = as_weight(alpha)
     if n_points < 3:
         raise ValueError("need at least 3 points per trial")
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    psi = _admitted_psi(symbol, a)
     worst: PickReport | None = None
     hazards: list[str] = []
     failed = 0
     for trial in range(n_trials):
-        rng = np.random.default_rng([seed, trial])
-        pts = sample_points(n_points, rng, a)
+        pts = sample_points(n_points, np.random.default_rng([seed, trial]), a)
         try:
-            pick = build_pick(symbol, a, pts)
+            pick = _pick_on(psi, a, pts)
         except DivisionHazard as exc:
             hazards.append(f"trial {trial}: {exc}")
             continue

@@ -205,24 +205,77 @@ def test_build_pick_raises_typed_division_hazard(monkeypatch):
 
 
 def test_scan_records_hazards_and_propagates_other_errors(monkeypatch):
-    real_build = cnp.build_pick
+    # scans build each trial's matrix with the per-point-set step, not build_pick
+    real_pick_on = cnp._pick_on
     calls = []
 
-    def hazard_on_first_trial(symbol, alpha, points):
+    def hazard_on_first_trial(psi, alpha, points):
         calls.append(len(points))
         if len(calls) == 1:
             raise DivisionHazard("division hazard: forced")
-        return real_build(symbol, alpha, points)
+        return real_pick_on(psi, alpha, points)
 
-    monkeypatch.setattr(cnp, "build_pick", hazard_on_first_trial)
+    monkeypatch.setattr(cnp, "_pick_on", hazard_on_first_trial)
     rep = cnp_scan(SHIFT, 1.0, n_points=8, n_trials=3, seed=7)
     assert rep.hazards == ("trial 0: division hazard: forced",)
     assert rep.trials == 3 and len(calls) == 3
 
-    def other_error(symbol, alpha, points):
+    def other_error(psi, alpha, points):
         # a message naming a hazard must not turn a plain ValueError into one
         raise ValueError("not a division hazard")
 
-    monkeypatch.setattr(cnp, "build_pick", other_error)
+    monkeypatch.setattr(cnp, "_pick_on", other_error)
     with pytest.raises(ValueError, match="not a division hazard"):
         cnp_scan(SHIFT, 1.0, n_points=8, n_trials=3, seed=7)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_scan_checks_and_normalizes_the_symbol_once(monkeypatch):
+    checks = _counting(monkeypatch, cnp, "admissibility_check")
+    norms = _counting(monkeypatch, cnp, "normalize")
+    rep = cnp_scan(to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 200), 0.0, n_points=10, n_trials=5)
+    assert rep.trials == 5
+    assert len(checks) == 1
+    assert len(norms) == 1
+
+
+def test_scan_refuses_bad_tolerance_before_any_compute(monkeypatch):
+    checks = _counting(monkeypatch, cnp, "admissibility_check")
+    with pytest.raises(ValueError, match="tolerance"):
+        cnp_scan(SHIFT, 0.0, n_points=5, n_trials=2, seed=1, tolerance=0.0)
+    assert checks == []
+
+
+def test_three_point_witness_is_found_exactly():
+    # every 2x2 minor is PSD (1 - 0.36 > 0); the {1, 3, 4} block has eigenvalue -0.2
+    entries = np.eye(6, dtype=complex)
+    for i in (1, 3, 4):
+        for j in (1, 3, 4):
+            if i != j:
+                entries[i, j] = -0.6
+    pts = np.linspace(0.1, 0.6, 6).astype(complex)
+    m = PickMatrix(points=pts, entries=entries, alpha=as_weight(0.0), symbol_normalized=SHIFT)
+    report = psd_test(m, 1e-9)
+    assert report.verdict == "fail"
+    assert np.array_equal(report.witness.points, pts[[1, 3, 4]])
+    assert abs(report.witness.min_eigenvalue + 0.2) < 1e-12
+
+
+def test_witness_search_eigensolve_budget(monkeypatch):
+    pick = build_pick(SHIFT, 1.0, sample_points(120, np.random.default_rng([7, 0]), 1.0))
+    calls = _counting(monkeypatch, np.linalg, "eigh")
+    report = psd_test(pick)
+    assert report.verdict == "fail"
+    assert len(report.witness.points) == 2
+    assert len(calls) <= 4

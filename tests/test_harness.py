@@ -124,6 +124,12 @@ def test_scenario_rejects_unknown_check():
         Scenario("x", alpha_list=(0.0,), symbols=(SHIFT,), checks=("spectral_gap",))
 
 
+def test_scenario_rejects_non_symbols():
+    # a symbol given as text would otherwise fail later, outside any cell
+    with pytest.raises(ValueError, match="not symbols"):
+        Scenario("x", alpha_list=(0.0,), symbols=("mobius a=0.5",), checks=("boundary_ratio",))
+
+
 def test_builtin_scenarios_cover_every_check():
     scenarios = builtin_scenarios()
     covered = {c for s in scenarios.values() for c in s.checks}
@@ -174,6 +180,15 @@ def test_run_scenario_records_numerical_failures():
     report = run_scenario(scenario, _FAST)
     assert report.checks[0].status == "fail"
     assert "admissible" in report.checks[0].reason
+
+
+def test_blaschke_decay_shift_window_follows_matrix_size():
+    # the shift-exact slope window is clamped to the usable 3n/4 eigenvalues
+    scenario = Scenario("x", alpha_list=(0.0,), symbols=(SHIFT,), checks=("blaschke_decay",))
+    report = run_scenario(scenario, {"matrix_size": 200, "fit_hi": 150})
+    cell = report.checks[0]
+    assert (cell.status, cell.reason) == ("pass", "")
+    assert "shift_slope_10_200" in cell.metrics
 
 
 def test_run_scenario_fails_fast_on_config_errors():
