@@ -30,18 +30,9 @@ from .harness import (
     run_scenario,
 )
 from .kernels import KINDS, KernelSpec, eval_kernel
-from .operators import berezin, defect_matrix, spectrum, toeplitz_matrix
+from .operators import berezin_values, defect_matrix, spectrum, toeplitz_matrix
 from .scalars import as_weight
-from .symbols import (
-    MonomialSpec,
-    default_series_length,
-    eval_exact,
-    parse_complex,
-    parse_symbol,
-    resolve_monomial,
-    symbol_text,
-    to_series,
-)
+from .symbols import bind_symbol, eval_exact, parse_complex, parse_symbol, symbol_text
 
 
 def _fmt(x: float) -> str:
@@ -50,10 +41,7 @@ def _fmt(x: float) -> str:
 
 def _resolve(symbol_text_arg: str, alpha: float):
     """Parse a symbol argument and produce (spec, truncated series)."""
-    spec = parse_symbol(symbol_text_arg)
-    if isinstance(spec, MonomialSpec):
-        spec = resolve_monomial(spec, alpha)
-    return spec, to_series(spec, default_series_length(spec))
+    return bind_symbol(parse_symbol(symbol_text_arg), alpha)
 
 
 def _write_complex_csv(rows: np.ndarray, out) -> None:
@@ -91,8 +79,15 @@ def _cmd_kernel_eval(args) -> int:
             idx = [header.index(c) for c in ("z_re", "z_im", "w_re", "w_im")]
         except ValueError:
             raise ValueError("batch CSV needs header columns z_re,z_im,w_re,w_im")
-        zs = np.array([complex(float(r[idx[0]]), float(r[idx[1]])) for r in body])
-        ws = np.array([complex(float(r[idx[2]]), float(r[idx[3]])) for r in body])
+        coords = np.zeros((len(body), 4))
+        for i, r in enumerate(body):
+            try:
+                coords[i] = [float(r[j]) for j in idx]
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{args.points}: row {i + 2} needs numeric z_re,z_im,w_re,w_im, got {r!r}"
+                ) from None
+        zs, ws = coords.view(complex).T
         vals = np.atleast_1d(eval_kernel(spec, zs, ws))
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -215,9 +210,8 @@ def _cmd_defect_spectrum(args) -> int:
 def _cmd_berezin(args) -> int:
     alpha = as_weight(args.alpha)
     spec, series = _resolve(args.symbol, float(alpha))
-    e = defect_matrix(series, alpha, args.size, "phi")
-    for a in args.point:
-        b = berezin(e, a)
+    values = berezin_values(series, alpha, args.size, args.point)
+    for a, b in zip(args.point, values):
         expected = 1.0 - abs(eval_exact(spec, a)) ** 2
         print(
             f"a={_fmt(a.real)}+{_fmt(a.imag)}i berezin={_fmt(b)} "

@@ -20,12 +20,11 @@ import numpy as np
 from .cnp import cnp_scan
 from .kernels import rescaling_check
 from .operators import (
-    defect_form,
+    berezin_values,
     defect_matrix,
     inclusion_eigenvalues,
     inclusion_matrix,
     jacobi_eigenvalues,
-    normalized_kernel_coeffs,
     spectrum,
 )
 from .scalars import as_weight
@@ -35,12 +34,12 @@ from .symbols import (
     MonomialSpec,
     PowerSeriesSymbol,
     SingularInnerSpec,
+    SymbolSpec,
+    bind_symbol,
     eval_exact,
     monomial_cnp_scale,
     normalize,
-    resolve_monomial,
     symbol_text,
-    to_series,
 )
 
 SCHEMA_VERSION = 1
@@ -57,12 +56,8 @@ CHECK_IDS = (
     "inclusion_asymptote",
 )
 
-_SYMBOL_TYPES = (MobiusSpec, BlaschkeSpec, MonomialSpec, SingularInnerSpec, PowerSeriesSymbol)
-
 DEFAULT_CONFIG: dict[str, object] = {
     "matrix_size": 400,
-    "series_length": 200,
-    "singular_series_length": 600,
     "boundary_size": 600,
     "boundary_radius": 0.995,
     "directions": 16,
@@ -132,8 +127,6 @@ def merge_config(*overrides: dict[str, object] | None) -> dict[str, object]:
 # first 3n/4 eigenvalues needs matrix_size >= 3
 _CONFIG_MINIMA = {
     "matrix_size": 3,
-    "series_length": 1,
-    "singular_series_length": 1,
     "boundary_size": 1,
     "directions": 1,
     "cnp_points": 3,
@@ -194,7 +187,7 @@ class Scenario:
             raise ValueError(f"unknown check identifiers {unknown}; known: {list(CHECK_IDS)}")
         for a in self.alpha_list:
             as_weight(a)
-        bad = [s for s in self.symbols if not isinstance(s, _SYMBOL_TYPES)]
+        bad = [s for s in self.symbols if not isinstance(s, SymbolSpec | PowerSeriesSymbol)]
         if bad:
             raise ValueError(f"not symbols: {bad!r}; use a spec or a PowerSeriesSymbol")
 
@@ -330,20 +323,6 @@ def boundary_ratio_check(symbol: PowerSeriesSymbol, radii, directions: int) -> t
 # symbol classification helpers
 
 
-def _bind(spec, alpha: float, cfg: dict):
-    """Resolve deferred parameters and produce the working series for a cell."""
-    if isinstance(spec, MonomialSpec):
-        spec = resolve_monomial(spec, alpha)
-    if isinstance(spec, PowerSeriesSymbol):
-        return spec, spec
-    length = (
-        int(cfg["singular_series_length"])
-        if isinstance(spec, SingularInnerSpec)
-        else int(cfg["series_length"])
-    )
-    return spec, to_series(spec, length)
-
-
 def _blaschke_degree(spec, series: PowerSeriesSymbol):
     """Degree of the finite Blaschke product the symbol represents, else None.
 
@@ -382,7 +361,7 @@ def _check_berezin_identity(alpha, spec, series, cfg):
     if alpha <= -1:
         return "skipped", "precondition alpha > -1 (finite weighted area measure)", {}
     pts = _seeded_disk_points(int(cfg["seed"]), 11, int(cfg["berezin_points"]), float(cfg["berezin_radius"]))
-    vals = _berezin_values(series, alpha, int(cfg["matrix_size"]), pts)
+    vals = berezin_values(series, alpha, int(cfg["matrix_size"]), pts)
     worst = float(np.max(np.abs(vals - (1.0 - np.abs(eval_exact(spec, pts)) ** 2))))
     status = "pass" if worst < BEREZIN_TOL else "fail"
     return status, "", {
@@ -393,17 +372,11 @@ def _check_berezin_identity(alpha, spec, series, cfg):
     }
 
 
-def _berezin_values(series, alpha, n: int, points) -> np.ndarray:
-    """Berezin transforms <E_phi k_a, k_a> of the n x n defect block at every point a."""
-    c = np.array([normalized_kernel_coeffs(alpha, a, n) for a in points])
-    return np.real(defect_form(series, alpha, n, "phi", c, c))
-
-
 def _boundary_berezin_max(series, alpha, cfg) -> tuple[float, float]:
     r = float(cfg["boundary_radius"])
     d = int(cfg["directions"])
     pts = r * np.exp(2j * np.pi * np.arange(d) / d)
-    vals = _berezin_values(series, alpha, int(cfg["boundary_size"]), pts)
+    vals = berezin_values(series, alpha, int(cfg["boundary_size"]), pts)
     return float(vals.max()), float(vals.min())
 
 
@@ -658,7 +631,7 @@ def run_scenario(scenario: Scenario, config: dict | None = None) -> RunReport:
         routine = _CHECK_ROUTINES[check]
         for alpha in scenario.alpha_list:
             for raw_spec in scenario.symbols:
-                spec, series = _bind(raw_spec, alpha, cfg)
+                spec, series = bind_symbol(raw_spec, alpha)
                 try:
                     status, reason, metrics = routine(float(alpha), spec, series, cfg)
                 except Exception as exc:

@@ -16,7 +16,7 @@ from scipy.special import roots_jacobi
 
 from .operators import defect_form
 from .scalars import WeightParameter, as_weight, basis_weights
-from .symbols import MobiusSpec, PowerSeriesSymbol, normalize, to_series
+from .symbols import MobiusSpec, PowerSeriesSymbol, bind_symbol, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
 CONJ_SUB_START_SIZE = 200
@@ -201,7 +201,7 @@ def mobius_factorization_check(
     _check_disk(pts)
     z = pts[:, None]
     w = pts[None, :]
-    series = to_series(spec, 200)
+    _, series = bind_symbol(spec, al)
     lhs = eval_kernel(KernelSpec("sub", al, series), z, w)
     rhs = (
         (1.0 - abs(spec.a) ** 2)

@@ -124,13 +124,26 @@ def defect_form(
     return np.sum(np.conj(x) * y, axis=-1) - np.sum(np.conj(apply(x)) * apply(y), axis=-1)
 
 
-def normalized_kernel_coeffs(alpha: WeightParameter | float, a: complex, n: int) -> np.ndarray:
-    """Basis coefficients of the normalized reproducing kernel at a, truncated to n."""
+def berezin_values(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, n: int, points):
+    """Berezin transforms <E k_a, k_a> of E = defect_matrix(symbol, alpha, n, "phi") at every a.
+
+    One defect_form call on the stacked kernel vectors, so E is never
+    formed; berezin on the dense block is the independent oracle.
+    """
+    _check_defect_args(alpha, n, "phi")
+    c = normalized_kernel_coeffs(alpha, points, n)
+    return np.real(defect_form(symbol, alpha, n, "phi", c, c))
+
+
+def normalized_kernel_coeffs(alpha: WeightParameter | float, a, n: int) -> np.ndarray:
+    """Basis coefficients, truncated to n, of the normalized kernel at a (along a new last axis)."""
     al = as_weight(alpha).alpha
-    if abs(a) >= 1:
+    a = np.asarray(a)
+    if np.any(np.abs(a) >= 1):
         raise ValueError("base point must satisfy |a| < 1")
     w = basis_weights(al, n - 1).values
-    return (1.0 - abs(a) ** 2) ** ((2.0 + al) / 2.0) * np.sqrt(w) * np.conj(a) ** np.arange(n)
+    scale = (1.0 - np.abs(a) ** 2) ** ((2.0 + al) / 2.0)
+    return scale[..., None] * np.sqrt(w) * np.conj(a)[..., None] ** np.arange(n)
 
 
 def berezin(defect: OperatorMatrix, a: complex) -> float:

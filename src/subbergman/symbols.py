@@ -271,6 +271,17 @@ def resolve_monomial(spec: MonomialSpec, alpha: WeightParameter | float) -> Mono
     return MonomialSpec(n=spec.n, c=c)
 
 
+def bind_symbol(spec: SymbolSpec | PowerSeriesSymbol, alpha: WeightParameter | float):
+    """The spec with its deferred monomial scale resolved, and its working series.
+
+    The one truncation policy of the package: `verify` and every CLI
+    subcommand cut the symbol at default_series_length.
+    """
+    if isinstance(spec, MonomialSpec):
+        spec = resolve_monomial(spec, alpha)
+    return spec, to_series(spec, default_series_length(spec))
+
+
 @dataclass(frozen=True)
 class Normalization:
     """Outcome of moving the base point to 0: psi = phi_a o phi with a = phi(0).

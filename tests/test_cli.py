@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from subbergman import cli, harness
 from subbergman.cli import main
+from subbergman.harness import Scenario, run_scenario
+from subbergman.symbols import parse_symbol
 
 
 def _read_csv(path):
@@ -91,6 +94,27 @@ def test_kernel_eval_batch_rejects_missing_header(tmp_path, capsys):
     )
     assert rc == 2
     assert "z_re" in capsys.readouterr().err
+
+
+def test_kernel_eval_batch_short_row_exits_2(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_text("z_re,z_im,w_re,w_im\n0.1,0.2,0.3,0\n0.1,0.2\n")
+    rc = main(
+        [
+            "kernel",
+            "eval",
+            "--kind",
+            "bergman",
+            "--alpha",
+            "0",
+            "--points",
+            str(points),
+            "--out",
+            str(tmp_path / "o.csv"),
+        ]
+    )
+    assert rc == 2
+    assert "row 3" in capsys.readouterr().err
 
 
 def test_kernel_eval_conj_sub_past_the_cap_exits_2(capsys):
@@ -287,6 +311,34 @@ def test_berezin_prints_identity_error(capsys):
         assert float(fields["error"]) < 1e-6
     # phi_a(a) = 0, so the first expected value is exactly 1
     assert float(dict(tok.split("=") for tok in lines[0].split())["expected"]) == 1.0
+
+
+def test_berezin_builds_no_dense_block(monkeypatch, capsys):
+    def dense(*args, **kwargs):
+        raise AssertionError("berezin must not build the dense defect block")
+
+    monkeypatch.setattr(cli, "defect_matrix", dense)
+    argv = ["berezin", "--alpha", "0", "--symbol", "mobius a=0.5", "--size", "200", "--point", "0.5"]
+    rc = main(argv)
+    assert rc == 0
+    assert capsys.readouterr().out == "a=0.5+0i berezin=1 expected=1 error=0\n"
+
+
+@pytest.mark.parametrize("alpha", [-1.5, 0.0, 1.0])
+def test_cli_and_verify_truncate_symbols_alike(monkeypatch, alpha):
+    # the series a verify cell receives equals the one the CLI computes with
+    captured = []
+
+    def capture(alpha, spec, series, cfg):
+        captured.append(series)
+        return "skipped", "captured", {}
+
+    monkeypatch.setitem(harness._CHECK_ROUTINES, "boundary_ratio", capture)
+    for text in ("mobius a=0.5", "blaschke zeros=0.5,-0.5", "singular c=1", "monomial n=2"):
+        run_scenario(Scenario("x", (alpha,), (parse_symbol(text),), ("boundary_ratio",)))
+        _, series = cli._resolve(text, alpha)
+        np.testing.assert_array_equal(captured[-1].coeffs, series.coeffs)
+        assert captured[-1].tail_bound == series.tail_bound
 
 
 # ---------------------------------------------------------------------------

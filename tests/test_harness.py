@@ -43,7 +43,7 @@ def test_merge_defaults_and_overrides():
     cfg = merge_config({"matrix_size": "120"}, {"seed": 3})
     assert cfg["matrix_size"] == 120 and isinstance(cfg["matrix_size"], int)
     assert cfg["seed"] == 3
-    assert cfg["series_length"] == DEFAULT_CONFIG["series_length"]
+    assert cfg["boundary_size"] == DEFAULT_CONFIG["boundary_size"]
 
 
 def test_merge_rejects_unknown_and_badly_typed_keys():
@@ -51,6 +51,13 @@ def test_merge_rejects_unknown_and_badly_typed_keys():
         merge_config({"matrix_sise": 100})
     with pytest.raises(ValueError):
         merge_config({"matrix_size": "many"})
+
+
+@pytest.mark.parametrize("key, value", [("series_length", 200), ("singular_series_length", 600)])
+def test_series_lengths_are_not_config_keys(key, value):
+    # every symbol is truncated by default_series_length, in verify and the CLI alike
+    with pytest.raises(ValueError, match=key):
+        merge_config({key: value})
 
 
 def test_later_sources_win():
@@ -141,7 +148,6 @@ def test_builtin_scenarios_cover_every_check():
 _FAST = {
     "matrix_size": 120,
     "boundary_size": 160,
-    "series_length": 80,
     "cnp_points": 10,
     "cnp_trials": 3,
     "fit_lo": 5,

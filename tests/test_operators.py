@@ -11,6 +11,7 @@ import pytest
 
 from subbergman.operators import (
     berezin,
+    berezin_values,
     defect_form,
     defect_matrix,
     gram,
@@ -210,6 +211,27 @@ def test_normalized_kernel_has_unit_norm():
         # the orthonormal-coordinate vector used by berezin is d / sqrt(w)
         c = normalized_kernel_coeffs(alpha, a, n)
         np.testing.assert_allclose(d / np.sqrt(w), c, atol=1e-12)
+
+
+def test_normalized_kernel_coeffs_batches_points():
+    pts = np.array([[0.0, 0.5, -0.3 + 0.4j], [0.95j, 0.2 - 0.1j, -0.7]])
+    for alpha in (-1.5, 0.0, 1.0):
+        batch = normalized_kernel_coeffs(alpha, pts, 150)
+        assert batch.shape == (2, 3, 150)
+        stacked = np.array([[normalized_kernel_coeffs(alpha, a, 150) for a in row] for row in pts])
+        np.testing.assert_allclose(batch, stacked, rtol=0, atol=1e-15)
+    assert normalized_kernel_coeffs(0.0, 0.3, 7).shape == (7,)
+    with pytest.raises(ValueError):
+        normalized_kernel_coeffs(0.0, [0.1, 1.0], 7)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+def test_berezin_values_match_the_dense_oracle(alpha):
+    series = to_series(BlaschkeSpec(zeros=(0.5, -0.3 + 0.2j)), 40)
+    pts = np.array([0.0, 0.5, -0.6 + 0.3j, 0.9j])
+    e = defect_matrix(series, alpha, 120, "phi")
+    vals = berezin_values(series, alpha, 120, pts)
+    np.testing.assert_allclose(vals, [berezin(e, a) for a in pts], rtol=0, atol=1e-13)
 
 
 def test_gram_orthonormal_basis():
