@@ -20,6 +20,7 @@ import numpy as np
 from .cnp import cnp_scan
 from .kernels import rescaling_check
 from .operators import (
+    _decay_slope,
     berezin_values,
     defect_matrix,
     inclusion_eigenvalues,
@@ -389,8 +390,7 @@ def _check_blaschke_decay(alpha, spec, series, cfg):
     n = int(cfg["matrix_size"])
     window = (int(cfg["fit_lo"]), int(cfg["fit_hi"]))
     rep_phi = spectrum(defect_matrix(series, alpha, n, "phi"), window)
-    e_conj = defect_matrix(series, alpha, n, "conj")
-    rep_conj = spectrum(e_conj, window)
+    rep_conj = spectrum(defect_matrix(series, alpha, n, "conj"), window)
     bmax, bmin = _boundary_berezin_max(series, alpha, cfg)
     metrics = {
         "degree": degree,
@@ -414,7 +414,7 @@ def _check_blaschke_decay(alpha, spec, series, cfg):
         dev = float(np.max(np.abs(ev - expected)))
         # the (10, 200) window, clamped to the usable 3n/4 eigenvalues of smaller sections
         usable = 3 * n // 4
-        slope_exact = spectrum(e_conj, (min(10, usable - 1), min(200, usable))).decay_exponent
+        slope_exact = _decay_slope(ev, min(10, usable - 1), min(200, usable))
         metrics["shift_exact_max_dev"] = dev
         metrics["shift_slope_10_200"] = slope_exact
         ok = ok and dev < EXACT_TOL and abs(slope_exact + 1.0) <= 0.02

@@ -35,11 +35,19 @@ class OperatorMatrix:
 
 
 def _toeplitz_entries(symbol: PowerSeriesSymbol, sq: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The rows x cols corner of the multiplication operator, sq = sqrt(w_k) for k < rows."""
-    t = np.zeros((rows, cols), dtype=complex)
+    """The rows x cols corner of the multiplication operator, sq = sqrt(w_k) for k < rows.
+
+    The entries are float64 when no coefficient has a nonzero imaginary part
+    (a -0.0 counts as zero) and complex otherwise, so real symbols reach the
+    real BLAS and LAPACK routines downstream.
+    """
+    c = symbol.coeffs
+    if not np.any(c.imag):
+        c = c.real
+    t = np.zeros((rows, cols), dtype=c.dtype)
     for j in range(min(len(symbol), rows)):
         k = np.arange(min(cols, rows - j))
-        t[k + j, k] = symbol.coeffs[j] * sq[k] / sq[k + j]
+        t[k + j, k] = c[j] * sq[k] / sq[k + j]
     return t
 
 
@@ -73,6 +81,10 @@ def defect_matrix(
     T_n the n x n section. Column k of T vanishes past row k + L - 1, so
     the conj block is I - S* S with S the first n + L - 1 rows of the
     first n columns. Both blocks are exact for the truncated symbol.
+
+    The block is float64 when the symbol's coefficients are all real (see
+    _toeplitz_entries) and complex otherwise; for a real T, t.conj() is t
+    itself, so the product is a symmetric rank-k update.
     """
     a = _check_defect_args(alpha, n, which)
     rows = n if which == "phi" else n + len(symbol) - 1
@@ -190,6 +202,23 @@ def _check_hermitian(entries: np.ndarray) -> None:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
 
 
+def _decay_slope(eigenvalues: np.ndarray, lo: int, hi: int) -> float:
+    """Least-squares slope of log lambda_n against log(n+1) over lo <= n <= hi.
+
+    n is the 1-based index into the descending eigenvalues; nonpositive
+    eigenvalues are left out, and fewer than two positive ones give nan.
+    """
+    idx = np.arange(lo, hi + 1)
+    lam = eigenvalues[idx - 1]
+    mask = lam > 0
+    if mask.sum() < 2:
+        return float("nan")
+    x = np.log(idx[mask] + 1.0)
+    design = np.vstack([x, np.ones_like(x)]).T
+    sol, *_ = np.linalg.lstsq(design, np.log(lam[mask]), rcond=None)
+    return float(sol[0])
+
+
 def spectrum(op: OperatorMatrix, fit_window: tuple[int, int] | None = None) -> SpectrumReport:
     """Eigendecomposition with decay-exponent fit and Schatten partial sums.
 
@@ -212,16 +241,7 @@ def spectrum(op: OperatorMatrix, fit_window: tuple[int, int] | None = None) -> S
     if not (1 <= lo < hi <= usable):
         raise ValueError(f"fit window {fit_window} must lie within [1, {usable}]")
     ev = np.linalg.eigvalsh(op.entries)[::-1].copy()
-    idx = np.arange(lo, hi + 1)
-    lam = ev[idx - 1]
-    mask = lam > 0
-    if mask.sum() >= 2:
-        x = np.log(idx[mask] + 1.0)
-        design = np.vstack([x, np.ones_like(x)]).T
-        sol, *_ = np.linalg.lstsq(design, np.log(lam[mask]), rcond=None)
-        slope = float(sol[0])
-    else:
-        slope = float("nan")
+    slope = _decay_slope(ev, lo, hi)
     clipped = np.clip(ev[:usable], 0.0, None)
     schatten: dict[float, SchattenEstimate] = {}
     for p in SCHATTEN_EXPONENTS:
@@ -260,7 +280,7 @@ def inclusion_matrix(
 ) -> OperatorMatrix:
     vals = inclusion_eigenvalues(alpha, gamma, n)
     return OperatorMatrix(
-        entries=np.diag(vals).astype(complex),
+        entries=np.diag(vals),
         alpha=as_weight(alpha),
         basis_size=n + 1,
         kind="inclusion_diag",

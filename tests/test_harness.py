@@ -21,6 +21,7 @@ from subbergman.harness import (
     run_scenario,
     _blaschke_degree,
 )
+from subbergman.operators import defect_matrix, spectrum
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
@@ -194,7 +195,9 @@ def test_blaschke_decay_shift_window_follows_matrix_size():
     report = run_scenario(scenario, {"matrix_size": 200, "fit_hi": 150})
     cell = report.checks[0]
     assert (cell.status, cell.reason) == ("pass", "")
-    assert "shift_slope_10_200" in cell.metrics
+    # the slope is refitted on the (10, 150) window of the block already solved
+    want = spectrum(defect_matrix(SHIFT, 0.0, 200, "conj"), (10, 150)).decay_exponent
+    assert abs(cell.metrics["shift_slope_10_200"] - want) < 1e-13
 
 
 def test_run_scenario_fails_fast_on_config_errors():

@@ -25,6 +25,7 @@ from subbergman.operators import (
 from subbergman.scalars import basis_weights
 from subbergman.symbols import (
     BlaschkeSpec,
+    MobiusSpec,
     MonomialSpec,
     PowerSeriesSymbol,
     SingularInnerSpec,
@@ -61,6 +62,39 @@ def test_shift_toeplitz_entries():
 def test_constant_symbol_is_scalar_matrix():
     t = toeplitz_matrix(PowerSeriesSymbol(np.array([0.5 + 0.5j])), 0.0, 6).entries
     np.testing.assert_allclose(t, (0.5 + 0.5j) * np.eye(6), atol=0)
+
+
+_REAL_SYMBOLS = (
+    SHIFT,
+    to_series(MobiusSpec(a=0.5), 64),
+    to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 64),
+    # every imaginary part is -0.0: still a real symbol
+    PowerSeriesSymbol(np.conj(np.array([0.25, -0.5, 0.125], dtype=complex))),
+)
+_COMPLEX_SYMBOLS = (
+    to_series(BlaschkeSpec(zeros=(0.5, -0.3 + 0.2j)), 64),
+    to_series(MobiusSpec(a=0.3j), 64),
+)
+
+
+@pytest.mark.parametrize(
+    "series, dtype",
+    [(s, np.float64) for s in _REAL_SYMBOLS] + [(s, np.complex128) for s in _COMPLEX_SYMBOLS],
+    ids=["shift", "mobius", "blaschke", "minus-zero-imag", "blaschke-complex", "mobius-complex"],
+)
+def test_entry_dtype_follows_the_coefficients(series, dtype):
+    # real coefficients give real Toeplitz and defect blocks, equal to the complex build
+    t = toeplitz_matrix(series, 0.5, 40).entries
+    assert t.dtype == dtype
+    c = series.coeffs
+    ref = np.zeros((40, 40), dtype=complex)
+    sq = np.sqrt(basis_weights(0.5, 39).values)
+    for j in range(min(len(c), 40)):
+        k = np.arange(40 - j)
+        ref[k + j, k] = c[j] * sq[k] / sq[k + j]
+    np.testing.assert_allclose(t, ref, rtol=1e-15, atol=0)
+    for which in ("phi", "conj"):
+        assert defect_matrix(series, 0.5, 40, which).entries.dtype == dtype
 
 
 def test_toeplitz_is_lower_triangular_banded():
@@ -253,6 +287,29 @@ def test_shift_conj_spectrum_exact():
     assert abs(rep.decay_exponent + 1.0) <= 0.02
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        defect_matrix(to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 64), 0.0, 200, "phi"),
+        defect_matrix(to_series(MobiusSpec(a=0.5), 64), 1.0, 200, "conj"),
+        inclusion_matrix(0.5, -0.5, 199),
+    ],
+    ids=["defect-phi", "defect-conj", "inclusion"],
+)
+def test_spectrum_of_real_block_matches_complex_cast(op):
+    from subbergman.operators import OperatorMatrix
+
+    assert op.entries.dtype == np.float64
+    cast = OperatorMatrix(
+        entries=op.entries.astype(complex), alpha=op.alpha, basis_size=op.basis_size, kind=op.kind
+    )
+    real, cplx = spectrum(op, (5, 150)), spectrum(cast, (5, 150))
+    np.testing.assert_allclose(real.eigenvalues, cplx.eigenvalues, rtol=0, atol=1e-13)
+    assert abs(real.decay_exponent - cplx.decay_exponent) < 1e-13
+    for p in real.schatten_estimates:
+        assert abs(real.schatten_estimates[p].value - cplx.schatten_estimates[p].value) < 1e-13
+
+
 def test_spectrum_rejects_non_hermitian():
     from subbergman.operators import OperatorMatrix
     from subbergman.scalars import as_weight
@@ -333,7 +390,9 @@ def test_inclusion_two_step_asymptote():
 
 
 def test_inclusion_matrix_spectrum_slope():
-    rep = spectrum(inclusion_matrix(0.0, -1.0, 256))
+    op = inclusion_matrix(0.0, -1.0, 256)
+    assert op.entries.dtype == np.float64
+    rep = spectrum(op)
     assert -1.05 <= rep.decay_exponent <= -0.95
 
 
