@@ -40,6 +40,11 @@ def sample_points(
     flattens the kernel there. A minimum pairwise separation is enforced by
     resampling, so the stream of draws (and thus the sample) is a
     deterministic function of the generator state.
+
+    Each round draws the uniforms of the candidates still missing in one
+    block, radius then angle per candidate, and accepts them in order; so
+    the points and the generator state afterwards are those of drawing one
+    candidate at a time.
     """
     expo = 1.0 / (2.0 + max(as_weight(alpha).alpha, 0.0))
     pts = np.empty(n, dtype=complex)
@@ -48,13 +53,21 @@ def sample_points(
     while have < n:
         if attempts > 10000 * n:
             raise RuntimeError("point sampler failed to honor the minimum separation")
-        attempts += 1
-        r = np.sqrt(rng.uniform()) ** expo * r_max
-        z = r * np.exp(2j * np.pi * rng.uniform())
-        if have and float(np.min(np.abs(pts[:have] - z))) < min_sep:
-            continue
-        pts[have] = z
-        have += 1
+        k = n - have
+        attempts += k
+        u = rng.uniform(size=2 * k)
+        # scalar powers: numpy's array ** can differ from them by an ulp
+        r = np.array([x**expo for x in np.sqrt(u[0::2]).tolist()]) * r_max
+        cand = r * np.exp(2j * np.pi * u[1::2])
+        crowded = np.triu(np.abs(cand[:, None] - cand[None, :]) < min_sep, 1).any()
+        if not crowded and not np.any(np.abs(cand[:, None] - pts[:have]) < min_sep):
+            pts[have:] = cand
+            break
+        for z in cand:
+            if have and float(np.min(np.abs(pts[:have] - z))) < min_sep:
+                continue
+            pts[have] = z
+            have += 1
     return pts
 
 
@@ -152,13 +165,30 @@ def _fails(entries: np.ndarray, tolerance: float) -> bool:
     return lam < -tolerance * max(1.0, float(np.trace(entries).real))
 
 
+def _grow_then_shrink(entries: np.ndarray, vec: np.ndarray, tolerance: float) -> np.ndarray:
+    """Mask of the smallest failing prefix by |vec| (>= 2 points), pruned by one deletion pass."""
+    order = np.argsort(-np.abs(vec), kind="stable")  # most involved points first
+    m = 2  # the full set can read as passing at rounding level, so stop at n
+    while m < len(order) and not _fails(entries[np.ix_(order[:m], order[:m])], tolerance):
+        m += 1
+    keep = np.isin(np.arange(len(order)), order[:m])
+    for i in order[:m]:
+        keep[i] = False
+        if keep.sum() < 2 or not _fails(entries[np.ix_(keep, keep)], tolerance):
+            keep[i] = True
+    return keep
+
+
 def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickReport:
     """PSD verdict with witness extraction.
 
     Pass iff the minimal eigenvalue is >= -tolerance * max(1, trace). On
-    failure the smallest failing prefix (>= 2 points, by weight in the
-    minimal eigenvector) is pruned by one deletion pass, so the witness has
-    2 points or, by interlacing, no single removal keeps the failure.
+    failure the witness is the pair whose 2x2 principal minor has the most
+    negative eigenvalue (closed form, all pairs at once), provided that
+    minor fails the same trace-scaled threshold. Otherwise the smallest
+    failing prefix (>= 2 points, by weight in the minimal eigenvector) is
+    pruned by one deletion pass, so the witness has 2 points or, by
+    interlacing, no single removal keeps the failure.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -173,15 +203,14 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
             certificate=False,
             note="pass is sampled evidence, not a proof of the CNP property",
         )
-    order = np.argsort(-np.abs(vec), kind="stable")  # most involved points first
-    m = 2  # the full set can read as passing at rounding level, so stop at n
-    while m < len(order) and not _fails(matrix.entries[np.ix_(order[:m], order[:m])], tolerance):
-        m += 1
-    keep = np.isin(np.arange(len(order)), order[:m])
-    for i in order[:m]:
-        keep[i] = False
-        if keep.sum() < 2 or not _fails(matrix.entries[np.ix_(keep, keep)], tolerance):
-            keep[i] = True
+    d = matrix.entries.diagonal().real
+    pair_min = (d[:, None] + d) / 2.0 - np.hypot((d[:, None] - d) / 2.0, np.abs(matrix.entries))
+    np.fill_diagonal(pair_min, np.inf)
+    i, j = np.unravel_index(np.argmin(pair_min), pair_min.shape)
+    if pair_min[i, j] < -tolerance * max(1.0, d[i] + d[j]):
+        keep = np.isin(np.arange(len(d)), (i, j))
+    else:
+        keep = _grow_then_shrink(matrix.entries, vec, tolerance)
     sub = matrix.entries[np.ix_(keep, keep)]
     lam_sub, vec_sub = _min_eig(sub)
     witness = Witness(

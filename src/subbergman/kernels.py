@@ -10,9 +10,9 @@ cross-validated by quadrature over the disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .operators import defect_form
 from .scalars import WeightParameter, as_weight, basis_weights
@@ -103,6 +103,29 @@ def _conj_sub_auto(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w):
     )
 
 
+@lru_cache(maxsize=32)
+def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1-x)^alpha on [-1, 1], by Golub-Welsch.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
+    monic Jacobi polynomials P^(alpha, 0); the weights are mu_0 times the
+    squared first eigenvector components, with mu_0 = 2^(alpha+1)/(alpha+1)
+    the integral of the weight (Golub & Welsch, Math. Comp. 23, 1969).
+    Cached, so the arrays are read-only.
+    """
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + alpha
+    diag = np.empty(n)
+    diag[0] = -alpha / (alpha + 2.0)  # the general entry is 0/0 here at alpha = 0
+    diag[1:] = -(alpha * alpha) / (s * (s + 2.0))
+    off = 2.0 * k * (k + alpha) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (alpha + 1.0) / (alpha + 1.0) * v[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def conj_sub_quadrature(
     symbol: PowerSeriesSymbol,
     alpha: WeightParameter | float,
@@ -116,17 +139,20 @@ def conj_sub_quadrature(
     Integrates (1-|phi(u)|^2) / ((1-z conj(u))^(2+alpha) (1-u conj(w))^(2+alpha))
     against dA_alpha = (alpha+1)(1-|u|^2)^alpha dA. In the radial variable
     t = |u|^2 the weight (1-t)^alpha is folded into a Gauss-Jacobi rule
-    (plain Gauss-Legendre at alpha = 0, where the weight is constant);
-    the angular direction uses the trapezoid rule, spectrally accurate for
-    periodic integrands.
+    (plain Gauss-Legendre at alpha = 0, where the weight is constant),
+    computed with numpy by the Golub-Welsch method and cached per
+    (n_radial, alpha); the angular direction uses the trapezoid rule,
+    spectrally accurate for periodic integrands.
     """
     a = as_weight(alpha)
     if not a.integrable:
         raise ValueError("conj_sub kernels require alpha > -1")
+    if n_radial < 1 or n_angular < 1:
+        raise ValueError("n_radial and n_angular must be >= 1")
     _check_disk(z, w)
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    x, wts = roots_jacobi(n_radial, a.alpha, 0.0)
+    x, wts = _gauss_jacobi(n_radial, a.alpha)
     r = np.sqrt((x + 1.0) / 2.0)
     u = r[:, None] * np.exp(2j * np.pi * np.arange(n_angular) / n_angular)[None, :]
     dens = 1.0 - np.abs(symbol.eval(u)) ** 2

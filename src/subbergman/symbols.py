@@ -140,7 +140,9 @@ def _mobius_factor_coeffs(a: complex, length: int) -> np.ndarray:
     c[0] = a
     if length > 1:
         k = np.arange(1, length)
-        c[1:] = np.conj(a) ** (k - 1) * (abs(a) ** 2 - 1.0)
+        # a real zero gets float64 powers: complex ones leave imaginary residue from k = 101 on
+        base = a.real if a.imag == 0 else np.conj(a)
+        c[1:] = base ** (k - 1) * (abs(a) ** 2 - 1.0)
     return c
 
 def _mobius_factor_tail(a: complex, length: int) -> float:

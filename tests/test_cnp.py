@@ -17,7 +17,9 @@ from subbergman.scalars import as_weight
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
+    MonomialSpec,
     PowerSeriesSymbol,
+    default_series_length,
     normalize,
     to_series,
 )
@@ -44,6 +46,33 @@ def test_sampler_respects_geometry():
     diff = np.abs(pts[:, None] - pts[None, :])
     np.fill_diagonal(diff, np.inf)
     assert diff.min() >= 1e-3
+
+
+def _scalar_sample(n, rng, alpha=0.0, r_max=1.0, min_sep=1e-3):
+    # reference: one candidate per pair of scalar draws, rejected in order
+    expo = 1.0 / (2.0 + max(alpha, 0.0))
+    pts = []
+    while len(pts) < n:
+        r = np.sqrt(rng.uniform()) ** expo * r_max
+        z = r * np.exp(2j * np.pi * rng.uniform())
+        if pts and float(np.min(np.abs(np.array(pts) - z))) < min_sep:
+            continue
+        pts.append(z)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize(
+    "n, alpha, r_max, min_sep",
+    [(3, 0.0, 1.0, 1e-3), (30, -0.5, 1.0, 1e-3), (120, 1.0, 1.0, 1e-3), (400, 0.0, 1.0, 1e-3)]
+    + [(12, 0.5, 0.9, 0.2), (25, 0.0, 1.0, 0.2)],  # separations that force rejections
+)
+def test_block_sampler_is_bit_identical_to_scalar_draws(n, alpha, r_max, min_sep):
+    for seed in range(10):
+        rng, ref_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+        pts = sample_points(n, rng, alpha, r_max, min_sep)
+        assert np.array_equal(pts, _scalar_sample(n, ref_rng, alpha, r_max, min_sep))
+        # the generator is left where the scalar draws leave it
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_sampler_pushes_mass_outward_for_large_alpha():
@@ -116,6 +145,26 @@ def test_witness_is_minimal_and_reverifies():
             sub = w.matrix[np.ix_(keep, keep)]
             trace = max(1.0, float(np.trace(sub).real))
             assert np.linalg.eigvalsh(sub)[0] >= -1e-9 * trace
+
+
+def test_witness_is_the_most_negative_pair():
+    # a cnp_scan trial (seed 1228061536, trial 2) where the first failing pair
+    # of a grow-then-shrink search is barely indefinite (Jacobi minimum -8.0e-7)
+    spec = MonomialSpec(n=2, c=1.0)
+    series = to_series(spec, default_series_length(spec))
+    pts = sample_points(120, np.random.default_rng([1228061536, 2]), 0.0)
+    pick = build_pick(series, 0.0, pts)
+    report = psd_test(pick)
+    assert report.verdict == "fail"
+    assert len(report.witness.points) == 2
+    assert jacobi_eigenvalues(report.witness.matrix)[-1] <= -1.0
+    # no 2x2 principal minor is more negative than the witness
+    best = min(
+        np.linalg.eigvalsh(pick.entries[np.ix_([i, j], [i, j])])[0]
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+    )
+    assert abs(report.witness.min_eigenvalue - best) <= 1e-12 * abs(best)
 
 
 def test_subset_monotonicity_of_passing_matrices():

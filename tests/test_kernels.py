@@ -6,12 +6,19 @@ kernel against disk quadrature and against an explicit closed form for the
 shift, and the rescaling identity against direct evaluation on both sides.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import subbergman
 from subbergman.kernels import (
     KernelSpec,
     NormalizedKernelPoint,
+    _gauss_jacobi,
     conj_sub_quadrature,
     eval_kernel,
     eval_normalized,
@@ -103,6 +110,38 @@ def test_conj_sub_rejects_nonintegrable_alpha():
         KernelSpec("conj_sub", -1.0, SHIFT)
     with pytest.raises(ValueError):
         conj_sub_quadrature(SHIFT, -1.5, 0.1, 0.2)
+    for sizes in ({"n_radial": 0}, {"n_angular": 0}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            conj_sub_quadrature(SHIFT, 0.0, 0.1, 0.2, **sizes)
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.0, 3.0])
+def test_gauss_jacobi_rule_matches_scipy(alpha):
+    from scipy.special import roots_jacobi  # test-only oracle
+
+    x, w = _gauss_jacobi(128, alpha)
+    x_ref, w_ref = roots_jacobi(128, alpha, 0.0)
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-9, atol=0)
+    # cached per (n, alpha) and shared, hence read-only
+    assert _gauss_jacobi(128, alpha)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_runtime_imports_no_scipy():
+    src = str(Path(subbergman.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import subbergman, subbergman.cli\n"
+        "from subbergman.kernels import conj_sub_quadrature\n"
+        "from subbergman.symbols import PowerSeriesSymbol\n"
+        "conj_sub_quadrature(PowerSeriesSymbol([0.0, 1.0]), 0.5, 0.1, 0.2)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_kernel_spec_validation():

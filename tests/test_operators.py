@@ -29,6 +29,7 @@ from subbergman.symbols import (
     MonomialSpec,
     PowerSeriesSymbol,
     SingularInnerSpec,
+    default_series_length,
     to_series,
 )
 
@@ -70,6 +71,8 @@ _REAL_SYMBOLS = (
     to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 64),
     # every imaginary part is -0.0: still a real symbol
     PowerSeriesSymbol(np.conj(np.array([0.25, -0.5, 0.125], dtype=complex))),
+    # a negative real zero at its default 307 terms: powers past k = 100 stay real
+    to_series(MobiusSpec(a=-0.9), default_series_length(MobiusSpec(a=-0.9))),
 )
 _COMPLEX_SYMBOLS = (
     to_series(BlaschkeSpec(zeros=(0.5, -0.3 + 0.2j)), 64),
@@ -80,7 +83,15 @@ _COMPLEX_SYMBOLS = (
 @pytest.mark.parametrize(
     "series, dtype",
     [(s, np.float64) for s in _REAL_SYMBOLS] + [(s, np.complex128) for s in _COMPLEX_SYMBOLS],
-    ids=["shift", "mobius", "blaschke", "minus-zero-imag", "blaschke-complex", "mobius-complex"],
+    ids=[
+        "shift",
+        "mobius",
+        "blaschke",
+        "minus-zero-imag",
+        "mobius-negative-307",
+        "blaschke-complex",
+        "mobius-complex",
+    ],
 )
 def test_entry_dtype_follows_the_coefficients(series, dtype):
     # real coefficients give real Toeplitz and defect blocks, equal to the complex build
