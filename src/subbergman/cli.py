@@ -29,7 +29,7 @@ from .harness import (
     merge_config,
     run_scenario,
 )
-from .kernels import KINDS, KernelSpec, eval_kernel
+from .kernels import KINDS, KernelSpec, _conj_sub_truncation, eval_kernel
 from .operators import berezin_values, defect_matrix, spectrum, toeplitz_matrix
 from .scalars import as_weight
 from .symbols import bind_symbol, eval_exact, parse_complex, parse_symbol, symbol_text
@@ -57,6 +57,14 @@ def _write_complex_csv(rows: np.ndarray, out) -> None:
         for v in row:
             flat.extend([_fmt(v.real), _fmt(v.imag)])
         writer.writerow(flat)
+
+
+def _truncation_fields(spec: KernelSpec, z, w) -> str:
+    """The basis size and truncation bound a conj_sub evaluation used, as output fields."""
+    if spec.kind != "conj_sub" or np.size(z) == 0:
+        return ""
+    n, bound = _conj_sub_truncation(spec.symbol, spec.alpha, z, w)
+    return f" basis={n} bound={_fmt(bound)}"
 
 
 def _cmd_kernel_eval(args) -> int:
@@ -94,12 +102,12 @@ def _cmd_kernel_eval(args) -> int:
             writer.writerow([*header, "k_re", "k_im"])
             for row, v in zip(body, vals):
                 writer.writerow([*row, _fmt(v.real), _fmt(v.imag)])
-        print(f"wrote {len(body)} kernel values to {args.out}")
+        print(f"wrote {len(body)} kernel values to {args.out}{_truncation_fields(spec, zs, ws)}")
         return 0
     if args.z is None or args.w is None:
         raise ValueError("need --z and --w (or --points for batch mode)")
     v = complex(eval_kernel(spec, args.z, args.w))
-    print(f"re={_fmt(v.real)} im={_fmt(v.imag)}")
+    print(f"re={_fmt(v.real)} im={_fmt(v.imag)}{_truncation_fields(spec, args.z, args.w)}")
     return 0
 
 

@@ -146,8 +146,8 @@ def build_pick(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or len(pts) < 1:
         raise ValueError("need a nonempty 1-d point list")
-    if np.any(np.abs(pts) >= 1):
-        raise ValueError("all points must lie inside the disk")
+    if not np.all(np.abs(pts) < 1):
+        raise ValueError("all points must be finite and lie inside the disk")
     if len(pts) > 1:
         diff = np.abs(pts[:, None] - pts[None, :])
         if float(np.min(diff[~np.eye(len(pts), dtype=bool)])) == 0.0:

@@ -312,7 +312,7 @@ def boundary_ratio_check(symbol: PowerSeriesSymbol, radii, directions: int) -> t
     threshold as the grid radius approaches 1.
     """
     radii = np.asarray(radii, dtype=float)
-    if np.any((radii <= 0) | (radii >= 1)):
+    if not np.all((radii > 0) & (radii < 1)):
         raise ValueError("radii must lie strictly between 0 and 1")
     angles = np.exp(2j * np.pi * np.arange(directions) / directions)
     z = (radii[:, None] * angles[None, :]).ravel()

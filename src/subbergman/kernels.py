@@ -9,6 +9,7 @@ cross-validated by quadrature over the disk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,9 +20,8 @@ from .scalars import WeightParameter, as_weight, basis_weights
 from .symbols import MobiusSpec, PowerSeriesSymbol, bind_symbol, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
-CONJ_SUB_START_SIZE = 200
-CONJ_SUB_MAX_SIZE = 3200
 CONJ_SUB_VALUE_TOL = 1e-8
+CONJ_SUB_WORK_BUDGET = 5e7
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class KernelSpec:
 
 def _check_disk(*points) -> None:
     for p in points:
-        if np.any(np.abs(np.asarray(p)) >= 1):
-            raise ValueError("kernel arguments must satisfy |z| < 1")
+        if not np.all(np.abs(np.asarray(p)) < 1):  # nan fails the test too
+            raise ValueError("kernel arguments must be finite with |z| < 1")
 
 
 def _bergman(alpha: float, z, w):
@@ -58,9 +58,12 @@ def eval_kernel(spec: KernelSpec, z, w):
     """Kernel value K(z, w); accepts scalars or broadcastable arrays.
 
     The principal branch of the complex power is unambiguous here because
-    Re(1 - z conj(w)) > 0 on the disk. conj_sub evaluation truncates at an
-    automatically doubled basis size until the values settle below 1e-8
-    (raising ValueError if the cap is hit, which only happens near the boundary).
+    Re(1 - z conj(w)) > 0 on the disk. Points that are not finite or not
+    strictly inside the disk raise ValueError. conj_sub evaluation truncates
+    at the smallest basis size whose stated bound on the truncation error is
+    at most CONJ_SUB_VALUE_TOL (see _conj_sub_truncation), with one
+    defect_form call per evaluation; a request whose work would exceed
+    CONJ_SUB_WORK_BUDGET raises ValueError before any compute.
     """
     _check_disk(z, w)
     z = np.asarray(z, dtype=complex)
@@ -72,35 +75,96 @@ def eval_kernel(spec: KernelSpec, z, w):
         pw = spec.symbol.eval(w)
         out = (1.0 - pz * np.conj(pw)) * _bergman(spec.alpha.alpha, z, w)
     else:
-        out = _conj_sub_auto(spec.symbol, spec.alpha, z, w)
+        out = _conj_sub(spec.symbol, spec.alpha, z, w)
     return complex(out) if out.ndim == 0 else out
 
 
-def _conj_sub_auto(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w):
+def _log_tail(alpha: float, t: float, n: int) -> float:
+    """log of w_n t^n / (1 - rho_n), a bound on sum_{m >= n} w_m t^m (-inf at t = 0).
+
+    rho_n = t (n+2+alpha)/(n+1) is the ratio of consecutive terms at m = n;
+    for alpha > -1 it decreases in m, so the tail is below the geometric
+    series it starts. The bound is inf while rho_n >= 1.
+    """
+    if t == 0.0:
+        return -math.inf
+    rho = t * (n + 2.0 + alpha) / (n + 1.0)
+    if rho >= 1.0:
+        return math.inf
+    log_w = math.lgamma(n + 2.0 + alpha) - math.lgamma(n + 1.0) - math.lgamma(2.0 + alpha)
+    return log_w + n * math.log(t) - math.log1p(-rho)
+
+
+def _conj_sub_truncation(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w) -> tuple[int, float]:
+    """Smallest basis size n whose truncation bound is <= CONJ_SUB_VALUE_TOL, and that bound.
+
+    With x = (sqrt(w_m) conj(z)^m) and y likewise, K = x* E y, and the n
+    section gives K_n = x_n* E y_n, so |K - K_n| <= ||E|| (||x_t|| ||y|| +
+    ||x|| ||y_t||) with x_t = x - x_n. Here ||x||^2 = (1-|z|^2)^-(2+alpha),
+    ||x_t||^2 is bounded by _log_tail, and ||E|| = ||I - T*T|| <=
+    max(1, s^2 - 1) with s = sum |c_j| >= ||T||, because ||M_{z^j}|| <= 1
+    for alpha > -1. A batch is bounded at its largest |z| and |w|. n is
+    found by doubling and bisection on this closed form. Work is counted in
+    passes over the pairs x n kernel vectors: one per nonzero diagonal of
+    the symbol, plus 32 for building the vectors (complex powers) and the
+    two sums, which measure as 40-60 band passes at 20-200 pairs. A request
+    whose pairs x n x passes exceeds CONJ_SUB_WORK_BUDGET is refused before
+    any compute, which also keeps its memory near 100 bytes per pair and
+    basis element. The bound is on truncation only: the two sums of
+    defect_form round at about eps ||x|| ||y||.
+    """
+    a = alpha.alpha
+    tz = float(np.max(np.abs(z))) ** 2
+    tw = float(np.max(np.abs(w))) ** 2
+    s = float(np.sum(np.abs(symbol.coeffs)))
+    log_e = math.log(max(1.0, s * s - 1.0))
+    log_x = -(2.0 + a) / 2.0 * math.log1p(-tz)
+    log_y = -(2.0 + a) / 2.0 * math.log1p(-tw)
+    log_tol = math.log(CONJ_SUB_VALUE_TOL)
+
+    def log_bound(n: int) -> float:
+        tails = (0.5 * _log_tail(a, tz, n) + log_y, log_x + 0.5 * _log_tail(a, tw, n))
+        return log_e + float(np.logaddexp(*tails))
+
+    pairs, passes = np.broadcast(z, w).size, np.count_nonzero(symbol.coeffs) + 32
+    n_max = int(CONJ_SUB_WORK_BUDGET // (pairs * passes))
+    if n_max < 1 or log_bound(n_max) > log_tol:
+        radius = math.sqrt(max(tz, tw))
+        raise ValueError(
+            f"conj_sub at radius {radius:.10g} needs a basis larger than n = {n_max} to bound the "
+            f"truncation by {CONJ_SUB_VALUE_TOL:g}, and {pairs} pair(s) x n x {passes} passes "
+            f"past that exceed the work budget {CONJ_SUB_WORK_BUDGET:g}; "
+            "move the points away from the boundary or split the batch"
+        )
+    hi = 1
+    while log_bound(hi) > log_tol:
+        hi = min(2 * hi, n_max)
+    lo = hi // 2  # 0, or a size whose bound is too large: the bound falls with n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_bound(mid) > log_tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi, math.exp(log_bound(hi))
+
+
+def _conj_sub(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w):
     """sum_{m,k} sqrt(w_m w_k) z^m E_mk conj(w)^k with E the n x n block of I - T* T.
 
     The value is read off the quadratic form of E at the conjugated kernel
-    vectors, so E is never formed; n doubles until two sizes agree.
+    vectors, so E is never formed; n comes from _conj_sub_truncation, and
+    one defect_form call gives every value of the batch.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    prev = None
-    n = CONJ_SUB_START_SIZE
-    while n <= CONJ_SUB_MAX_SIZE:
-        sq = np.sqrt(basis_weights(alpha, n - 1).values)
-        m = np.arange(n)
-        x = sq * np.conj(z[..., None]) ** m
-        y = sq * np.conj(w[..., None]) ** m
-        cur = defect_form(symbol, alpha, n, "conj", x, y)
-        if prev is not None and np.max(np.abs(cur - prev)) < CONJ_SUB_VALUE_TOL:
-            return cur
-        prev = cur
-        n *= 2
-    radius = float(max(np.max(np.abs(z)), np.max(np.abs(w))))
-    raise ValueError(
-        f"conj_sub evaluation did not settle below {CONJ_SUB_VALUE_TOL} within the basis-size "
-        f"cap {CONJ_SUB_MAX_SIZE} at radius {radius:.6g}; move the points away from the boundary"
-    )
+    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    if z.size == 0:
+        return np.zeros(z.shape, dtype=complex)
+    n, _ = _conj_sub_truncation(symbol, alpha, z, w)
+    sq = np.sqrt(basis_weights(alpha, n - 1).values)
+    m = np.arange(n)
+    x = sq * np.conj(z[..., None]) ** m
+    y = sq * np.conj(w[..., None]) ** m
+    return defect_form(symbol, alpha, n, "conj", x, y)
 
 
 @lru_cache(maxsize=32)
@@ -173,8 +237,8 @@ class NormalizedKernelPoint:
     alpha: WeightParameter
 
     def __post_init__(self) -> None:
-        if abs(self.a) >= 1:
-            raise ValueError("base point must satisfy |a| < 1")
+        if not abs(self.a) < 1:
+            raise ValueError("base point must be finite with |a| < 1")
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "alpha", as_weight(self.alpha))
 

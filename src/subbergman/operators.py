@@ -151,8 +151,8 @@ def normalized_kernel_coeffs(alpha: WeightParameter | float, a, n: int) -> np.nd
     """Basis coefficients, truncated to n, of the normalized kernel at a (along a new last axis)."""
     al = as_weight(alpha).alpha
     a = np.asarray(a)
-    if np.any(np.abs(a) >= 1):
-        raise ValueError("base point must satisfy |a| < 1")
+    if not np.all(np.abs(a) < 1):
+        raise ValueError("base point must be finite with |a| < 1")
     w = basis_weights(al, n - 1).values
     scale = (1.0 - np.abs(a) ** 2) ** ((2.0 + al) / 2.0)
     return scale[..., None] * np.sqrt(w) * np.conj(a)[..., None] ** np.arange(n)

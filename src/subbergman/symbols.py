@@ -9,6 +9,7 @@ kernel modules consume.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class MobiusSpec:
     zeta: complex = 1.0
 
     def __post_init__(self) -> None:
-        if abs(self.a) >= 1:
-            raise ValueError(f"Moebius base point must satisfy |a| < 1, got {self.a}")
+        if not abs(self.a) < 1:
+            raise ValueError(f"Moebius base point must be finite with |a| < 1, got {self.a}")
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "zeta", _unimodular(complex(self.zeta)))
 
@@ -49,7 +50,7 @@ class BlaschkeSpec:
         zeros = tuple(complex(z) for z in self.zeros)
         if len(zeros) < 1:
             raise ValueError("Blaschke product needs at least one zero")
-        if any(abs(z) >= 1 for z in zeros):
+        if not all(abs(z) < 1 for z in zeros):
             raise ValueError("every Blaschke zero must lie inside the disk")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "zeta", _unimodular(complex(self.zeta)))
@@ -123,8 +124,8 @@ class PowerSeriesSymbol:
     def eval(self, z):
         """Horner evaluation at one or many points strictly inside the disk."""
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) >= 1):
-            raise ValueError("evaluation point must satisfy |z| < 1")
+        if not np.all(np.abs(z) < 1):
+            raise ValueError("evaluation point must be finite with |z| < 1")
         out = np.zeros_like(z)
         for c in self.coeffs[::-1]:
             out = out * z + c
@@ -228,8 +229,8 @@ def default_series_length(spec: SymbolSpec | PowerSeriesSymbol) -> int:
 def eval_exact(spec: SymbolSpec | PowerSeriesSymbol, z):
     """Closed-form evaluation, the oracle the series representation is tested against."""
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1):
-        raise ValueError("evaluation point must satisfy |z| < 1")
+    if not np.all(np.abs(z) < 1):
+        raise ValueError("evaluation point must be finite with |z| < 1")
     if isinstance(spec, PowerSeriesSymbol):
         return spec.eval(z)
     if isinstance(spec, MobiusSpec):
@@ -403,7 +404,7 @@ def admissibility_check(
 
 def parse_complex(text: str) -> complex:
     t = text.strip().replace("−", "-").replace(" ", "")
-    t = t.replace("i", "j").replace("I", "j")
+    t = re.sub("[iI](?![nN][fF])", "j", t)  # the imaginary unit, not the i of inf
     return complex(t)
 
 

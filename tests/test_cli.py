@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from subbergman import cli, harness
+from subbergman import cli, harness, kernels
 from subbergman.cli import main
 from subbergman.harness import Scenario, run_scenario
 from subbergman.symbols import parse_symbol
@@ -117,7 +117,28 @@ def test_kernel_eval_batch_short_row_exits_2(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
-def test_kernel_eval_conj_sub_past_the_cap_exits_2(capsys):
+def _kernel_fields(out):
+    return dict(tok.split("=") for tok in out.split())
+
+
+def test_kernel_eval_conj_sub_near_the_boundary_settles(capsys):
+    # singular c=1 at |z| = |w| = 0.999 needs n = 37721, within the work budget
+    args = ["kernel", "eval", "--kind", "conj_sub", "--alpha", "0", "--symbol", "singular c=1"]
+    assert main([*args, "--z", "0.999", "--w", "0.999i"]) == 0
+    kzw = _kernel_fields(capsys.readouterr().out)
+    assert main([*args, "--z", "0.999i", "--w", "0.999"]) == 0
+    kwz = _kernel_fields(capsys.readouterr().out)
+    assert int(kzw["basis"]) == int(kwz["basis"]) > 3200
+    assert 0 < float(kzw["bound"]) <= 1e-8
+    k = complex(float(kzw["re"]), float(kzw["im"]))
+    assert abs(k - complex(float(kwz["re"]), -float(kwz["im"]))) <= 1e-10 * max(1.0, abs(k))
+
+
+def test_kernel_eval_conj_sub_over_the_work_budget_exits_2(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("defect_form ran for a request over the budget")
+
+    monkeypatch.setattr(kernels, "defect_form", refuse)
     rc = main(
         [
             "kernel",
@@ -129,14 +150,66 @@ def test_kernel_eval_conj_sub_past_the_cap_exits_2(capsys):
             "--symbol",
             "singular c=1",
             "--z",
-            "0.999",
+            "0.999999999",
             "--w",
             "0.999i",
         ]
     )
     assert rc == 2
     err = capsys.readouterr().err
-    assert "cap 3200" in err and "radius 0.999" in err
+    assert "work budget 5e+07" in err and "radius 0.999999999" in err and "n = " in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.1+nani", "0.1-infi"])
+@pytest.mark.parametrize("kind", ["bergman", "sub", "conj_sub"])
+@pytest.mark.parametrize("which", ["--z", "--w"])
+def test_kernel_eval_non_finite_point_exits_2(kind, value, which, capsys):
+    points = {"--z": "0.2", "--w": "0.1i", which: value}
+    rc = main(
+        ["kernel", "eval", "--kind", kind, "--alpha", "0", "--symbol", "mobius a=0.5"]
+        + [f"{flag}={text}" for flag, text in points.items()]
+    )
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_kernel_eval_conj_sub_empty_batch(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("defect_form ran for an empty batch")
+
+    monkeypatch.setattr(kernels, "defect_form", refuse)
+    points = tmp_path / "points.csv"
+    points.write_text("z_re,z_im,w_re,w_im\n")
+    out = tmp_path / "values.csv"
+    rc = main(
+        ["kernel", "eval", "--kind", "conj_sub", "--alpha", "0", "--symbol", "mobius a=0.5"]
+        + ["--points", str(points), "--out", str(out)]
+    )
+    assert rc == 0
+    assert _read_csv(out) == [["z_re", "z_im", "w_re", "w_im", "k_re", "k_im"]]
+    assert "wrote 0 kernel values" in capsys.readouterr().out
+
+
+def test_kernel_eval_conj_sub_batch_reports_its_truncation(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_text("z_re,z_im,w_re,w_im\n0.3,0.1,0.9,0\n0.5,0,0.2,0.2\n")
+    symbol = "mobius a=0.5"
+    rc = main(
+        ["kernel", "eval", "--kind", "conj_sub", "--alpha", "0", "--symbol", symbol]
+        + ["--points", str(points), "--out", str(tmp_path / "values.csv")]
+    )
+    assert rc == 0
+    line = capsys.readouterr().out
+    assert "wrote 2 kernel values" in line
+    # the batch is bounded at its largest |z| and |w|: the single pair at
+    # those radii reports the same truncation
+    rc = main(
+        ["kernel", "eval", "--kind", "conj_sub", "--alpha", "0", "--symbol", symbol]
+        + ["--z", "0.5", "--w", "0.9"]
+    )
+    assert rc == 0
+    single = _kernel_fields(capsys.readouterr().out)
+    assert f"basis={single['basis']} bound={single['bound']}" in line
 
 
 # ---------------------------------------------------------------------------

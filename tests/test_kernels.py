@@ -13,11 +13,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subbergman
+from subbergman import kernels
 from subbergman.kernels import (
+    CONJ_SUB_VALUE_TOL,
+    KINDS,
     KernelSpec,
     NormalizedKernelPoint,
+    _conj_sub_truncation,
     _gauss_jacobi,
     conj_sub_quadrature,
     eval_kernel,
@@ -25,13 +31,17 @@ from subbergman.kernels import (
     mobius_factorization_check,
     rescaling_check,
 )
-from subbergman.operators import gram
-from subbergman.scalars import basis_weights
+from subbergman.cnp import build_pick
+from subbergman.harness import boundary_ratio_check
+from subbergman.operators import defect_form, gram, normalized_kernel_coeffs
+from subbergman.scalars import as_weight, basis_weights
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
     PowerSeriesSymbol,
     SingularInnerSpec,
+    bind_symbol,
+    eval_exact,
     to_series,
 )
 
@@ -105,6 +115,73 @@ def test_conj_sub_coefficients_vs_quadrature(alpha):
     np.testing.assert_allclose(coeff_route, quad_route, atol=1e-6)
 
 
+def _conj_sub_at(symbol, alpha, n, z, w):
+    """x* E y at basis size n, E the n x n block of I - T*T, x and y the kernel vectors."""
+    sq = np.sqrt(basis_weights(alpha, n - 1).values)
+    m = np.arange(n)
+    x = sq * np.conj(np.asarray(z)[..., None]) ** m
+    y = sq * np.conj(np.asarray(w)[..., None]) ** m
+    return defect_form(symbol, alpha, n, "conj", x, y)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+@pytest.mark.parametrize(
+    "spec",
+    [MobiusSpec(a=0.5), BlaschkeSpec(zeros=(0.5, -0.5)), SingularInnerSpec(c=1.0)],
+    ids=["mobius", "blaschke", "singular"],
+)
+def test_conj_sub_truncation_bound_holds(spec, alpha):
+    # the stated bound covers the change from the chosen n to 4n, and for
+    # rational symbols the distance to the quadrature route at |z| <= 0.9.
+    # The pairs are off the diagonal: at z = w the rounding of the two
+    # O(||x||^2) sums alone reaches 1.5e-8 at alpha 1, radius 0.999.
+    _, series = bind_symbol(spec, alpha)
+    for r in (0.5, 0.9, 0.98, 0.999):
+        z, w = r * np.exp(0.3j), r * np.exp(-1.1j)
+        n, bound = _conj_sub_truncation(series, as_weight(alpha), z, w)
+        assert bound <= CONJ_SUB_VALUE_TOL
+        k = eval_kernel(KernelSpec("conj_sub", alpha, series), z, w)
+        assert abs(k - _conj_sub_at(series, alpha, 4 * n, z, w)) <= bound
+        if r <= 0.9 and not isinstance(spec, SingularInnerSpec):
+            assert abs(k - conj_sub_quadrature(series, alpha, z, w)) <= bound
+
+
+def test_conj_sub_makes_one_defect_form_call(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return defect_form(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "defect_form", counted)
+    spec = KernelSpec("conj_sub", 0.0, to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 64))
+    z, w = _pairs(np.random.default_rng(8), 6, 0.95)
+    k = eval_kernel(spec, z, w)
+    eval_kernel(spec, 0.98, 0.1j)
+    # each call at the basis size the truncation helper picks for it
+    n = [_conj_sub_truncation(spec.symbol, spec.alpha, *pair)[0] for pair in ((z, w), (0.98, 0.1j))]
+    assert calls == n
+    np.testing.assert_array_equal(k, _conj_sub_at(spec.symbol, 0.0, n[0], z, w))
+    # an empty batch needs no basis at all
+    assert eval_kernel(spec, np.zeros(0), np.zeros(0)).shape == (0,)
+    assert eval_kernel(spec, np.zeros((0, 3)), 0.5).shape == (0, 3)
+    assert len(calls) == 2
+
+
+def test_conj_sub_work_budget_refuses_before_compute(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("defect_form ran for a request over the budget")
+
+    monkeypatch.setattr(kernels, "defect_form", refuse)
+    spec = KernelSpec("conj_sub", 0.0, SHIFT)
+    # the shift needs n = 33639 at 0.999, so 1000 pairs cost 1000 x n x 33 > 5e7
+    with pytest.raises(ValueError, match="work budget") as info:
+        eval_kernel(spec, np.full(1000, 0.999), 0.5)
+    assert "radius 0.999 " in str(info.value)
+    with pytest.raises(ValueError, match="work budget"):
+        eval_kernel(spec, 1 - 1e-12, 0.0)
+
+
 def test_conj_sub_rejects_nonintegrable_alpha():
     with pytest.raises(ValueError):
         KernelSpec("conj_sub", -1.0, SHIFT)
@@ -142,6 +219,29 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.nan), complex(-np.inf, 0.2)], ids=str)
+def test_non_finite_points_are_refused(bad):
+    # abs(nan) >= 1 is False, so every disk test is written as "not < 1"
+    spec = MobiusSpec(a=0.5)
+    series = to_series(spec, 64)
+    pts = np.array([0.1, bad])
+    refusals = {
+        "eval": lambda: series.eval(pts),
+        "eval_exact": lambda: eval_exact(spec, pts),
+        "normalized_kernel_coeffs": lambda: normalized_kernel_coeffs(0.0, pts, 8),
+        "build_pick": lambda: build_pick(series, 0.0, pts),
+        "NormalizedKernelPoint": lambda: NormalizedKernelPoint(a=bad, alpha=0.0),
+        "conj_sub_quadrature": lambda: conj_sub_quadrature(series, 0.0, pts, 0.2),
+        "MobiusSpec": lambda: MobiusSpec(a=bad),
+        "BlaschkeSpec": lambda: BlaschkeSpec(zeros=(0.5, bad)),
+        "boundary_ratio_check": lambda: boundary_ratio_check(series, [0.5, abs(bad)], 4),
+    }
+    for name, call in refusals.items():
+        with pytest.raises(ValueError, match="finite|inside|strictly"):
+            call()
+            pytest.fail(f"{name} accepted {bad}")
 
 
 def test_kernel_spec_validation():
@@ -210,3 +310,45 @@ def test_eval_kernel_broadcasts():
     out = eval_kernel(spec, z, w)
     assert out.shape == (3, 2)
     assert complex(out[0, 0]) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# properties over arbitrary points (hypothesis)
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+BLASCHKE = to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 64)
+ANY_POINT = st.one_of(
+    st.complex_numbers(max_magnitude=0.99),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1.0, -1j, complex(1.0, 1e-300), 1 - 1e-12, complex("nan+1j"), complex("-infj")]),
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    kind=st.sampled_from(KINDS),
+    alpha=st.sampled_from([-0.5, 0.0, 1.0]),
+    pairs=st.lists(st.tuples(ANY_POINT, ANY_POINT), max_size=3),
+)
+def test_eval_kernel_raises_value_error_or_is_finite(kind, alpha, pairs):
+    spec = KernelSpec(kind, alpha, BLASCHKE)
+    z = np.array([p[0] for p in pairs], dtype=complex)
+    w = np.array([p[1] for p in pairs], dtype=complex)
+    try:
+        out = eval_kernel(spec, z, w)
+    except ValueError:
+        assert not np.all(np.abs(np.concatenate([z, w])) < 1) or kind == "conj_sub"
+        return
+    assert np.all(np.isfinite(out)) and np.shape(out) == z.shape
+
+
+@PROPERTY_SETTINGS
+@given(
+    alpha=st.sampled_from([-0.5, 0.0, 1.0]),
+    z=st.complex_numbers(max_magnitude=0.99),
+    w=st.complex_numbers(max_magnitude=0.99),
+)
+def test_conj_sub_is_hermitian(alpha, z, w):
+    spec = KernelSpec("conj_sub", alpha, BLASCHKE)
+    k = eval_kernel(spec, z, w)
+    assert abs(k - np.conj(eval_kernel(spec, w, z))) <= 1e-10 * max(1.0, abs(k))

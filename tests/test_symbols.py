@@ -260,6 +260,8 @@ def test_parse_complex_accepts_unicode_minus_and_i():
     assert parse_complex("−0.3+0.2i") == -0.3 + 0.2j
     assert parse_complex("1") == 1.0
     assert parse_complex("0.5i") == 0.5j
+    assert parse_complex("-inf") == complex(-np.inf, 0)
+    assert parse_complex("1-infi") == complex(1, -np.inf)
 
 
 def test_parse_symbol_errors():
