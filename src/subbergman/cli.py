@@ -19,11 +19,9 @@ import numpy as np
 
 from .cnp import cnp_scan
 from .harness import (
-    CHECK_IDS,
     SCHEMA_VERSION,
     RunReport,
     builtin_scenarios,
-    check_fit_window,
     emit_report,
     load_config,
     merge_config,
@@ -247,7 +245,6 @@ def _cmd_verify(args) -> int:
     cfg = _merge_cli_config(args)
     scenarios = builtin_scenarios()
     if args.target == "all":
-        check_fit_window(cfg, CHECK_IDS)
         parts = [run_scenario(s, cfg) for s in scenarios.values()]
         checks = sorted(
             (c for r in parts for c in r.checks),

@@ -20,6 +20,7 @@ import numpy as np
 from .cnp import cnp_scan
 from .kernels import rescaling_check
 from .operators import (
+    DENSE_SIZE_MAX,
     _decay_slope,
     berezin_values,
     defect_matrix,
@@ -69,8 +70,6 @@ DEFAULT_CONFIG: dict[str, object] = {
     "berezin_points": 20,
     "berezin_radius": 0.8,
     "rescaling_points": 10,
-    "fit_lo": 20,
-    "fit_hi": 200,
     "ratio_radii": "0.5,0.9,0.99",
     "ratio_threshold": 50.0,
 }
@@ -78,6 +77,10 @@ DEFAULT_CONFIG: dict[str, object] = {
 BEREZIN_TOL = 1e-6
 RESCALING_TOL = 1e-8
 DECAY_BAND = (-1.15, -0.85)
+# blaschke_decay fits ranks (DECAY_FIT_START, settled rank), and skips below a span of
+# DECAY_FIT_SPAN; starting at n // 20 instead fails degree-1 cells at matrix_size <= 140
+DECAY_FIT_START = 20
+DECAY_FIT_SPAN = 3
 BOUNDARY_COMPACT_MAX = 0.1
 BOUNDARY_NONCOMPACT_MIN = 0.9
 WITNESS_TOL = 1e-6
@@ -124,8 +127,7 @@ def merge_config(*overrides: dict[str, object] | None) -> dict[str, object]:
     return cfg
 
 
-# smallest admissible value of each size and count key; a decay fit over the
-# first 3n/4 eigenvalues needs matrix_size >= 3
+# least value of each size and count key; spectrum needs matrix_size >= 3 for a fit
 _CONFIG_MINIMA = {
     "matrix_size": 3,
     "boundary_size": 1,
@@ -142,6 +144,8 @@ def _validate_config(cfg: dict[str, object]) -> None:
     for key, least in _CONFIG_MINIMA.items():
         if cfg[key] < least:
             raise ValueError(f"{key} must be >= {least}, got {cfg[key]}")
+    if cfg["matrix_size"] > DENSE_SIZE_MAX:
+        raise ValueError(f"matrix_size must be <= {DENSE_SIZE_MAX}, got {cfg['matrix_size']}")
     if not cfg["psd_tol"] > 0:
         raise ValueError(f"psd_tol must be positive, got {cfg['psd_tol']}")
     try:
@@ -155,22 +159,6 @@ def _validate_config(cfg: dict[str, object]) -> None:
     ):
         if not all(0.0 < r < 1.0 for r in values):
             raise ValueError(f"{key} must lie strictly between 0 and 1, got {cfg[key]}")
-
-
-def check_fit_window(cfg: dict[str, object], checks) -> None:
-    """Reject a decay-fit window outside the usable spectrum when blaschke_decay will run.
-
-    The window only matters to that check, so it is validated against the
-    checks about to run rather than in merge_config.
-    """
-    if "blaschke_decay" not in checks:
-        return
-    usable = 3 * cfg["matrix_size"] // 4
-    if not 1 <= cfg["fit_lo"] < cfg["fit_hi"] <= usable:
-        raise ValueError(
-            f"fit window needs 1 <= fit_lo < fit_hi <= 3*matrix_size//4 = {usable}, "
-            f"got fit_lo={cfg['fit_lo']}, fit_hi={cfg['fit_hi']}"
-        )
 
 
 @dataclass(frozen=True)
@@ -381,6 +369,20 @@ def _boundary_berezin_max(series, alpha, cfg) -> tuple[float, float]:
     return float(vals.max()), float(vals.min())
 
 
+def _settled_spectrum(series, alpha, n: int, which: str) -> tuple[np.ndarray, int]:
+    """Descending eigenvalues of the n defect section, and its settled rank.
+
+    The settled rank counts the leading eigenvalues within 1% of those of the
+    n//2 section, which is the top-left block: both are exact compressions of
+    the infinite operator, so the n//2 section needs no build of its own.
+    """
+    op = defect_matrix(series, alpha, n, which)
+    ev = spectrum(op).eigenvalues
+    half = np.linalg.eigvalsh(op.entries[: n // 2, : n // 2])[::-1]
+    agree = np.abs(ev[: n // 2] - half) <= 0.01 * np.abs(ev[: n // 2])
+    return ev, (n // 2 if agree.all() else int(np.argmin(agree)))
+
+
 def _check_blaschke_decay(alpha, spec, series, cfg):
     degree = _blaschke_degree(spec, series)
     if degree is None:
@@ -388,33 +390,30 @@ def _check_blaschke_decay(alpha, spec, series, cfg):
     if alpha <= -1:
         return "skipped", "precondition alpha > -1 (defect spectra collapse at the Hardy end)", {}
     n = int(cfg["matrix_size"])
-    window = (int(cfg["fit_lo"]), int(cfg["fit_hi"]))
-    rep_phi = spectrum(defect_matrix(series, alpha, n, "phi"), window)
-    rep_conj = spectrum(defect_matrix(series, alpha, n, "conj"), window)
+    ev_phi, k_phi = _settled_spectrum(series, alpha, n, "phi")
+    ev_conj, k_conj = _settled_spectrum(series, alpha, n, "conj")
+    k, least = min(k_phi, k_conj), DECAY_FIT_SPAN * DECAY_FIT_START
+    if k < least:
+        reason = f"precondition: settled rank {k} < {least} at matrix_size={n}; raise matrix_size"
+        return "skipped", reason, {"settled_rank": k, "size": n}
+    slope_phi, slope_conj = (_decay_slope(ev, DECAY_FIT_START, k) for ev in (ev_phi, ev_conj))
     bmax, bmin = _boundary_berezin_max(series, alpha, cfg)
     metrics = {
         "degree": degree,
-        "slope_phi": rep_phi.decay_exponent,
-        "slope_conj": rep_conj.decay_exponent,
-        "fit_window": list(window),
+        "slope_phi": slope_phi,
+        "slope_conj": slope_conj,
+        "settled_rank": k,
+        "fit_window": [DECAY_FIT_START, k],
         "boundary_berezin_max": bmax,
         "boundary_berezin_min": bmin,
         "size": n,
     }
     lo, hi = DECAY_BAND
-    ok = (
-        lo <= rep_phi.decay_exponent <= hi
-        and lo <= rep_conj.decay_exponent <= hi
-        and bmax < BOUNDARY_COMPACT_MAX
-    )
+    ok = lo <= slope_phi <= hi and lo <= slope_conj <= hi and bmax < BOUNDARY_COMPACT_MAX
     if degree == 1 and series.coeffs[0] == 0 and alpha == 0:
         # shift at alpha = 0: the conj defect is exactly diag(1/(k+2))
-        ev = rep_conj.eigenvalues
-        expected = 1.0 / (np.arange(n) + 2.0)
-        dev = float(np.max(np.abs(ev - expected)))
-        # the (10, 200) window, clamped to the usable 3n/4 eigenvalues of smaller sections
-        usable = 3 * n // 4
-        slope_exact = _decay_slope(ev, min(10, usable - 1), min(200, usable))
+        dev = float(np.max(np.abs(ev_conj - 1.0 / (np.arange(n) + 2.0))))
+        slope_exact = _decay_slope(ev_conj, 10, min(200, k))
         metrics["shift_exact_max_dev"] = dev
         metrics["shift_slope_10_200"] = slope_exact
         ok = ok and dev < EXACT_TOL and abs(slope_exact + 1.0) <= 0.02
@@ -513,6 +512,8 @@ def _check_cnp_nonmoebius_fail(alpha, spec, series, cfg):
         jac = jacobi_eigenvalues(report.witness.matrix)
         metrics["witness_size"] = len(report.witness.points)
         metrics["witness_min_jacobi"] = float(jac[-1])
+        # the trace-scaled quantity psd_test thresholds against psd_tol
+        metrics["witness_margin"] = -float(jac[-1]) / max(1.0, np.trace(report.witness.matrix).real)
         ok = jac[-1] < -WITNESS_TOL
     else:
         ok = False
@@ -624,7 +625,6 @@ def run_scenario(scenario: Scenario, config: dict | None = None) -> RunReport:
     abort before any cell runs.
     """
     cfg = merge_config(config)
-    check_fit_window(cfg, scenario.checks)
     started = datetime.now(timezone.utc).isoformat()
     results: list[CheckResult] = []
     for check in scenario.checks:

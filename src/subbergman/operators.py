@@ -19,6 +19,8 @@ from .symbols import PowerSeriesSymbol
 
 SCHATTEN_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 HERMITIAN_TOL = 1e-10
+# largest n of a dense n x n block; a complex one at this size takes 0.27 GB
+DENSE_SIZE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -34,13 +36,17 @@ class OperatorMatrix:
         self.entries.setflags(write=False)
 
 
-def _toeplitz_entries(symbol: PowerSeriesSymbol, sq: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The rows x cols corner of the multiplication operator, sq = sqrt(w_k) for k < rows.
+def _toeplitz_entries(symbol: PowerSeriesSymbol, alpha, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols corner of the multiplication operator.
 
     The entries are float64 when no coefficient has a nonzero imaginary part
     (a -0.0 counts as zero) and complex otherwise, so real symbols reach the
-    real BLAS and LAPACK routines downstream.
+    real BLAS and LAPACK routines downstream. A column count outside
+    [1, DENSE_SIZE_MAX] is refused before any work.
     """
+    if not 1 <= cols <= DENSE_SIZE_MAX:
+        raise ValueError(f"matrix size {cols} is outside [1, DENSE_SIZE_MAX = {DENSE_SIZE_MAX}]")
+    sq = np.sqrt(basis_weights(alpha, rows - 1).values)
     c = symbol.coeffs
     if not np.any(c.imag):
         c = c.real
@@ -56,10 +62,7 @@ def toeplitz_matrix(
 ) -> OperatorMatrix:
     """n x n section of the multiplication operator by the symbol."""
     a = as_weight(alpha)
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
-    sq = np.sqrt(basis_weights(a, n - 1).values)
-    t = _toeplitz_entries(symbol, sq, n, n)
+    t = _toeplitz_entries(symbol, a, n, n)
     return OperatorMatrix(entries=t, alpha=a, basis_size=n, kind="toeplitz")
 
 
@@ -88,8 +91,7 @@ def defect_matrix(
     """
     a = _check_defect_args(alpha, n, which)
     rows = n if which == "phi" else n + len(symbol) - 1
-    sq = np.sqrt(basis_weights(a, rows - 1).values)
-    t = _toeplitz_entries(symbol, sq, rows, n)
+    t = _toeplitz_entries(symbol, a, rows, n)
     e = np.eye(n) - (t @ t.conj().T if which == "phi" else t.conj().T @ t)
     e = (e + e.conj().T) / 2.0  # exact Hermitian symmetry for downstream solvers
     return OperatorMatrix(entries=e, alpha=a, basis_size=n, kind=f"defect_{which}")

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from subbergman import cli, harness, kernels
+from subbergman import cli, harness, kernels, operators
 from subbergman.cli import main
 from subbergman.harness import Scenario, run_scenario
 from subbergman.symbols import parse_symbol
@@ -360,6 +360,18 @@ def test_defect_spectrum_too_small_for_a_fit_exits_2(capsys):
     assert "too small" in capsys.readouterr().err
 
 
+def _no_dense_build(*args):
+    raise AssertionError("no dense block may be built")
+
+
+@pytest.mark.parametrize("group, cmd", [("defect", "spectrum"), ("toeplitz", "build")])
+def test_dense_size_over_the_cap_exits_2_before_building(monkeypatch, capsys, group, cmd):
+    monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
+    rc = main([group, cmd, "--alpha", "0", "--symbol", "series 0,1", "--size", "100000"])
+    assert rc == 2
+    assert "DENSE_SIZE_MAX" in capsys.readouterr().err
+
+
 def test_berezin_prints_identity_error(capsys):
     rc = main(
         [
@@ -471,6 +483,17 @@ def test_verify_unknown_scenario_exits_2(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def test_verify_blaschke_decay_skips_unsettled_sections(tmp_path, capsys):
+    # at matrix_size 200 a Moebius section settles on 35 ranks, too few to fit
+    rc = main(["verify", "blaschke_decay", "--set", "matrix_size=200", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    mobius = [line for line in lines if "mobius a=0.5" in line]
+    assert len(mobius) == 3
+    assert all(line.startswith("[SKIPPED]") and "matrix_size=200" in line for line in mobius)
+    assert "9 passed, 0 failed, 3 skipped" in lines[-1]
+
+
 def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
     rc = main(
         ["verify", "boundary_ratio", "--set", "bogus=1", "--out", str(tmp_path / "reports")]
@@ -482,13 +505,17 @@ def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "target, setting, message",
     [
-        ("blaschke_decay", "fit_hi=350", "fit window"),
-        ("all", "fit_hi=350", "fit window"),
         ("berezin_identity", "matrix_size=0", "matrix_size"),
+        ("hardy_degenerate", "matrix_size=100000", "matrix_size"),
+        ("blaschke_decay", "fit_hi=150", "fit_hi"),
+        ("all", "fit_lo=20", "fit_lo"),
     ],
 )
-def test_verify_config_mistakes_exit_2_without_report(tmp_path, capsys, target, setting, message):
-    # a window past the usable spectrum or an empty matrix is a usage error, not a failed cell
+def test_verify_config_mistakes_exit_2_without_report(
+    monkeypatch, tmp_path, capsys, target, setting, message
+):
+    # an empty or oversized matrix, or a removed key, is a usage error, not a failed cell
+    monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
     rc = main(["verify", target, "--set", setting, "--out", str(tmp_path / "reports")])
     assert rc == 2
     assert message in capsys.readouterr().err

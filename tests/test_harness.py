@@ -13,7 +13,6 @@ from subbergman.harness import (
     Scenario,
     boundary_ratio_check,
     builtin_scenarios,
-    check_fit_window,
     emit_report,
     load_config,
     load_report,
@@ -21,13 +20,15 @@ from subbergman.harness import (
     run_scenario,
     _blaschke_degree,
 )
-from subbergman.operators import defect_matrix, spectrum
+from subbergman.cnp import cnp_scan
+from subbergman.operators import DENSE_SIZE_MAX, defect_matrix, jacobi_eigenvalues, spectrum
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
     MonomialSpec,
     PowerSeriesSymbol,
     SingularInnerSpec,
+    bind_symbol,
     to_series,
 )
 
@@ -61,6 +62,13 @@ def test_series_lengths_are_not_config_keys(key, value):
         merge_config({key: value})
 
 
+@pytest.mark.parametrize("key", ["fit_lo", "fit_hi"])
+def test_fit_window_is_not_a_config_key(key):
+    # blaschke_decay measures its window from the spectrum
+    with pytest.raises(ValueError, match=key):
+        merge_config({key: 150})
+
+
 def test_later_sources_win():
     cfg = merge_config({"cnp_trials": 5}, {"cnp_trials": 9})
     assert cfg["cnp_trials"] == 9
@@ -79,24 +87,12 @@ def test_later_sources_win():
         {"ratio_radii": "0.5,1.2"},
         {"ratio_radii": "0.5,x"},
         {"psd_tol": 0.0},
+        {"matrix_size": DENSE_SIZE_MAX + 1},
     ],
 )
 def test_merge_rejects_values_no_check_can_run_with(override):
     with pytest.raises(ValueError):
         merge_config(override)
-
-
-def test_fit_window_is_checked_when_blaschke_decay_runs():
-    cfg = merge_config({"fit_hi": 350})
-    check_fit_window(cfg, ("berezin_identity",))  # the window plays no part
-    with pytest.raises(ValueError, match="fit window"):
-        check_fit_window(cfg, ("blaschke_decay",))
-    with pytest.raises(ValueError, match="fit window"):
-        check_fit_window(merge_config({"fit_lo": 30, "fit_hi": 30}), CHECK_IDS)
-    scenario = builtin_scenarios()["blaschke_decay"]
-    with pytest.raises(ValueError, match="fit window"):
-        run_scenario(scenario, {"fit_hi": 350})
-    check_fit_window(merge_config(_FAST), CHECK_IDS)
 
 
 def test_load_config_file(tmp_path):
@@ -151,8 +147,6 @@ _FAST = {
     "boundary_size": 160,
     "cnp_points": 10,
     "cnp_trials": 3,
-    "fit_lo": 5,
-    "fit_hi": 60,
     "berezin_points": 5,
     "rescaling_points": 4,
 }
@@ -190,14 +184,42 @@ def test_run_scenario_records_numerical_failures():
 
 
 def test_blaschke_decay_shift_window_follows_matrix_size():
-    # the shift-exact slope window is clamped to the usable 3n/4 eigenvalues
+    # the shift-exact slope window (10, 200) ends at the settled rank, n//2 for the shift
     scenario = Scenario("x", alpha_list=(0.0,), symbols=(SHIFT,), checks=("blaschke_decay",))
-    report = run_scenario(scenario, {"matrix_size": 200, "fit_hi": 150})
+    report = run_scenario(scenario, {"matrix_size": 200})
     cell = report.checks[0]
     assert (cell.status, cell.reason) == ("pass", "")
-    # the slope is refitted on the (10, 150) window of the block already solved
-    want = spectrum(defect_matrix(SHIFT, 0.0, 200, "conj"), (10, 150)).decay_exponent
+    assert cell.metrics["settled_rank"] == 100
+    # the slope is refitted on the (10, 100) window of the block already solved
+    want = spectrum(defect_matrix(SHIFT, 0.0, 200, "conj"), (10, 100)).decay_exponent
     assert abs(cell.metrics["shift_slope_10_200"] - want) < 1e-13
+
+
+@pytest.mark.parametrize("size", [100, 140, 200, 300])
+def test_blaschke_decay_skips_unsettled_sections_and_never_fails(size):
+    report = run_scenario(builtin_scenarios()["blaschke_decay"], {"matrix_size": size})
+    assert len(report.checks) == 12
+    for cell in report.checks:
+        k = cell.metrics["settled_rank"]
+        assert 0 <= k <= size // 2
+        if cell.status == "skipped":
+            assert k < 60
+            assert f"settled rank {k}" in cell.reason and "matrix_size" in cell.reason
+        else:
+            assert cell.status == "pass", (cell.symbol, cell.alpha, cell.metrics)
+            assert k >= 60 and cell.metrics["fit_window"] == [20, k]
+
+
+def test_witness_margin_is_the_thresholded_quantity():
+    spec, series = bind_symbol(MonomialSpec(n=2, c=1.0), 0.0)
+    scenario = Scenario("x", (0.0,), (spec,), ("cnp_nonmoebius_fail",))
+    cell = run_scenario(scenario, _FAST).checks[0]
+    assert cell.status == "pass"
+    scan = cnp_scan(series, 0.0, n_points=10, n_trials=3, seed=7, tolerance=1e-9)
+    w = scan.witness.matrix
+    want = -jacobi_eigenvalues(w)[-1] / max(1.0, np.trace(w).real)
+    assert cell.metrics["witness_margin"] == pytest.approx(want, rel=1e-12)
+    assert want > 1e-9
 
 
 def test_run_scenario_fails_fast_on_config_errors():

@@ -9,7 +9,9 @@ with known entries.
 import numpy as np
 import pytest
 
+from subbergman import operators
 from subbergman.operators import (
+    DENSE_SIZE_MAX,
     berezin,
     berezin_values,
     defect_form,
@@ -29,6 +31,7 @@ from subbergman.symbols import (
     MonomialSpec,
     PowerSeriesSymbol,
     SingularInnerSpec,
+    bind_symbol,
     default_series_length,
     to_series,
 )
@@ -135,12 +138,23 @@ def test_shift_defect_is_known_diagonal(alpha, which):
 
 
 def test_defect_block_is_padding_invariant():
-    # the n x n block must not change when the ambient truncation grows
-    series = to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 30)
-    n = 60
-    small = defect_matrix(series, 0.0, n, "phi").entries
-    big = defect_matrix(series, 0.0, 2 * n, "phi").entries[:n, :n]
-    np.testing.assert_allclose(small, big, atol=1e-14)
+    # the n x n block must not change when the ambient truncation grows, so the
+    # half block of an n section is the n//2 section blaschke_decay compares with
+    specs = (
+        SHIFT,
+        MobiusSpec(a=0.5),
+        MobiusSpec(a=0.3j),
+        BlaschkeSpec(zeros=(0.5, -0.5)),
+        BlaschkeSpec(zeros=(0.5, -0.5, 0.0)),
+    )
+    n = 100
+    for spec in specs:
+        for alpha in (-0.5, 0.0, 1.0):
+            _, series = bind_symbol(spec, alpha)
+            for which in ("phi", "conj"):
+                small = defect_matrix(series, alpha, n, which).entries
+                big = defect_matrix(series, alpha, 2 * n + 1, which).entries[:n, :n]
+                np.testing.assert_allclose(small, big, rtol=0, atol=1e-14)
 
 
 def test_defect_intertwining():
@@ -223,6 +237,22 @@ def test_defect_form_rejects_bad_arguments():
 def test_defect_requires_valid_kind():
     with pytest.raises(ValueError):
         defect_matrix(SHIFT, 0.0, 8, "both")
+
+
+def test_dense_blocks_refuse_sizes_over_the_cap_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("the block must not be built")
+
+    monkeypatch.setattr(operators, "basis_weights", build)
+    for make in (
+        lambda n: toeplitz_matrix(SHIFT, 0.0, n),
+        lambda n: defect_matrix(SHIFT, 0.0, n, "phi"),
+        lambda n: defect_matrix(SHIFT, 0.0, n, "conj"),
+    ):
+        with pytest.raises(ValueError, match="DENSE_SIZE_MAX"):
+            make(DENSE_SIZE_MAX + 1)
+        with pytest.raises(AssertionError):
+            make(DENSE_SIZE_MAX)
 
 
 # ---------------------------------------------------------------------------
