@@ -19,6 +19,7 @@ import numpy as np
 
 from .cnp import cnp_scan
 from .harness import (
+    DEFAULT_CONFIG,
     SCHEMA_VERSION,
     RunReport,
     builtin_scenarios,
@@ -313,10 +314,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ct = csub.add_parser("test", help="run the Pick matrix scan")
     ct.add_argument("--alpha", type=float, required=True)
     ct.add_argument("--symbol", required=True)
-    ct.add_argument("--points", type=int, default=30)
-    ct.add_argument("--trials", type=int, default=20)
-    ct.add_argument("--seed", type=int, default=7)
-    ct.add_argument("--tol", type=float, default=1e-9)
+    ct.add_argument("--points", type=int, default=DEFAULT_CONFIG["cnp_points"])
+    ct.add_argument("--trials", type=int, default=DEFAULT_CONFIG["cnp_trials"])
+    ct.add_argument("--seed", type=int, default=DEFAULT_CONFIG["seed"])
+    ct.add_argument("--tol", type=float, default=DEFAULT_CONFIG["psd_tol"])
     ct.add_argument("--out", default="report.json")
     ct.set_defaults(func=_cmd_cnp_test)
 
@@ -325,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tb = tsub.add_parser("build", help="export the truncated Toeplitz matrix as CSV")
     tb.add_argument("--alpha", type=float, required=True)
     tb.add_argument("--symbol", required=True)
-    tb.add_argument("--size", type=int, default=400)
+    tb.add_argument("--size", type=int, default=DEFAULT_CONFIG["matrix_size"])
     tb.add_argument("--out", help="CSV destination (stdout if omitted)")
     tb.set_defaults(func=_cmd_toeplitz_build)
 
@@ -335,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--which", choices=("phi", "conj"), default="phi")
     ds.add_argument("--alpha", type=float, required=True)
     ds.add_argument("--symbol", required=True)
-    ds.add_argument("--size", type=int, default=400)
+    ds.add_argument("--size", type=int, default=DEFAULT_CONFIG["matrix_size"])
     ds.add_argument("--window", type=_window, help="fit window a:b (eigenvalue ranks)")
     ds.add_argument("--out", help="JSON report destination")
     ds.set_defaults(func=_cmd_defect_spectrum)
@@ -343,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ber = sub.add_parser("berezin", help="Berezin transform of the defect operator")
     ber.add_argument("--alpha", type=float, required=True)
     ber.add_argument("--symbol", required=True)
-    ber.add_argument("--size", type=int, default=400)
+    ber.add_argument("--size", type=int, default=DEFAULT_CONFIG["matrix_size"])
     ber.add_argument(
         "--point", type=parse_complex, action="append", required=True, help="repeatable"
     )

@@ -77,8 +77,6 @@ class PickMatrix:
 
     points: np.ndarray
     entries: np.ndarray
-    alpha: WeightParameter
-    symbol_normalized: PowerSeriesSymbol
 
     def __post_init__(self) -> None:
         self.points.setflags(write=False)
@@ -87,12 +85,17 @@ class PickMatrix:
 
 @dataclass(frozen=True)
 class Witness:
-    """A minimal failing point subset with its most negative eigenpair."""
+    """A minimal failing point subset with its Pick submatrix and minimal eigenvalue."""
 
     points: np.ndarray
-    eigenvector: np.ndarray
     matrix: np.ndarray
     min_eigenvalue: float
+
+
+_NOTES = {
+    "psd_pass": "pass is sampled evidence, not a proof of the CNP property",
+    "fail": "fail is a certificate; the witness submatrix re-verifies independently",
+}
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,16 @@ class PickReport:
     witness: Witness | None
     trials: int
     sampler_seed: int | None
-    certificate: bool
     failed_trials: int = 0
     hazards: tuple[str, ...] = ()
-    note: str = ""
+
+    @property
+    def certificate(self) -> bool:
+        return self.verdict == "fail"
+
+    @property
+    def note(self) -> str:
+        return _NOTES[self.verdict]
 
 
 def _admitted_psi(symbol: PowerSeriesSymbol, a: WeightParameter) -> PowerSeriesSymbol:
@@ -132,7 +141,7 @@ def _pick_on(psi: PowerSeriesSymbol, a: WeightParameter, pts: np.ndarray) -> Pic
         raise DivisionHazard(f"division hazard: |K| < {DIVISION_HAZARD_TOL} at point pairs {pairs}")
     m = 1.0 - 1.0 / k
     m = (m + m.conj().T) / 2.0
-    return PickMatrix(points=pts, entries=m, alpha=a, symbol_normalized=psi)
+    return PickMatrix(points=pts, entries=m)
 
 
 def build_pick(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points) -> PickMatrix:
@@ -195,13 +204,7 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
     lam_min, vec = _min_eig(matrix.entries)
     if lam_min >= -tolerance * max(1.0, float(np.trace(matrix.entries).real)):
         return PickReport(
-            verdict="psd_pass",
-            min_eigenvalue=lam_min,
-            witness=None,
-            trials=1,
-            sampler_seed=None,
-            certificate=False,
-            note="pass is sampled evidence, not a proof of the CNP property",
+            verdict="psd_pass", min_eigenvalue=lam_min, witness=None, trials=1, sampler_seed=None
         )
     d = matrix.entries.diagonal().real
     pair_min = (d[:, None] + d) / 2.0 - np.hypot((d[:, None] - d) / 2.0, np.abs(matrix.entries))
@@ -212,22 +215,14 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
     else:
         keep = _grow_then_shrink(matrix.entries, vec, tolerance)
     sub = matrix.entries[np.ix_(keep, keep)]
-    lam_sub, vec_sub = _min_eig(sub)
-    witness = Witness(
-        points=matrix.points[keep],
-        eigenvector=vec_sub,
-        matrix=sub,
-        min_eigenvalue=lam_sub,
-    )
+    witness = Witness(points=matrix.points[keep], matrix=sub, min_eigenvalue=_min_eig(sub)[0])
     return PickReport(
         verdict="fail",
         min_eigenvalue=lam_min,
         witness=witness,
         trials=1,
         sampler_seed=None,
-        certificate=True,
         failed_trials=1,
-        note="fail is a certificate; the witness submatrix re-verifies independently",
     )
 
 
@@ -244,7 +239,10 @@ def cnp_scan(
     The symbol is checked and normalized once per scan. Each trial draws
     its points from a stream seeded by (seed, trial index), so samples and
     verdicts are reproducible. Returns the report of the worst trial,
-    annotated with the trial count and any per-trial division hazards.
+    annotated with the trial count and any per-trial division hazards. A
+    failing trial outranks every passing one (the threshold scales with
+    each trial's trace), then the lowest minimal eigenvalue is worst, so a
+    failing scan always carries a failing trial's witness.
     """
     a = as_weight(alpha)
     if n_points < 3:
@@ -254,7 +252,7 @@ def cnp_scan(
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     psi = _admitted_psi(symbol, a)
-    worst: PickReport | None = None
+    worst, worst_rank = None, None
     hazards: list[str] = []
     failed = 0
     for trial in range(n_trials):
@@ -266,19 +264,17 @@ def cnp_scan(
             continue
         report = psd_test(pick, tolerance)
         failed += report.failed_trials
-        if worst is None or report.min_eigenvalue < worst.min_eigenvalue:
-            worst = report
+        rank = (report.failed_trials, -report.min_eigenvalue)
+        if worst is None or rank > worst_rank:
+            worst, worst_rank = report, rank
     if worst is None:
         raise RuntimeError("every trial hit a division hazard; no Pick matrix was testable")
-    verdict = "fail" if failed else "psd_pass"
     return PickReport(
-        verdict=verdict,
+        verdict=worst.verdict,
         min_eigenvalue=worst.min_eigenvalue,
         witness=worst.witness,
         trials=n_trials,
         sampler_seed=seed,
-        certificate=failed > 0,
         failed_trials=failed,
         hazards=tuple(hazards),
-        note=worst.note,
     )

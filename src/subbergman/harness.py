@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .cnp import cnp_scan
+from .cnp import DEFAULT_PSD_TOL, cnp_scan
 from .kernels import rescaling_check
 from .operators import (
     DENSE_SIZE_MAX,
@@ -46,18 +46,6 @@ from .symbols import (
 
 SCHEMA_VERSION = 1
 
-CHECK_IDS = (
-    "cnp_moebius_pass",
-    "cnp_nonmoebius_fail",
-    "berezin_identity",
-    "blaschke_decay",
-    "singular_noncompact",
-    "rescaling_identity",
-    "hardy_degenerate",
-    "boundary_ratio",
-    "inclusion_asymptote",
-)
-
 DEFAULT_CONFIG: dict[str, object] = {
     "matrix_size": 400,
     "boundary_size": 600,
@@ -66,7 +54,7 @@ DEFAULT_CONFIG: dict[str, object] = {
     "cnp_points": 30,
     "cnp_trials": 20,
     "seed": 7,
-    "psd_tol": 1e-9,
+    "psd_tol": DEFAULT_PSD_TOL,
     "berezin_points": 20,
     "berezin_radius": 0.8,
     "rescaling_points": 10,
@@ -194,10 +182,10 @@ class CheckResult:
 @dataclass
 class RunReport:
     scenario: str
-    config: dict
-    checks: list[CheckResult]
-    started: str
-    finished: str
+    checks: list[CheckResult] = field(default_factory=list)
+    config: dict = field(default_factory=dict)
+    started: str = ""
+    finished: str = ""
     schema: int = SCHEMA_VERSION
 
     @property
@@ -205,48 +193,18 @@ class RunReport:
         return any(r.status == "fail" for r in self.checks)
 
     def to_dict(self) -> dict:
-        return _plain(
-            {
-                "schema": self.schema,
-                "scenario": self.scenario,
-                "config": self.config,
-                "started": self.started,
-                "finished": self.finished,
-                "checks": [
-                    {
-                        "check": r.check,
-                        "alpha": r.alpha,
-                        "symbol": r.symbol,
-                        "status": r.status,
-                        "reason": r.reason,
-                        "metrics": r.metrics,
-                    }
-                    for r in self.checks
-                ],
-            }
-        )
+        return _plain(asdict(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
-        checks = [
-            CheckResult(
-                check=c["check"],
-                alpha=c["alpha"],
-                symbol=c["symbol"],
-                status=c["status"],
-                reason=c.get("reason", ""),
-                metrics=c.get("metrics", {}),
-            )
-            for c in data.get("checks", [])
-        ]
-        return cls(
-            scenario=data["scenario"],
-            config=data.get("config", {}),
-            checks=checks,
-            started=data.get("started", ""),
-            finished=data.get("finished", ""),
-            schema=data.get("schema", SCHEMA_VERSION),
-        )
+        """Read a report dict; absent fields take their defaults and unknown keys are ignored."""
+        checks = [_from_fields(CheckResult, c) for c in data.get("checks", [])]
+        return _from_fields(cls, {**data, "checks": checks})
+
+
+def _from_fields(cls, data: dict):
+    """The dataclass cls built from the keys of data that name its fields."""
+    return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def _plain(value):
@@ -271,12 +229,13 @@ def emit_report(report: RunReport, path, format: str = "json") -> None:
         if format == "json":
             path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         elif format == "csv":
+            columns = [f.name for f in fields(CheckResult) if f.name != "metrics"]
             keys = sorted({k for r in report.checks for k in r.metrics})
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["check", "alpha", "symbol", "status", "reason", *keys])
+                writer.writerow([*columns, *keys])
                 for r in report.checks:
-                    row = [r.check, r.alpha, r.symbol, r.status, r.reason]
+                    row = [getattr(r, c) for c in columns]
                     for k in keys:
                         v = _plain(r.metrics.get(k, ""))
                         row.append(json.dumps(v) if isinstance(v, list) else v)
@@ -605,16 +564,17 @@ def _check_inclusion_asymptote(alpha, spec, series, cfg):
 
 
 _CHECK_ROUTINES = {
+    "cnp_moebius_pass": _check_cnp_moebius_pass,
+    "cnp_nonmoebius_fail": _check_cnp_nonmoebius_fail,
     "berezin_identity": _check_berezin_identity,
     "blaschke_decay": _check_blaschke_decay,
     "singular_noncompact": _check_singular_noncompact,
     "rescaling_identity": _check_rescaling_identity,
-    "cnp_moebius_pass": _check_cnp_moebius_pass,
-    "cnp_nonmoebius_fail": _check_cnp_nonmoebius_fail,
     "hardy_degenerate": _check_hardy_degenerate,
     "boundary_ratio": _check_boundary_ratio,
     "inclusion_asymptote": _check_inclusion_asymptote,
 }
+CHECK_IDS = tuple(_CHECK_ROUTINES)
 
 
 def run_scenario(scenario: Scenario, config: dict | None = None) -> RunReport:

@@ -15,13 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import defect_form
+from .operators import WORK_BUDGET, defect_form
 from .scalars import WeightParameter, as_weight, basis_weights
 from .symbols import MobiusSpec, PowerSeriesSymbol, bind_symbol, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
 CONJ_SUB_VALUE_TOL = 1e-8
-CONJ_SUB_WORK_BUDGET = 5e7
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ def eval_kernel(spec: KernelSpec, z, w):
     at the smallest basis size whose stated bound on the truncation error is
     at most CONJ_SUB_VALUE_TOL (see _conj_sub_truncation), with one
     defect_form call per evaluation; a request whose work would exceed
-    CONJ_SUB_WORK_BUDGET raises ValueError before any compute.
+    WORK_BUDGET raises ValueError before any compute.
     """
     _check_disk(z, w)
     z = np.asarray(z, dtype=complex)
@@ -108,7 +107,7 @@ def _conj_sub_truncation(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w
     passes over the pairs x n kernel vectors: one per nonzero diagonal of
     the symbol, plus 32 for building the vectors (complex powers) and the
     two sums, which measure as 40-60 band passes at 20-200 pairs. A request
-    whose pairs x n x passes exceeds CONJ_SUB_WORK_BUDGET is refused before
+    whose pairs x n x passes exceeds WORK_BUDGET is refused before
     any compute, which also keeps its memory near 100 bytes per pair and
     basis element. The bound is on truncation only: the two sums of
     defect_form round at about eps ||x|| ||y||.
@@ -127,13 +126,13 @@ def _conj_sub_truncation(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w
         return log_e + float(np.logaddexp(*tails))
 
     pairs, passes = np.broadcast(z, w).size, np.count_nonzero(symbol.coeffs) + 32
-    n_max = int(CONJ_SUB_WORK_BUDGET // (pairs * passes))
+    n_max = int(WORK_BUDGET // (pairs * passes))
     if n_max < 1 or log_bound(n_max) > log_tol:
         radius = math.sqrt(max(tz, tw))
         raise ValueError(
             f"conj_sub at radius {radius:.10g} needs a basis larger than n = {n_max} to bound the "
             f"truncation by {CONJ_SUB_VALUE_TOL:g}, and {pairs} pair(s) x n x {passes} passes "
-            f"past that exceed the work budget {CONJ_SUB_WORK_BUDGET:g}; "
+            f"past that exceed the work budget {WORK_BUDGET:g}; "
             "move the points away from the boundary or split the batch"
         )
     hi = 1
@@ -160,7 +159,7 @@ def _conj_sub(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w):
     if z.size == 0:
         return np.zeros(z.shape, dtype=complex)
     n, _ = _conj_sub_truncation(symbol, alpha, z, w)
-    sq = np.sqrt(basis_weights(alpha, n - 1).values)
+    sq = np.sqrt(basis_weights(alpha, n - 1))
     m = np.arange(n)
     x = sq * np.conj(z[..., None]) ** m
     y = sq * np.conj(w[..., None]) ** m

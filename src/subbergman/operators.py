@@ -21,6 +21,8 @@ SCHATTEN_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 HERMITIAN_TOL = 1e-10
 # largest n of a dense n x n block; a complex one at this size takes 0.27 GB
 DENSE_SIZE_MAX = 4096
+# most work of one matrix-free request, in passes over its vectors x basis size
+WORK_BUDGET = 5e7
 
 
 @dataclass(frozen=True)
@@ -29,11 +31,14 @@ class OperatorMatrix:
 
     entries: np.ndarray
     alpha: WeightParameter
-    basis_size: int
     kind: str  # toeplitz | defect_phi | defect_conj | inclusion_diag
 
     def __post_init__(self) -> None:
         self.entries.setflags(write=False)
+
+    @property
+    def basis_size(self) -> int:
+        return self.entries.shape[0]
 
 
 def _toeplitz_entries(symbol: PowerSeriesSymbol, alpha, rows: int, cols: int) -> np.ndarray:
@@ -46,7 +51,7 @@ def _toeplitz_entries(symbol: PowerSeriesSymbol, alpha, rows: int, cols: int) ->
     """
     if not 1 <= cols <= DENSE_SIZE_MAX:
         raise ValueError(f"matrix size {cols} is outside [1, DENSE_SIZE_MAX = {DENSE_SIZE_MAX}]")
-    sq = np.sqrt(basis_weights(alpha, rows - 1).values)
+    sq = np.sqrt(basis_weights(alpha, rows - 1))
     c = symbol.coeffs
     if not np.any(c.imag):
         c = c.real
@@ -63,7 +68,7 @@ def toeplitz_matrix(
     """n x n section of the multiplication operator by the symbol."""
     a = as_weight(alpha)
     t = _toeplitz_entries(symbol, a, n, n)
-    return OperatorMatrix(entries=t, alpha=a, basis_size=n, kind="toeplitz")
+    return OperatorMatrix(entries=t, alpha=a, kind="toeplitz")
 
 
 def _check_defect_args(alpha, n: int, which: str) -> WeightParameter:
@@ -94,7 +99,7 @@ def defect_matrix(
     t = _toeplitz_entries(symbol, a, rows, n)
     e = np.eye(n) - (t @ t.conj().T if which == "phi" else t.conj().T @ t)
     e = (e + e.conj().T) / 2.0  # exact Hermitian symmetry for downstream solvers
-    return OperatorMatrix(entries=e, alpha=a, basis_size=n, kind=f"defect_{which}")
+    return OperatorMatrix(entries=e, alpha=a, kind=f"defect_{which}")
 
 
 def defect_form(
@@ -118,7 +123,7 @@ def defect_form(
     if x.shape[-1] != n or y.shape[-1] != n:
         raise ValueError(f"vectors must have length {n} in their last axis")
     rows = n if which == "phi" else n + len(symbol) - 1
-    sq = np.sqrt(basis_weights(a, rows - 1).values)
+    sq = np.sqrt(basis_weights(a, rows - 1))
     diagonals = np.flatnonzero(symbol.coeffs[:rows])
 
     def apply(v):
@@ -142,9 +147,18 @@ def berezin_values(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, n:
     """Berezin transforms <E k_a, k_a> of E = defect_matrix(symbol, alpha, n, "phi") at every a.
 
     One defect_form call on the stacked kernel vectors, so E is never
-    formed; berezin on the dense block is the independent oracle.
+    formed; berezin on the dense block is the independent oracle. The work
+    is counted as in kernels._conj_sub_truncation, points x n x (nonzero
+    diagonals + 32), and a request over WORK_BUDGET raises ValueError
+    before the weights or the kernel vectors are built.
     """
     _check_defect_args(alpha, n, "phi")
+    count, passes = np.size(points), np.count_nonzero(symbol.coeffs[:n]) + 32
+    if count * n * passes > WORK_BUDGET:
+        raise ValueError(
+            f"berezin at size {n}: {count} point(s) x {n} x {passes} passes exceed the "
+            f"work budget {WORK_BUDGET:g}; lower the size or split the points"
+        )
     c = normalized_kernel_coeffs(alpha, points, n)
     return np.real(defect_form(symbol, alpha, n, "phi", c, c))
 
@@ -155,7 +169,7 @@ def normalized_kernel_coeffs(alpha: WeightParameter | float, a, n: int) -> np.nd
     a = np.asarray(a)
     if not np.all(np.abs(a) < 1):
         raise ValueError("base point must be finite with |a| < 1")
-    w = basis_weights(al, n - 1).values
+    w = basis_weights(al, n - 1)
     scale = (1.0 - np.abs(a) ** 2) ** ((2.0 + al) / 2.0)
     return scale[..., None] * np.sqrt(w) * np.conj(a)[..., None] ** np.arange(n)
 
@@ -178,7 +192,7 @@ def gram(f_coeffs: np.ndarray, g_coeffs: np.ndarray, alpha: WeightParameter | fl
     g = np.asarray(g_coeffs, dtype=complex)
     if f.shape != g.shape:
         raise ValueError("coefficient vectors must have equal length")
-    w = basis_weights(alpha, len(f) - 1).values
+    w = basis_weights(alpha, len(f) - 1)
     return complex(np.sum(f * np.conj(g) / w))
 
 
@@ -274,19 +288,14 @@ def inclusion_eigenvalues(
         raise ValueError(f"inclusion needs gamma < alpha, got gamma={g.alpha}, alpha={a.alpha}")
     # the two weight sequences are computed separately so exactly
     # representable cases (integer weights) divide without extra rounding
-    return basis_weights(g, n).values / basis_weights(a, n).values
+    return basis_weights(g, n) / basis_weights(a, n)
 
 
 def inclusion_matrix(
     alpha: WeightParameter | float, gamma: WeightParameter | float, n: int
 ) -> OperatorMatrix:
     vals = inclusion_eigenvalues(alpha, gamma, n)
-    return OperatorMatrix(
-        entries=np.diag(vals),
-        alpha=as_weight(alpha),
-        basis_size=n + 1,
-        kind="inclusion_diag",
-    )
+    return OperatorMatrix(entries=np.diag(vals), alpha=as_weight(alpha), kind="inclusion_diag")
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:

@@ -12,10 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance defaults: algebraic identities at 1e-10, series limits at 1e-8.
-IDENTITY_TOL = 1e-10
-SERIES_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class WeightParameter:
@@ -42,22 +38,8 @@ def as_weight(alpha: WeightParameter | float) -> WeightParameter:
     return WeightParameter(float(alpha))
 
 
-@dataclass(frozen=True)
-class BasisWeights:
-    """Weights w_0..w_N of the orthonormal monomial basis, w_0 = 1."""
-
-    alpha: WeightParameter
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def basis_weights(alpha: WeightParameter | float, n_max: int) -> BasisWeights:
-    """Weights w_n = Gamma(n+2+alpha)/(n! Gamma(2+alpha)) for n = 0..n_max.
+def basis_weights(alpha: WeightParameter | float, n_max: int) -> np.ndarray:
+    """Weights w_n = Gamma(n+2+alpha)/(n! Gamma(2+alpha)) for n = 0..n_max, read-only.
 
     Computed by the ratio recurrence w_{n+1} = w_n (n+2+alpha)/(n+1); direct
     Gamma evaluation overflows past n ~ 170 in double precision.
@@ -69,33 +51,16 @@ def basis_weights(alpha: WeightParameter | float, n_max: int) -> BasisWeights:
     w[0] = 1.0
     for n in range(n_max):
         w[n + 1] = w[n] * (n + 2 + a.alpha) / (n + 1)
-    return BasisWeights(alpha=a, values=w)
+    w.setflags(write=False)
+    return w
 
 
-@dataclass(frozen=True)
-class BinomialSeries:
-    """Taylor coefficients c_0..c_N of (1-x)^s around x = 0."""
+def binomial_coeffs(s: float, n_max: int) -> np.ndarray:
+    """Taylor coefficients c_0..c_N of (1-x)^s, read-only.
 
-    s: float
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.coeffs.setflags(write=False)
-
-    def partial_sums(self, x: float) -> np.ndarray:
-        """Cumulative partial sums sum_{k<=n} c_k x^k for each n."""
-        return np.cumsum(self.coeffs * x ** np.arange(len(self.coeffs)))
-
-    def partial_sum(self, x: float) -> float:
-        return float(self.partial_sums(x)[-1])
-
-
-def binomial_coeffs(s: float, n_max: int) -> BinomialSeries:
-    """Coefficients of (1-x)^s via c_0 = 1, c_{n+1} = c_n (n-s)/(n+1).
-
-    Once the coefficients have settled to one sign (n > s), partial sums at
-    x in [0,1) approach (1-x)^s monotonically and the first omitted term
-    bounds the error.
+    Computed by c_0 = 1, c_{n+1} = c_n (n-s)/(n+1). Once the coefficients
+    have settled to one sign (n > s), partial sums at x in [0,1) approach
+    (1-x)^s monotonically and the first omitted term bounds the error.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -106,7 +71,8 @@ def binomial_coeffs(s: float, n_max: int) -> BinomialSeries:
             c[n + 1] = c[n] * (n - s) / (n + 1)
     if not np.all(np.isfinite(c)):
         raise OverflowError(f"binomial coefficients overflow for s={s}, n_max={n_max}")
-    return BinomialSeries(s=float(s), coeffs=c)
+    c.setflags(write=False)
+    return c
 
 
 @dataclass(frozen=True)
@@ -117,16 +83,17 @@ class RatioReport:
     last_quarter_oscillation: float
 
 
-def weight_asymptote_check(weights: BasisWeights) -> RatioReport:
+def weight_asymptote_check(alpha: WeightParameter | float, weights: np.ndarray) -> RatioReport:
     """Ratios w_n (n+1)^-(alpha+1), which converge to 1/Gamma(2+alpha).
 
-    The relative oscillation (max-min over mean) across the last quarter of
-    indices measures how far the sequence is from its limit.
+    weights are basis_weights(alpha, N) for some N >= 31. The relative
+    oscillation (max-min over mean) across the last quarter of indices
+    measures how far the sequence is from its limit.
     """
     if len(weights) < 32:
         raise ValueError("asymptote check needs at least 32 weights")
     n = np.arange(len(weights))
-    r = weights.values * (n + 1.0) ** (-(weights.alpha.alpha + 1.0))
+    r = weights * (n + 1.0) ** (-(as_weight(alpha).alpha + 1.0))
     tail = r[3 * len(r) // 4 :]
     osc = float((tail.max() - tail.min()) / np.mean(tail))
     return RatioReport(ratios=r, last_quarter_oscillation=osc)

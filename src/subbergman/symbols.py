@@ -262,7 +262,7 @@ def monomial_cnp_scale(n: int, alpha: WeightParameter | float) -> float:
         raise ValueError(f"the scaled-monomial construction needs -2 < alpha < -1, got {a}")
     if n < 1:
         raise ValueError("monomial degree must be >= 1")
-    return float(np.sqrt(-binomial_coeffs(a + 2.0, n).coeffs[n]))
+    return float(np.sqrt(-binomial_coeffs(a + 2.0, n)[n]))
 
 
 def resolve_monomial(spec: MonomialSpec, alpha: WeightParameter | float) -> MonomialSpec:

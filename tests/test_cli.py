@@ -409,6 +409,26 @@ def test_berezin_builds_no_dense_block(monkeypatch, capsys):
     assert capsys.readouterr().out == "a=0.5+0i berezin=1 expected=1 error=0\n"
 
 
+def test_berezin_over_the_work_budget_exits_2_before_building(monkeypatch, capsys):
+    monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
+    argv = ["berezin", "--alpha", "0", "--symbol", "mobius a=0.5", "--size", "1000000000"]
+    rc = main(argv + ["--point", "0.5"])
+    assert rc == 2
+    assert "work budget" in capsys.readouterr().err
+
+
+def test_parser_defaults_are_the_default_config():
+    parser = cli._build_parser()
+    common = ["--alpha", "0", "--symbol", "series 0,1"]
+    ct = parser.parse_args(["cnp", "test", *common])
+    assert (ct.points, ct.trials, ct.seed, ct.tol) == tuple(
+        harness.DEFAULT_CONFIG[k] for k in ("cnp_points", "cnp_trials", "seed", "psd_tol")
+    )
+    for argv in (["toeplitz", "build"], ["defect", "spectrum"], ["berezin", "--point", "0.5"]):
+        args = parser.parse_args([*argv, *common])
+        assert args.size == harness.DEFAULT_CONFIG["matrix_size"]
+
+
 @pytest.mark.parametrize("alpha", [-1.5, 0.0, 1.0])
 def test_cli_and_verify_truncate_symbols_alike(monkeypatch, alpha):
     # the series a verify cell receives equals the one the CLI computes with

@@ -13,7 +13,6 @@ from subbergman.cnp import (
     sample_points,
 )
 from subbergman.operators import jacobi_eigenvalues
-from subbergman.scalars import as_weight
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
@@ -118,8 +117,6 @@ def test_psd_test_known_indefinite_matrix():
     m = PickMatrix(
         points=np.array([0.1, 0.2]),
         entries=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-        alpha=as_weight(0.0),
-        symbol_normalized=SHIFT,
     )
     report = psd_test(m, 1e-9)
     assert report.verdict == "fail"
@@ -209,6 +206,42 @@ def test_scan_reports_trial_bookkeeping():
     assert rep.sampler_seed == 7
     assert rep.certificate
     assert rep.hazards == ()
+
+
+def test_failing_trial_outranks_a_lower_passing_one(monkeypatch):
+    # A passes at tol 1e-9 (threshold 1e-9 * trace ~ 9e-8) with the lower lambda;
+    # B fails (trace 0.6, threshold 1e-9). The scan must report B and its witness.
+    a = np.diag([-2e-9] + [10.0] * 9).astype(complex)
+    b = np.diag([-1.5e-9, 0.3, 0.3]).astype(complex)
+    trials = iter([a, b])
+
+    def pick_on(psi, alpha, pts):
+        entries = next(trials)
+        return PickMatrix(points=np.linspace(0.1, 0.5, len(entries)).astype(complex), entries=entries)
+
+    monkeypatch.setattr(cnp, "_pick_on", pick_on)
+    rep = cnp_scan(SHIFT, 0.0, n_points=3, n_trials=2, seed=1, tolerance=1e-9)
+    assert rep.verdict == "fail"
+    assert rep.failed_trials == 1
+    assert rep.min_eigenvalue == -1.5e-9
+    assert rep.certificate
+    assert rep.note.startswith("fail is a certificate")
+    assert rep.witness is not None
+    assert rep.witness.min_eigenvalue == -1.5e-9
+    assert len(rep.witness.points) == 2
+
+
+def test_certificate_and_note_follow_the_verdict():
+    rep = psd_test(build_pick(SHIFT, 0.0, [0.1, 0.2j, -0.3]))
+    assert rep.verdict == "psd_pass"
+    assert not rep.certificate
+    assert "evidence" in rep.note
+    with pytest.raises(AttributeError):
+        rep.certificate = True
+    with pytest.raises(AttributeError):
+        rep.note = "certified"
+    with pytest.raises(TypeError):
+        cnp.PickReport("fail", -1.0, None, 1, None, certificate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +347,7 @@ def test_three_point_witness_is_found_exactly():
             if i != j:
                 entries[i, j] = -0.6
     pts = np.linspace(0.1, 0.6, 6).astype(complex)
-    m = PickMatrix(points=pts, entries=entries, alpha=as_weight(0.0), symbol_normalized=SHIFT)
+    m = PickMatrix(points=pts, entries=entries)
     report = psd_test(m, 1e-9)
     assert report.verdict == "fail"
     assert np.array_equal(report.witness.points, pts[[1, 3, 4]])

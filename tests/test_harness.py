@@ -285,6 +285,28 @@ def test_report_json_round_trip(tmp_path):
     assert loaded.schema == 1
 
 
+def test_load_report_reads_a_minimal_schema_1_file(tmp_path):
+    path = tmp_path / "minimal.json"
+    check = {"check": "boundary_ratio", "alpha": 0.0, "symbol": "series 0,1", "status": "fail"}
+    path.write_text(json.dumps({"scenario": "old", "checks": [check]}))
+    report = load_report(path)
+    assert report.schema == 1
+    assert (report.config, report.started, report.finished) == ({}, "", "")
+    assert report.checks[0].reason == "" and report.checks[0].metrics == {}
+    assert report.failed
+
+
+def test_load_report_ignores_unknown_keys(tmp_path):
+    path = tmp_path / "extra.json"
+    check = {"check": "x", "alpha": 1.0, "symbol": "s", "status": "pass", "wall_s": 0.1}
+    path.write_text(json.dumps({"scenario": "new", "checks": [check], "versions": {"numpy": "2"}}))
+    report = load_report(path)
+    assert report.checks[0].status == "pass"
+    data = report.to_dict()
+    assert "versions" not in data
+    assert "wall_s" not in data["checks"][0]
+
+
 def test_empty_report_is_valid_json(tmp_path):
     report = RunReport(scenario="empty", config={}, checks=[], started="", finished="")
     path = tmp_path / "empty.json"

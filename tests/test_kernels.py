@@ -59,7 +59,7 @@ def test_bergman_closed_form_matches_series(alpha):
     # K(z,w) = sum w_n (z conj(w))^n, summed far past convergence
     spec = KernelSpec("bergman", alpha)
     z, w = _pairs(np.random.default_rng(1), 25, 0.7)
-    weights = basis_weights(alpha, 400).values
+    weights = basis_weights(alpha, 400)
     x = z * np.conj(w)
     series = np.sum(weights[None, :] * x[:, None] ** np.arange(401)[None, :], axis=1)
     np.testing.assert_allclose(eval_kernel(spec, z, w), series, rtol=1e-10)
@@ -117,7 +117,7 @@ def test_conj_sub_coefficients_vs_quadrature(alpha):
 
 def _conj_sub_at(symbol, alpha, n, z, w):
     """x* E y at basis size n, E the n x n block of I - T*T, x and y the kernel vectors."""
-    sq = np.sqrt(basis_weights(alpha, n - 1).values)
+    sq = np.sqrt(basis_weights(alpha, n - 1))
     m = np.arange(n)
     x = sq * np.conj(np.asarray(z)[..., None]) ** m
     y = sq * np.conj(np.asarray(w)[..., None]) ** m
@@ -259,7 +259,7 @@ def test_normalized_kernel_unit_norm_via_gram():
     n = 500
     for alpha in (-0.5, 0.0, 1.0):
         point = NormalizedKernelPoint(a=a, alpha=alpha)
-        w = basis_weights(alpha, n - 1).values
+        w = basis_weights(alpha, n - 1)
         coeffs = (1.0 - abs(a) ** 2) ** ((2.0 + alpha) / 2.0) * w * np.conj(a) ** np.arange(n)
         assert abs(gram(coeffs, coeffs, alpha) - 1.0) < 1e-10
         # pointwise agreement with the closed form

@@ -42,7 +42,7 @@ SHIFT = PowerSeriesSymbol(np.array([0.0, 1.0]))
 def _shift_defect_diag(alpha: float, n: int, which: str) -> np.ndarray:
     # I - T T* : diag(1, 1 - w_0/w_1, 1 - w_1/w_2, ...)
     # I - T* T : diag(1 - w_k/w_{k+1})
-    w = basis_weights(alpha, n + 1).values
+    w = basis_weights(alpha, n + 1)
     if which == "phi":
         return np.concatenate([[1.0], 1.0 - w[: n - 1] / w[1:n]])
     return 1.0 - w[:n] / w[1 : n + 1]
@@ -56,7 +56,7 @@ def test_shift_toeplitz_entries():
     alpha = 0.7
     n = 12
     t = toeplitz_matrix(SHIFT, alpha, n).entries
-    w = basis_weights(alpha, n).values
+    w = basis_weights(alpha, n)
     expected = np.zeros((n, n), dtype=complex)
     for k in range(n - 1):
         expected[k + 1, k] = np.sqrt(w[k] / w[k + 1])
@@ -102,7 +102,7 @@ def test_entry_dtype_follows_the_coefficients(series, dtype):
     assert t.dtype == dtype
     c = series.coeffs
     ref = np.zeros((40, 40), dtype=complex)
-    sq = np.sqrt(basis_weights(0.5, 39).values)
+    sq = np.sqrt(basis_weights(0.5, 39))
     for j in range(min(len(c), 40)):
         k = np.arange(40 - j)
         ref[k + j, k] = c[j] * sq[k] / sq[k + j]
@@ -280,7 +280,7 @@ def test_normalized_kernel_has_unit_norm():
     a = 0.6 - 0.2j
     n = 400
     for alpha in (-0.5, 0.0, 1.0):
-        w = basis_weights(alpha, n - 1).values
+        w = basis_weights(alpha, n - 1)
         d = (1.0 - abs(a) ** 2) ** ((2.0 + alpha) / 2.0) * w * np.conj(a) ** np.arange(n)
         assert abs(gram(d, d, alpha) - 1.0) < 1e-10
         # the orthonormal-coordinate vector used by berezin is d / sqrt(w)
@@ -310,7 +310,7 @@ def test_berezin_values_match_the_dense_oracle(alpha):
 
 
 def test_gram_orthonormal_basis():
-    w = basis_weights(0.5, 9).values
+    w = basis_weights(0.5, 9)
     for m in range(10):
         e_m = np.zeros(10)
         e_m[m] = np.sqrt(w[m])
@@ -341,9 +341,7 @@ def test_spectrum_of_real_block_matches_complex_cast(op):
     from subbergman.operators import OperatorMatrix
 
     assert op.entries.dtype == np.float64
-    cast = OperatorMatrix(
-        entries=op.entries.astype(complex), alpha=op.alpha, basis_size=op.basis_size, kind=op.kind
-    )
+    cast = OperatorMatrix(entries=op.entries.astype(complex), alpha=op.alpha, kind=op.kind)
     real, cplx = spectrum(op, (5, 150)), spectrum(cast, (5, 150))
     np.testing.assert_allclose(real.eigenvalues, cplx.eigenvalues, rtol=0, atol=1e-13)
     assert abs(real.decay_exponent - cplx.decay_exponent) < 1e-13
@@ -358,7 +356,6 @@ def test_spectrum_rejects_non_hermitian():
     bad = OperatorMatrix(
         entries=np.array([[0.0, 1.0], [0.0, 0.0]]),
         alpha=as_weight(0.0),
-        basis_size=2,
         kind="defect_phi",
     )
     with pytest.raises(ValueError):
@@ -391,6 +388,17 @@ def test_schatten_partial_sums_against_series():
         assert est.tail_converged
 
 
+def test_spectrum_follows_the_entries_of_a_user_built_matrix():
+    from subbergman.operators import OperatorMatrix
+    from subbergman.scalars import as_weight
+
+    op = OperatorMatrix(entries=np.diag([1.0, 0.5, 0.25]), alpha=as_weight(0.0), kind="defect_phi")
+    assert op.basis_size == 3
+    rep = spectrum(op)
+    np.testing.assert_array_equal(rep.eigenvalues, [1.0, 0.5, 0.25])
+    assert rep.fit_window == (1, 2)
+
+
 def test_schatten_flags_slow_tail():
     # a flat spectrum keeps every term at 1/usable of the sum; with a short
     # truncation that exceeds the 1% threshold and must be flagged
@@ -398,9 +406,7 @@ def test_schatten_flags_slow_tail():
     from subbergman.scalars import as_weight
 
     n = 64
-    flat = OperatorMatrix(
-        entries=np.eye(n), alpha=as_weight(0.0), basis_size=n, kind="defect_phi"
-    )
+    flat = OperatorMatrix(entries=np.eye(n), alpha=as_weight(0.0), kind="defect_phi")
     rep = spectrum(flat)
     assert not rep.schatten_estimates[1.0].tail_converged
 

@@ -31,30 +31,30 @@ def _binom_product(s: float, n_max: int) -> np.ndarray:
 @pytest.mark.parametrize("alpha", [-1.5, -1.0, -0.5, 0.0, 1.0, 2.7])
 def test_basis_weights_match_gammaln(alpha):
     w = basis_weights(alpha, 150)
-    np.testing.assert_allclose(w.values, _weights_gammaln(alpha, 150), rtol=1e-12)
+    np.testing.assert_allclose(w, _weights_gammaln(alpha, 150), rtol=1e-12)
 
 
 def test_weights_alpha_zero_are_integers():
     # w_n = n+1 exactly at alpha = 0
     w = basis_weights(0.0, 300)
-    assert np.array_equal(w.values, np.arange(1.0, 302.0))
+    assert np.array_equal(w, np.arange(1.0, 302.0))
 
 
 def test_weights_hardy_are_ones():
     w = basis_weights(-1.0, 100)
-    assert np.array_equal(w.values, np.ones(101))
+    assert np.array_equal(w, np.ones(101))
 
 
 def test_weights_survive_large_n():
     # direct Gamma evaluation overflows near n ~ 170; the recurrence must not
     w = basis_weights(1.0, 5000)
-    assert np.all(np.isfinite(w.values))
-    assert w.values[-1] > 0
+    assert np.all(np.isfinite(w))
+    assert w[-1] > 0
 
 
 def test_weight_ratio_recurrence_exact():
     a = 0.7
-    w = basis_weights(a, 50).values
+    w = basis_weights(a, 50)
     for n in range(50):
         assert w[n + 1] == w[n] * (n + 2 + a) / (n + 1)
 
@@ -78,21 +78,28 @@ def test_basis_weights_rejects_negative_length():
 @pytest.mark.parametrize("s", [0.5, 2.5, -0.7, 3.0])
 def test_binomial_coeffs_match_product_oracle(s):
     c = binomial_coeffs(s, 40)
-    np.testing.assert_allclose(c.coeffs, _binom_product(s, 40), rtol=1e-13)
+    np.testing.assert_allclose(c, _binom_product(s, 40), rtol=1e-13)
 
 
 def test_binomial_integer_exponent_terminates():
     # (1-x)^2 = 1 - 2x + x^2; all later coefficients are exactly zero
-    c = binomial_coeffs(2.0, 10).coeffs
+    c = binomial_coeffs(2.0, 10)
     assert np.array_equal(c[:3], [1.0, -2.0, 1.0])
     assert np.all(c[3:] == 0.0)
 
 
 def test_binomial_partial_sums_converge():
     s, x = -1.3, 0.4
-    series = binomial_coeffs(s, 200)
+    c = binomial_coeffs(s, 200)
     target = (1.0 - x) ** s
-    assert abs(series.partial_sum(x) - target) < 1e-10
+    assert abs(np.sum(c * x ** np.arange(len(c))) - target) < 1e-10
+
+
+def test_weights_and_binomial_coeffs_are_read_only_float64():
+    for arr in (basis_weights(0.5, 10), binomial_coeffs(0.5, 10)):
+        assert arr.dtype == np.float64
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
 
 
 def test_binomial_overflow_guard():
@@ -105,7 +112,7 @@ def test_weight_asymptote_limit():
     from scipy.special import gamma
 
     for alpha in (-0.5, 0.0, 1.3):
-        report = weight_asymptote_check(basis_weights(alpha, 4096))
+        report = weight_asymptote_check(alpha, basis_weights(alpha, 4096))
         limit = 1.0 / gamma(2.0 + alpha)
         assert abs(report.ratios[-1] - limit) < 1e-3 * abs(limit)
         assert report.last_quarter_oscillation < 1e-3
@@ -113,4 +120,4 @@ def test_weight_asymptote_limit():
 
 def test_weight_asymptote_needs_enough_terms():
     with pytest.raises(ValueError):
-        weight_asymptote_check(basis_weights(0.0, 8))
+        weight_asymptote_check(0.0, basis_weights(0.0, 8))
