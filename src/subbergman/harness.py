@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -203,7 +203,17 @@ class RunReport:
 
 
 def _from_fields(cls, data: dict):
-    """The dataclass cls built from the keys of data that name its fields."""
+    """The dataclass cls built from the keys of data that name its fields.
+
+    A field without a default that data lacks raises ValueError naming every such key.
+    """
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"{cls.__name__} record lacks required key(s) {missing}")
     return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 

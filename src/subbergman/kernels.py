@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import WORK_BUDGET, defect_form
-from .scalars import WeightParameter, as_weight, basis_weights
+from .scalars import WeightParameter, _powers, as_weight, basis_weights
 from .symbols import MobiusSpec, PowerSeriesSymbol, bind_symbol, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
@@ -105,12 +105,13 @@ def _conj_sub_truncation(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w
     for alpha > -1. A batch is bounded at its largest |z| and |w|. n is
     found by doubling and bisection on this closed form. Work is counted in
     passes over the pairs x n kernel vectors: one per nonzero diagonal of
-    the symbol, plus 32 for building the vectors (complex powers) and the
-    two sums, which measure as 40-60 band passes at 20-200 pairs. A request
-    whose pairs x n x passes exceeds WORK_BUDGET is refused before
-    any compute, which also keeps its memory near 100 bytes per pair and
-    basis element. The bound is on truncation only: the two sums of
-    defect_form round at about eps ||x|| ||y||.
+    the symbol, plus 32 for building the vectors and the two sums (their
+    cost when the vectors were complex powers, kept so that the budget
+    refuses the same requests). A request whose pairs x n x passes
+    exceeds WORK_BUDGET is refused before any compute, which also keeps
+    its memory near 100 bytes per pair and basis element. The bound is on
+    truncation only: the two sums of defect_form round at about
+    eps ||x|| ||y||.
     """
     a = alpha.alpha
     tz = float(np.max(np.abs(z))) ** 2
@@ -160,9 +161,8 @@ def _conj_sub(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w):
         return np.zeros(z.shape, dtype=complex)
     n, _ = _conj_sub_truncation(symbol, alpha, z, w)
     sq = np.sqrt(basis_weights(alpha, n - 1))
-    m = np.arange(n)
-    x = sq * np.conj(z[..., None]) ** m
-    y = sq * np.conj(w[..., None]) ** m
+    x = sq * _powers(np.conj(z), n)
+    y = sq * _powers(np.conj(w), n)
     return defect_form(symbol, alpha, n, "conj", x, y)
 
 
@@ -205,7 +205,9 @@ def conj_sub_quadrature(
     (plain Gauss-Legendre at alpha = 0, where the weight is constant),
     computed with numpy by the Golub-Welsch method and cached per
     (n_radial, alpha); the angular direction uses the trapezoid rule,
-    spectrally accurate for periodic integrands.
+    spectrally accurate for periodic integrands. phi is evaluated on the
+    grid as one matrix product, with a temporary of (nonzero coefficients)
+    x n_angular entries.
     """
     a = as_weight(alpha)
     if not a.integrable:
@@ -217,8 +219,13 @@ def conj_sub_quadrature(
     w = np.asarray(w, dtype=complex)
     x, wts = _gauss_jacobi(n_radial, a.alpha)
     r = np.sqrt((x + 1.0) / 2.0)
-    u = r[:, None] * np.exp(2j * np.pi * np.arange(n_angular) / n_angular)[None, :]
-    dens = 1.0 - np.abs(symbol.eval(u)) ** 2
+    j = np.arange(n_angular)
+    u = r[:, None] * np.exp(2j * np.pi * j / n_angular)[None, :]
+    # phi on the grid as one product: sum_k c_k r^k e^(2 pi i k j / n_angular),
+    # the angle reduced mod n_angular; only the nonzero coefficients enter
+    k = np.flatnonzero(symbol.coeffs)
+    fourier = np.exp(2j * np.pi * (np.outer(k, j) % n_angular) / n_angular)
+    dens = 1.0 - np.abs((symbol.coeffs[k] * r[:, None] ** k) @ fourier) ** 2
     scale = (a.alpha + 1.0) * 2.0 ** (-(1.0 + a.alpha)) / n_angular
     s = 2.0 + a.alpha
     f = dens / (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import WeightParameter, as_weight, basis_weights
+from .scalars import WeightParameter, _powers, as_weight, basis_weights
 from .symbols import PowerSeriesSymbol
 
 SCHATTEN_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
@@ -113,9 +113,12 @@ def defect_form(
     """The quadratic form x* E y of the block E = defect_matrix(symbol, alpha, n, which).
 
     E is never formed. With S as in defect_matrix, x* E y = x*y - (Sx)*(Sy)
-    for "conj" and x*y - (T_n* x)*(T_n* y) for "phi"; T is applied one
-    nonzero band diagonal at a time, in O(nL) time per vector. x and y have
-    length n in their last axis and broadcast over the leading axes.
+    for "conj" and x*y - (T_n* x)*(T_n* y) for "phi". T is applied by one
+    np.convolve per vector when the batch has fewer vectors than the symbol
+    has nonzero diagonals and at least half its band is nonzero, and one
+    nonzero band diagonal at a time over the whole batch otherwise, so the
+    Python loop runs over the shorter axis. x and y have length n in their
+    last axis and broadcast over the leading axes.
     """
     a = _check_defect_args(alpha, n, which)
     x = np.asarray(x, dtype=complex)
@@ -124,21 +127,32 @@ def defect_form(
         raise ValueError(f"vectors must have length {n} in their last axis")
     rows = n if which == "phi" else n + len(symbol) - 1
     sq = np.sqrt(basis_weights(a, rows - 1))
-    diagonals = np.flatnonzero(symbol.coeffs[:rows])
+    c = symbol.coeffs[:rows]
+    diagonals = np.flatnonzero(c)
+    # conj: S u is the full convolution of u and c, of length rows; phi: T_n* u
+    # correlates u with c, entries len(c)-1 .. len(c)+n-2 of u convolved with conj(c) reversed
+    kernel, start = (c, 0) if which == "conj" else (np.conj(c)[::-1], len(c) - 1)
 
     def apply(v):
         # conj: (Sv)_m = sum_j c_j sqrt(w_{m-j}) v_{m-j} / sqrt(w_m), m < rows
         # phi: (T_n* v)_k = sqrt(w_k) sum_j conj(c_j) v_{k+j} / sqrt(w_{k+j}), k < n
-        out = np.zeros(v.shape[:-1] + (rows,), dtype=complex)
-        if which == "conj":
-            u = v * sq[:n]
+        u = (v * sq[:n] if which == "conj" else v / sq).reshape(-1, n)
+        out = np.zeros((len(u), rows), dtype=complex)
+        if len(u) < len(diagonals) and 2 * len(diagonals) >= len(c):
+            # loop over the shorter axis. np.convolve sums each entry term by
+            # term, so rounding stays per term (an FFT's scales with max |u|);
+            # it also multiplies the zeros inside the band, so it takes only
+            # bands at least half full, where it does at most twice the terms
+            for i, row in enumerate(u):
+                out[i] = np.convolve(row, kernel)[start : start + rows]
+        elif which == "conj":
             for j in diagonals:
-                out[..., j : j + n] += symbol.coeffs[j] * u
-            return out / sq
-        u = v / sq
-        for j in diagonals:
-            out[..., : n - j] += np.conj(symbol.coeffs[j]) * u[..., j:]
-        return out * sq
+                out[:, j : j + n] += c[j] * u
+        else:
+            for j in diagonals:
+                out[:, : n - j] += np.conj(c[j]) * u[:, j:]
+        out = out.reshape(v.shape[:-1] + (rows,))
+        return out / sq if which == "conj" else out * sq
 
     return np.sum(np.conj(x) * y, axis=-1) - np.sum(np.conj(apply(x)) * apply(y), axis=-1)
 
@@ -171,7 +185,7 @@ def normalized_kernel_coeffs(alpha: WeightParameter | float, a, n: int) -> np.nd
         raise ValueError("base point must be finite with |a| < 1")
     w = basis_weights(al, n - 1)
     scale = (1.0 - np.abs(a) ** 2) ** ((2.0 + al) / 2.0)
-    return scale[..., None] * np.sqrt(w) * np.conj(a)[..., None] ** np.arange(n)
+    return scale[..., None] * np.sqrt(w) * _powers(np.conj(a), n)
 
 
 def berezin(defect: OperatorMatrix, a: complex) -> float:

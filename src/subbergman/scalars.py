@@ -44,15 +44,40 @@ def basis_weights(alpha: WeightParameter | float, n_max: int) -> np.ndarray:
     Computed by the ratio recurrence w_{n+1} = w_n (n+2+alpha)/(n+1); direct
     Gamma evaluation overflows past n ~ 170 in double precision.
     """
-    a = as_weight(alpha)
+    al = as_weight(alpha).alpha
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    w = np.empty(n_max + 1)
-    w[0] = 1.0
+    last, out = 1.0, [1.0]
+    # the recurrence in order on Python floats: each step rounds once, as
+    # float64 does; np.cumprod would regroup the products and their rounding
     for n in range(n_max):
-        w[n + 1] = w[n] * (n + 2 + a.alpha) / (n + 1)
+        last = last * (n + 2 + al) / (n + 1)
+        out.append(last)
+    w = np.array(out)
     w.setflags(write=False)
     return w
+
+
+def _powers(base, n: int) -> np.ndarray:
+    """base^0..base^(n-1) along a new last axis, by repeated doubling.
+
+    Each step extends the filled prefix p_0..p_{k-1} by p_j base^k =
+    p_j (p_{k-1} base), so n powers take about log2(n) array products. The
+    error of a power grows with the number of products on its chain; in
+    norm over the row it stays near 2e-14 at |base| = 0.999 and n = 40000,
+    where numpy's complex power, which goes through exp and log from
+    exponent 100 on, is off by 1.7e-13.
+    """
+    base = np.asarray(base)
+    p = np.empty(base.shape + (n,), dtype=np.result_type(base, 1.0))
+    p[..., :1] = 1.0
+    b = base[..., None]
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        p[..., k : k + m] = p[..., :m] * (p[..., k - 1 : k] * b)
+        k += m
+    return p
 
 
 def binomial_coeffs(s: float, n_max: int) -> np.ndarray:

@@ -307,6 +307,15 @@ def test_load_report_ignores_unknown_keys(tmp_path):
     assert "wall_s" not in data["checks"][0]
 
 
+def test_load_report_names_missing_required_keys(tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"scenario": "x", "checks": [{"check": "a", "alpha": 0}]}))
+    with pytest.raises(ValueError, match=r"CheckResult .*\['symbol', 'status'\]"):
+        load_report(path)
+    with pytest.raises(ValueError, match=r"RunReport .*\['scenario'\]"):
+        RunReport.from_dict({"checks": []})
+
+
 def test_empty_report_is_valid_json(tmp_path):
     report = RunReport(scenario="empty", config={}, checks=[], started="", finished="")
     path = tmp_path / "empty.json"

@@ -34,7 +34,7 @@ from subbergman.kernels import (
 from subbergman.cnp import build_pick
 from subbergman.harness import boundary_ratio_check
 from subbergman.operators import defect_form, gram, normalized_kernel_coeffs
-from subbergman.scalars import as_weight, basis_weights
+from subbergman.scalars import _powers, as_weight, basis_weights
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
@@ -118,9 +118,8 @@ def test_conj_sub_coefficients_vs_quadrature(alpha):
 def _conj_sub_at(symbol, alpha, n, z, w):
     """x* E y at basis size n, E the n x n block of I - T*T, x and y the kernel vectors."""
     sq = np.sqrt(basis_weights(alpha, n - 1))
-    m = np.arange(n)
-    x = sq * np.conj(np.asarray(z)[..., None]) ** m
-    y = sq * np.conj(np.asarray(w)[..., None]) ** m
+    x = sq * _powers(np.conj(np.asarray(z, dtype=complex)), n)
+    y = sq * _powers(np.conj(np.asarray(w, dtype=complex)), n)
     return defect_form(symbol, alpha, n, "conj", x, y)
 
 

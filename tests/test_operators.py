@@ -8,6 +8,8 @@ with known entries.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subbergman import operators
 from subbergman.operators import (
@@ -210,6 +212,46 @@ def test_defect_form_matches_dense_block(alpha, which):
         scalar = defect_form(series, alpha, n, which, x[0, 0], y[0])
         assert np.ndim(scalar) == 0
         assert abs(scalar - x[0, 0].conj() @ e @ y[0]) < 1e-13
+
+
+# (x shape, y shape) before the length-n axis. A batch of fewer vectors than
+# the symbol has nonzero diagonals, on a band at least half full, is applied
+# by np.convolve, any other by the band loop; the examples pin both sides
+_FORM_BATCHES = [((), ()), ((1,), (6,)), ((3, 1), (4,)), ((2, 3), (1, 3)), ((24,), ()), ((0,), (0,))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    which=st.sampled_from(["phi", "conj"]),
+    alpha=st.sampled_from([-1.5, -0.5, 0.0, 1.0, 3.0]),
+    n=st.integers(1, 40),
+    length=st.integers(1, 16),
+    density=st.sampled_from([0.2, 0.6, 1.0]),
+    complex_symbol=st.booleans(),
+    shapes=st.sampled_from(_FORM_BATCHES),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(which="conj", alpha=0.0, n=30, length=16, density=1.0, complex_symbol=True, shapes=((1,), (6,)), seed=1)
+@example(which="phi", alpha=1.0, n=30, length=16, density=1.0, complex_symbol=False, shapes=((1,), (6,)), seed=2)
+@example(which="conj", alpha=-0.5, n=30, length=3, density=1.0, complex_symbol=True, shapes=((24,), ()), seed=3)
+@example(which="phi", alpha=3.0, n=30, length=3, density=1.0, complex_symbol=False, shapes=((24,), ()), seed=4)
+def test_defect_form_matches_the_dense_block_on_any_batch(
+    which, alpha, n, length, density, complex_symbol, shapes, seed
+):
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1, 1, length) * (rng.uniform(size=length) < density)
+    if complex_symbol:
+        c = c + 1j * rng.uniform(-1, 1, length)
+    series = PowerSeriesSymbol(c / max(1.0, float(np.sum(np.abs(c)))))
+    x = rng.standard_normal(shapes[0] + (n,)) + 1j * rng.standard_normal(shapes[0] + (n,))
+    y = rng.standard_normal(shapes[1] + (n,)) + 1j * rng.standard_normal(shapes[1] + (n,))
+    e = defect_matrix(series, alpha, n, which).entries
+    got = defect_form(series, alpha, n, which, x, y)
+    want = np.einsum("...m,mk,...k->...", x.conj(), e, y)
+    assert np.shape(got) == np.broadcast_shapes(shapes[0], shapes[1])
+    # |x* E y| <= ||E|| ||x|| ||y||, the scale of the rounding in both routes
+    scale = max(1.0, np.linalg.norm(e, 2)) * np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("which", ["phi", "conj"])

@@ -6,6 +6,7 @@ from scipy.special import gammaln
 
 from subbergman.scalars import (
     WeightParameter,
+    _powers,
     as_weight,
     basis_weights,
     binomial_coeffs,
@@ -57,6 +58,25 @@ def test_weight_ratio_recurrence_exact():
     w = basis_weights(a, 50)
     for n in range(50):
         assert w[n + 1] == w[n] * (n + 2 + a) / (n + 1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended-precision long double")
+@pytest.mark.parametrize("n", [1, 2, 5, 1600, 40000])
+def test_powers_match_the_complex_power(n):
+    # numpy's complex power goes through exp and log from exponent 100 on,
+    # which in double precision is off by 1.7e-13 at n = 40000; taken in
+    # long double it is the oracle, compared in norm over each row
+    angles = np.exp(2j * np.pi * np.random.default_rng(11).uniform(size=6))
+    base = np.concatenate([0.999 * angles, [0.999, -0.999, 0.999j, 0.5, 0.3 - 0.2j, 0.0]]).reshape(3, 4)
+    p = _powers(base, n)
+    ref = base.astype(np.clongdouble)[..., None] ** np.arange(n)
+    err = np.linalg.norm((p - ref).astype(complex), axis=-1)
+    assert p.shape == (3, 4, n) and p.dtype == complex
+    assert np.all(err <= 1e-13 * np.linalg.norm(ref.astype(complex), axis=-1))
+    assert np.all(p[..., 0] == 1.0)
+    # real bases stay real, and n = 0 gives an empty last axis
+    assert _powers(np.array([0.5, -0.9]), 4).dtype == np.float64
+    assert _powers(0.3j, 0).shape == (0,)
 
 
 def test_weight_parameter_validation():
