@@ -11,7 +11,6 @@ from .scalars import (
     as_weight,
     basis_weights,
     binomial_coeffs,
-    weight_asymptote_check,
 )
 from .symbols import (
     BlaschkeSpec,
@@ -32,11 +31,8 @@ from .symbols import (
 )
 from .kernels import (
     KernelSpec,
-    NormalizedKernelPoint,
     conj_sub_quadrature,
     eval_kernel,
-    eval_normalized,
-    mobius_factorization_check,
     rescaling_check,
 )
 from .operators import (
@@ -47,7 +43,6 @@ from .operators import (
     defect_matrix,
     gram,
     inclusion_eigenvalues,
-    inclusion_matrix,
     jacobi_eigenvalues,
     normalized_kernel_coeffs,
     spectrum,
@@ -84,7 +79,6 @@ __all__ = [
     "MobiusSpec",
     "MonomialSpec",
     "Normalization",
-    "NormalizedKernelPoint",
     "OperatorMatrix",
     "PickMatrix",
     "PickReport",
@@ -111,15 +105,12 @@ __all__ = [
     "emit_report",
     "eval_exact",
     "eval_kernel",
-    "eval_normalized",
     "gram",
     "inclusion_eigenvalues",
-    "inclusion_matrix",
     "jacobi_eigenvalues",
     "load_config",
     "load_report",
     "merge_config",
-    "mobius_factorization_check",
     "monomial_cnp_scale",
     "normalize",
     "normalized_kernel_coeffs",
@@ -133,5 +124,4 @@ __all__ = [
     "symbol_text",
     "toeplitz_matrix",
     "to_series",
-    "weight_asymptote_check",
 ]

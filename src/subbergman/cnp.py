@@ -19,6 +19,9 @@ from .symbols import PowerSeriesSymbol, admissibility_check, normalize
 DIVISION_HAZARD_TOL = 1e-12
 DEFAULT_PSD_TOL = 1e-9
 MIN_SEPARATION = 1e-3
+# most work of one scan, in trials x points^3: each trial solves a dense
+# points x points eigenproblem
+SCAN_WORK_MAX = 2e9
 
 
 class DivisionHazard(ValueError):
@@ -242,7 +245,8 @@ def cnp_scan(
     annotated with the trial count and any per-trial division hazards. A
     failing trial outranks every passing one (the threshold scales with
     each trial's trace), then the lowest minimal eigenvalue is worst, so a
-    failing scan always carries a failing trial's witness.
+    failing scan always carries a failing trial's witness. A scan whose
+    trials x points^3 exceeds SCAN_WORK_MAX is refused before any sampling.
     """
     a = as_weight(alpha)
     if n_points < 3:
@@ -251,6 +255,11 @@ def cnp_scan(
         raise ValueError("need at least one trial")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if n_trials * float(n_points) ** 3 > SCAN_WORK_MAX:
+        raise ValueError(
+            f"{n_trials} trial(s) x {n_points}^3 points exceed the scan budget "
+            f"SCAN_WORK_MAX = {SCAN_WORK_MAX:g}; use fewer points or trials"
+        )
     psi = _admitted_psi(symbol, a)
     worst, worst_rank = None, None
     hazards: list[str] = []

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cnp import DEFAULT_PSD_TOL, cnp_scan
+from .cnp import DEFAULT_PSD_TOL, SCAN_WORK_MAX, cnp_scan
 from .kernels import rescaling_check
 from .operators import (
     DENSE_SIZE_MAX,
@@ -25,7 +25,6 @@ from .operators import (
     berezin_values,
     defect_matrix,
     inclusion_eigenvalues,
-    inclusion_matrix,
     jacobi_eigenvalues,
     spectrum,
 )
@@ -134,6 +133,8 @@ def _validate_config(cfg: dict[str, object]) -> None:
             raise ValueError(f"{key} must be >= {least}, got {cfg[key]}")
     if cfg["matrix_size"] > DENSE_SIZE_MAX:
         raise ValueError(f"matrix_size must be <= {DENSE_SIZE_MAX}, got {cfg['matrix_size']}")
+    if cfg["cnp_trials"] * float(cfg["cnp_points"]) ** 3 > SCAN_WORK_MAX:
+        raise ValueError(f"cnp_trials x cnp_points^3 must be <= SCAN_WORK_MAX = {SCAN_WORK_MAX:g}")
     if not cfg["psd_tol"] > 0:
         raise ValueError(f"psd_tol must be positive, got {cfg['psd_tol']}")
     try:
@@ -550,19 +551,21 @@ def _check_inclusion_asymptote(alpha, spec, series, cfg):
     k = np.arange(n + 1)
     product = vals * (k + 1.0)
     tail = product[32:]
-    rep = spectrum(inclusion_matrix(alpha, gamma, n))
+    # vals strictly decrease for gamma < alpha, so they are their own
+    # descending spectrum; the fit window is spectrum's default at n + 1
+    slope = _decay_slope(vals, max(1, (n + 1) // 40), 3 * (n + 1) // 4)
     metrics = {
         "gamma": gamma,
         "product_min": float(tail.min()),
         "product_max": float(tail.max()),
-        "decay_exponent": rep.decay_exponent,
+        "decay_exponent": slope,
         "size": n,
     }
     lo, hi = INCLUSION_BAND
     ok = (
         lo <= tail.min()
         and tail.max() <= hi
-        and DECAY_BAND[0] <= rep.decay_exponent <= DECAY_BAND[1]
+        and DECAY_BAND[0] <= slope <= DECAY_BAND[1]
     )
     if alpha == 0:
         # Hardy companion: both weight sequences are exact, so the ratio is

@@ -17,7 +17,7 @@ import numpy as np
 
 from .operators import WORK_BUDGET, defect_form
 from .scalars import WeightParameter, _powers, as_weight, basis_weights
-from .symbols import MobiusSpec, PowerSeriesSymbol, bind_symbol, normalize
+from .symbols import PowerSeriesSymbol, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
 CONJ_SUB_VALUE_TOL = 1e-8
@@ -235,28 +235,6 @@ def conj_sub_quadrature(
     return complex(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class NormalizedKernelPoint:
-    """The unit-norm reproducing kernel k_a(z) = (1-|a|^2)^((2+alpha)/2) K(z,a)."""
-
-    a: complex
-    alpha: WeightParameter
-
-    def __post_init__(self) -> None:
-        if not abs(self.a) < 1:
-            raise ValueError("base point must be finite with |a| < 1")
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "alpha", as_weight(self.alpha))
-
-
-def eval_normalized(point: NormalizedKernelPoint, z):
-    _check_disk(z)
-    z = np.asarray(z, dtype=complex)
-    s = 2.0 + point.alpha.alpha
-    out = (1.0 - abs(point.a) ** 2) ** (s / 2.0) / (1.0 - z * np.conj(point.a)) ** s
-    return complex(out) if out.ndim == 0 else out
-
-
 def rescaling_check(
     symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points
 ) -> float:
@@ -277,31 +255,3 @@ def rescaling_check(
     k_psi = eval_kernel(KernelSpec("sub", a, norm.psi), z, w)
     gv = norm.g(pts)
     return float(np.max(np.abs(k_psi - gv[:, None] * np.conj(gv)[None, :] * k_phi)))
-
-
-def mobius_factorization_check(
-    a: complex, zeta: complex, alpha: WeightParameter | float, points
-) -> float:
-    """Residual of the Moebius sub-Bergman factorization on a point set.
-
-    For phi a Moebius map the sub-Bergman kernel factors as
-    (1-|a|^2) / ((1 - conj(a) z)(1 - a conj(w))) times (1 - z conj(w))^-(1+alpha);
-    the left side is evaluated through the series symbol, the right side
-    from the closed form.
-    """
-    al = as_weight(alpha)
-    if not -1 < al.alpha <= 0:
-        raise ValueError(f"factorization check needs alpha in (-1, 0], got {al.alpha}")
-    spec = MobiusSpec(a=a, zeta=zeta)
-    pts = np.asarray(points, dtype=complex)
-    _check_disk(pts)
-    z = pts[:, None]
-    w = pts[None, :]
-    _, series = bind_symbol(spec, al)
-    lhs = eval_kernel(KernelSpec("sub", al, series), z, w)
-    rhs = (
-        (1.0 - abs(spec.a) ** 2)
-        / ((1.0 - np.conj(spec.a) * z) * (1.0 - spec.a * np.conj(w)))
-        * (1.0 - z * np.conj(w)) ** (-(1.0 + al.alpha))
-    )
-    return float(np.max(np.abs(lhs - rhs)))

@@ -31,7 +31,7 @@ class OperatorMatrix:
 
     entries: np.ndarray
     alpha: WeightParameter
-    kind: str  # toeplitz | defect_phi | defect_conj | inclusion_diag
+    kind: str  # toeplitz | defect_phi | defect_conj
 
     def __post_init__(self) -> None:
         self.entries.setflags(write=False)
@@ -303,13 +303,6 @@ def inclusion_eigenvalues(
     # the two weight sequences are computed separately so exactly
     # representable cases (integer weights) divide without extra rounding
     return basis_weights(g, n) / basis_weights(a, n)
-
-
-def inclusion_matrix(
-    alpha: WeightParameter | float, gamma: WeightParameter | float, n: int
-) -> OperatorMatrix:
-    vals = inclusion_eigenvalues(alpha, gamma, n)
-    return OperatorMatrix(entries=np.diag(vals), alpha=as_weight(alpha), kind="inclusion_diag")
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:

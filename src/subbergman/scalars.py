@@ -98,27 +98,3 @@ def binomial_coeffs(s: float, n_max: int) -> np.ndarray:
         raise OverflowError(f"binomial coefficients overflow for s={s}, n_max={n_max}")
     c.setflags(write=False)
     return c
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Normalized weight ratios r_n = w_n/(n+1)^(alpha+1) and their settling."""
-
-    ratios: np.ndarray
-    last_quarter_oscillation: float
-
-
-def weight_asymptote_check(alpha: WeightParameter | float, weights: np.ndarray) -> RatioReport:
-    """Ratios w_n (n+1)^-(alpha+1), which converge to 1/Gamma(2+alpha).
-
-    weights are basis_weights(alpha, N) for some N >= 31. The relative
-    oscillation (max-min over mean) across the last quarter of indices
-    measures how far the sequence is from its limit.
-    """
-    if len(weights) < 32:
-        raise ValueError("asymptote check needs at least 32 weights")
-    n = np.arange(len(weights))
-    r = weights * (n + 1.0) ** (-(as_weight(alpha).alpha + 1.0))
-    tail = r[3 * len(r) // 4 :]
-    osc = float((tail.max() - tail.min()) / np.mean(tail))
-    return RatioReport(ratios=r, last_quarter_oscillation=osc)

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
-from subbergman import cli, harness, kernels, operators
+from subbergman import cli, cnp, harness, kernels, operators
 from subbergman.cli import main
 from subbergman.harness import Scenario, run_scenario
 from subbergman.symbols import parse_symbol
@@ -287,6 +288,20 @@ def test_cnp_test_bad_symbol_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cnp_test_over_the_scan_budget_exits_2_before_sampling(monkeypatch, capsys):
+    # 5000 points x 20 trials: dense 5000 x 5000 eigenproblems would take minutes
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized scan must be refused before any sampling")
+
+    monkeypatch.setattr(cnp, "_admitted_psi", refuse)
+    monkeypatch.setattr(cnp, "sample_points", refuse)
+    start = time.perf_counter()
+    rc = main(["cnp", "test", "--alpha", "0", "--symbol", "mobius a=0.4", "--points", "5000"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "SCAN_WORK_MAX" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # toeplitz build / defect spectrum / berezin
 
@@ -527,6 +542,7 @@ def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
     [
         ("berezin_identity", "matrix_size=0", "matrix_size"),
         ("hardy_degenerate", "matrix_size=100000", "matrix_size"),
+        ("cnp_moebius_pass", "cnp_points=5000", "cnp_points"),
         ("blaschke_decay", "fit_hi=150", "fit_hi"),
         ("all", "fit_lo=20", "fit_lo"),
     ],

@@ -22,13 +22,10 @@ from subbergman.kernels import (
     CONJ_SUB_VALUE_TOL,
     KINDS,
     KernelSpec,
-    NormalizedKernelPoint,
     _conj_sub_truncation,
     _gauss_jacobi,
     conj_sub_quadrature,
     eval_kernel,
-    eval_normalized,
-    mobius_factorization_check,
     rescaling_check,
 )
 from subbergman.cnp import build_pick
@@ -231,7 +228,6 @@ def test_non_finite_points_are_refused(bad):
         "eval_exact": lambda: eval_exact(spec, pts),
         "normalized_kernel_coeffs": lambda: normalized_kernel_coeffs(0.0, pts, 8),
         "build_pick": lambda: build_pick(series, 0.0, pts),
-        "NormalizedKernelPoint": lambda: NormalizedKernelPoint(a=bad, alpha=0.0),
         "conj_sub_quadrature": lambda: conj_sub_quadrature(series, 0.0, pts, 0.2),
         "MobiusSpec": lambda: MobiusSpec(a=bad),
         "BlaschkeSpec": lambda: BlaschkeSpec(zeros=(0.5, bad)),
@@ -252,25 +248,29 @@ def test_kernel_spec_validation():
         eval_kernel(KernelSpec("bergman", 0.0), 1.0, 0.5)  # boundary point
 
 
+def _normalized_kernel_at(alpha, a, n, z):
+    # k_a(z) = sum_m c_m e_m(z) with e_m = sqrt(w_m) z^m, truncated to n terms
+    c = normalized_kernel_coeffs(alpha, a, n)
+    return np.sum(c * np.sqrt(basis_weights(alpha, n - 1)) * z ** np.arange(n))
+
+
 def test_normalized_kernel_unit_norm_via_gram():
-    # monomial coefficients of k_a against the coefficient inner product
+    # the monomial coefficients sqrt(w_m) c_m of k_a have unit norm, and the
+    # partial sums match k_a(z) = (1-|a|^2)^((2+alpha)/2) (1 - z conj(a))^-(2+alpha)
     a = 0.5 + 0.3j
     n = 500
+    z = 0.4 - 0.1j
     for alpha in (-0.5, 0.0, 1.0):
-        point = NormalizedKernelPoint(a=a, alpha=alpha)
-        w = basis_weights(alpha, n - 1)
-        coeffs = (1.0 - abs(a) ** 2) ** ((2.0 + alpha) / 2.0) * w * np.conj(a) ** np.arange(n)
-        assert abs(gram(coeffs, coeffs, alpha) - 1.0) < 1e-10
-        # pointwise agreement with the closed form
-        z = 0.4 - 0.1j
-        series_val = np.sum(coeffs * z ** np.arange(n))
-        assert abs(eval_normalized(point, z) - series_val) < 1e-10
+        monomial = normalized_kernel_coeffs(alpha, a, n) * np.sqrt(basis_weights(alpha, n - 1))
+        assert abs(gram(monomial, monomial, alpha) - 1.0) < 1e-10
+        s = 2.0 + alpha
+        closed = (1.0 - abs(a) ** 2) ** (s / 2.0) / (1.0 - z * np.conj(a)) ** s
+        assert abs(_normalized_kernel_at(alpha, a, n, z) - closed) < 1e-10
 
 
 def test_normalized_kernel_peaks_at_base_point():
-    point = NormalizedKernelPoint(a=0.6, alpha=0.0)
     # k_a(a) = sqrt(K(a,a)) = (1-|a|^2)^{-(2+alpha)/2}
-    assert abs(eval_normalized(point, 0.6) - (1 - 0.36) ** -1.0) < 1e-12
+    assert abs(_normalized_kernel_at(0.0, 0.6, 200, 0.6) - (1 - 0.36) ** -1.0) < 1e-12
 
 
 @pytest.mark.parametrize("alpha", [-1.5, -0.5, 0.0, 1.0])
@@ -289,17 +289,20 @@ def test_rescaling_check_needs_two_points():
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0])
 def test_mobius_factorization_in_range(alpha):
+    # for a Moebius phi the sub-Bergman kernel factors as
+    # (1-|a|^2) / ((1 - conj(a) z)(1 - a conj(w))) (1 - z conj(w))^-(1+alpha)
     rng = np.random.default_rng(7)
     pts = 0.8 * np.sqrt(rng.uniform(size=12)) * np.exp(2j * np.pi * rng.uniform(size=12))
-    assert mobius_factorization_check(0.5, 1.0, alpha, pts) < 1e-10
-    assert mobius_factorization_check(0.3j, -1.0, alpha, pts) < 1e-10
-
-
-def test_mobius_factorization_range_gate():
-    with pytest.raises(ValueError):
-        mobius_factorization_check(0.5, 1.0, 0.5, [0.1, 0.2])
-    with pytest.raises(ValueError):
-        mobius_factorization_check(0.5, 1.0, -1.0, [0.1, 0.2])
+    z, w = pts[:, None], pts[None, :]
+    for a, zeta in ((0.5, 1.0), (0.3j, -1.0)):
+        _, series = bind_symbol(MobiusSpec(a=a, zeta=zeta), alpha)
+        lhs = eval_kernel(KernelSpec("sub", alpha, series), z, w)
+        rhs = (
+            (1.0 - abs(a) ** 2)
+            / ((1.0 - np.conj(a) * z) * (1.0 - a * np.conj(w)))
+            * (1.0 - z * np.conj(w)) ** (-(1.0 + alpha))
+        )
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_eval_kernel_broadcasts():
