@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, eval_kernel
+from .operators import _check_hermitian
 from .scalars import WeightParameter, as_weight
 from .symbols import PowerSeriesSymbol, admissibility_check, normalize
 
@@ -167,14 +168,13 @@ def build_pick(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points
     return _pick_on(_admitted_psi(symbol, a), a, pts)
 
 
-def _min_eig(entries: np.ndarray) -> tuple[float, np.ndarray]:
-    lam, vec = np.linalg.eigh(entries)
-    return float(lam[0]), vec[:, 0]
+def _min_eig(entries: np.ndarray) -> float:
+    # eigenvalues only: LAPACK skips the eigenvectors, which no verdict reads
+    return float(np.linalg.eigvalsh(entries)[0])
 
 
 def _fails(entries: np.ndarray, tolerance: float) -> bool:
-    lam, _ = _min_eig(entries)
-    return lam < -tolerance * max(1.0, float(np.trace(entries).real))
+    return _min_eig(entries) < -tolerance * max(1.0, float(np.trace(entries).real))
 
 
 def _grow_then_shrink(entries: np.ndarray, vec: np.ndarray, tolerance: float) -> np.ndarray:
@@ -201,10 +201,21 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
     failing prefix (>= 2 points, by weight in the minimal eigenvector) is
     pruned by one deletion pass, so the witness has 2 points or, by
     interlacing, no single removal keeps the failure.
+
+    The verdict and every reported eigenvalue come from eigenvalue-only
+    solves; eigenvectors are computed once, and only when no pair fails and
+    the prefix search needs their order. A matrix that is empty or not
+    square, has a non-finite entry, is not Hermitian within
+    operators.HERMITIAN_TOL, or has a different number of points raises
+    ValueError before any solve.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    lam_min, vec = _min_eig(matrix.entries)
+    _check_hermitian(matrix.entries)
+    if matrix.points.shape != matrix.entries.shape[:1]:
+        n = len(matrix.entries)
+        raise ValueError(f"{matrix.points.size} points for a Pick matrix of order {n}")
+    lam_min = _min_eig(matrix.entries)
     if lam_min >= -tolerance * max(1.0, float(np.trace(matrix.entries).real)):
         return PickReport(
             verdict="psd_pass", min_eigenvalue=lam_min, witness=None, trials=1, sampler_seed=None
@@ -216,9 +227,10 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
     if pair_min[i, j] < -tolerance * max(1.0, d[i] + d[j]):
         keep = np.isin(np.arange(len(d)), (i, j))
     else:
+        vec = np.linalg.eigh(matrix.entries)[1][:, 0]
         keep = _grow_then_shrink(matrix.entries, vec, tolerance)
     sub = matrix.entries[np.ix_(keep, keep)]
-    witness = Witness(points=matrix.points[keep], matrix=sub, min_eigenvalue=_min_eig(sub)[0])
+    witness = Witness(points=matrix.points[keep], matrix=sub, min_eigenvalue=_min_eig(sub))
     return PickReport(
         verdict="fail",
         min_eigenvalue=lam_min,

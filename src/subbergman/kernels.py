@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import WORK_BUDGET, defect_form
-from .scalars import WeightParameter, _powers, as_weight, basis_weights
+from .operators import WORK_BUDGET, _defect_form, _defect_rows
+from .scalars import WeightParameter, _neg_power, _powers, as_weight, basis_weights
 from .symbols import PowerSeriesSymbol, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
@@ -50,7 +50,7 @@ def _check_disk(*points) -> None:
 
 
 def _bergman(alpha: float, z, w):
-    return (1.0 - z * np.conj(w)) ** (-(2.0 + alpha))
+    return _neg_power(1.0 - z * np.conj(w), 2.0 + alpha)
 
 
 def eval_kernel(spec: KernelSpec, z, w):
@@ -160,10 +160,11 @@ def _conj_sub(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w):
     if z.size == 0:
         return np.zeros(z.shape, dtype=complex)
     n, _ = _conj_sub_truncation(symbol, alpha, z, w)
-    sq = np.sqrt(basis_weights(alpha, n - 1))
-    x = sq * _powers(np.conj(z), n)
-    y = sq * _powers(np.conj(w), n)
-    return defect_form(symbol, alpha, n, "conj", x, y)
+    # the weights of the rows of S, whose first n also scale the kernel vectors
+    sq = np.sqrt(basis_weights(alpha, _defect_rows(symbol, n, "conj") - 1))
+    x = sq[:n] * _powers(np.conj(z), n)
+    y = sq[:n] * _powers(np.conj(w), n)
+    return _defect_form(symbol, n, "conj", x, y, sq)
 
 
 @lru_cache(maxsize=32)

@@ -71,6 +71,11 @@ def toeplitz_matrix(
     return OperatorMatrix(entries=t, alpha=a, kind="toeplitz")
 
 
+def _defect_rows(symbol: PowerSeriesSymbol, n: int, which: str) -> int:
+    """Rows of T that the n x n defect block reads: n for "phi", n + L - 1 for "conj"."""
+    return n if which == "phi" else n + len(symbol) - 1
+
+
 def _check_defect_args(alpha, n: int, which: str) -> WeightParameter:
     if which not in ("phi", "conj"):
         raise ValueError(f'which must be "phi" or "conj", got {which!r}')
@@ -95,8 +100,7 @@ def defect_matrix(
     itself, so the product is a symmetric rank-k update.
     """
     a = _check_defect_args(alpha, n, which)
-    rows = n if which == "phi" else n + len(symbol) - 1
-    t = _toeplitz_entries(symbol, a, rows, n)
+    t = _toeplitz_entries(symbol, a, _defect_rows(symbol, n, which), n)
     e = np.eye(n) - (t @ t.conj().T if which == "phi" else t.conj().T @ t)
     e = (e + e.conj().T) / 2.0  # exact Hermitian symmetry for downstream solvers
     return OperatorMatrix(entries=e, alpha=a, kind=f"defect_{which}")
@@ -121,12 +125,22 @@ def defect_form(
     last axis and broadcast over the leading axes.
     """
     a = _check_defect_args(alpha, n, which)
+    if np.shape(x)[-1:] != (n,) or np.shape(y)[-1:] != (n,):
+        raise ValueError(f"vectors must have length {n} in their last axis")
+    sq = np.sqrt(basis_weights(a, _defect_rows(symbol, n, which) - 1))
+    return _defect_form(symbol, n, which, x, y, sq)
+
+
+def _defect_form(symbol: PowerSeriesSymbol, n: int, which: str, x, y, sq: np.ndarray):
+    """defect_form on checked arguments, with sq the square roots of the weights of its rows.
+
+    sq = sqrt(basis_weights(alpha, _defect_rows(symbol, n, which) - 1)); a
+    caller that already holds these weights for its own vectors passes them
+    down, so each request runs the weight recurrence once.
+    """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.shape[-1] != n or y.shape[-1] != n:
-        raise ValueError(f"vectors must have length {n} in their last axis")
-    rows = n if which == "phi" else n + len(symbol) - 1
-    sq = np.sqrt(basis_weights(a, rows - 1))
+    rows = len(sq)
     c = symbol.coeffs[:rows]
     diagonals = np.flatnonzero(c)
     # conj: S u is the full convolution of u and c, of length rows; phi: T_n* u
@@ -166,26 +180,37 @@ def berezin_values(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, n:
     diagonals + 32), and a request over WORK_BUDGET raises ValueError
     before the weights or the kernel vectors are built.
     """
-    _check_defect_args(alpha, n, "phi")
+    a = _check_defect_args(alpha, n, "phi")
     count, passes = np.size(points), np.count_nonzero(symbol.coeffs[:n]) + 32
     if count * n * passes > WORK_BUDGET:
         raise ValueError(
             f"berezin at size {n}: {count} point(s) x {n} x {passes} passes exceed the "
             f"work budget {WORK_BUDGET:g}; lower the size or split the points"
         )
-    c = normalized_kernel_coeffs(alpha, points, n)
-    return np.real(defect_form(symbol, alpha, n, "phi", c, c))
+    points = _check_base_points(points)
+    sq = np.sqrt(basis_weights(a, n - 1))
+    c = _kernel_coeffs(a.alpha, points, sq)
+    return np.real(_defect_form(symbol, n, "phi", c, c, sq))
+
+
+def _check_base_points(a) -> np.ndarray:
+    a = np.asarray(a)
+    if not np.all(np.abs(a) < 1):
+        raise ValueError("base point must be finite with |a| < 1")
+    return a
+
+
+def _kernel_coeffs(alpha: float, a: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """normalized_kernel_coeffs at checked points, truncated to len(sq), with sq = sqrt(w)."""
+    scale = (1.0 - np.abs(a) ** 2) ** ((2.0 + alpha) / 2.0)
+    return scale[..., None] * sq * _powers(np.conj(a), len(sq))
 
 
 def normalized_kernel_coeffs(alpha: WeightParameter | float, a, n: int) -> np.ndarray:
     """Basis coefficients, truncated to n, of the normalized kernel at a (along a new last axis)."""
     al = as_weight(alpha).alpha
-    a = np.asarray(a)
-    if not np.all(np.abs(a) < 1):
-        raise ValueError("base point must be finite with |a| < 1")
-    w = basis_weights(al, n - 1)
-    scale = (1.0 - np.abs(a) ** 2) ** ((2.0 + al) / 2.0)
-    return scale[..., None] * np.sqrt(w) * _powers(np.conj(a), n)
+    a = _check_base_points(a)
+    return _kernel_coeffs(al, a, np.sqrt(basis_weights(al, n - 1)))
 
 
 def berezin(defect: OperatorMatrix, a: complex) -> float:
@@ -227,6 +252,15 @@ class SpectrumReport:
 
 
 def _check_hermitian(entries: np.ndarray) -> None:
+    """Refuse an empty, non-square, non-finite, or (past HERMITIAN_TOL) non-Hermitian matrix.
+
+    LAPACK's Hermitian solvers read one triangle only: an asymmetric matrix
+    would get the eigenvalues of its lower triangle's Hermitian completion.
+    """
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
+        raise ValueError(f"matrix must be square and nonempty, got shape {entries.shape}")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("matrix entries must be finite")
     asym = float(np.max(np.abs(entries - entries.conj().T)))
     if asym > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
@@ -315,8 +349,6 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int =
     below tol times the matrix scale.
     """
     a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("jacobi solver needs a square matrix")
     _check_hermitian(a)
     a = (a + a.conj().T) / 2.0
     n = a.shape[0]

@@ -8,6 +8,7 @@ built from these weights and from the Taylor coefficients of (1-x)^s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,21 @@ def _powers(base, n: int) -> np.ndarray:
         p[..., k : k + m] = p[..., :m] * (p[..., k - 1 : k] * b)
         k += m
     return p
+
+
+def _neg_power(u, s: float):
+    """u^-s on the principal branch, for Re u > 0 and s > 0, as with u = 1 - z conj(w) on the disk.
+
+    For half-integer s this is u^-m / sqrt(u), m = floor(s): numpy multiplies
+    out integer exponents, where the general complex power goes through exp
+    and log at 3-5x the cost. Both factors are principal because Re u > 0,
+    so they agree with the complex power to rounding. Any other s is the
+    complex power itself; for integer s numpy already multiplies it out.
+    """
+    m = math.floor(s)
+    if s - m == 0.5:
+        return u**-m / np.sqrt(u)
+    return u**-s
 
 
 def binomial_coeffs(s: float, n_max: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import WeightParameter, as_weight, binomial_coeffs
+from .scalars import WeightParameter, _neg_power, as_weight, binomial_coeffs
 
 
 def _unimodular(zeta: complex) -> complex:
@@ -384,7 +384,7 @@ def admissibility_check(
     note = "sup-norm grid estimate"
     if admissible and a.alpha < -1:
         zw = pts[:, None] * np.conj(pts)[None, :]
-        m = (1.0 - vals[:, None] * np.conj(vals)[None, :]) * (1.0 - zw) ** (-(2.0 + a.alpha))
+        m = (1.0 - vals[:, None] * np.conj(vals)[None, :]) * _neg_power(1.0 - zw, 2.0 + a.alpha)
         m = (m + m.conj().T) / 2.0
         lam = np.linalg.eigvalsh(m)
         pick_min = float(lam[0])

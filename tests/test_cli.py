@@ -139,7 +139,7 @@ def test_kernel_eval_conj_sub_over_the_work_budget_exits_2(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("defect_form ran for a request over the budget")
 
-    monkeypatch.setattr(kernels, "defect_form", refuse)
+    monkeypatch.setattr(kernels, "_defect_form", refuse)
     rc = main(
         [
             "kernel",
@@ -178,7 +178,7 @@ def test_kernel_eval_conj_sub_empty_batch(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("defect_form ran for an empty batch")
 
-    monkeypatch.setattr(kernels, "defect_form", refuse)
+    monkeypatch.setattr(kernels, "_defect_form", refuse)
     points = tmp_path / "points.csv"
     points.write_text("z_re,z_im,w_re,w_im\n")
     out = tmp_path / "values.csv"

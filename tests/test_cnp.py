@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subbergman import cnp
 from subbergman.cnp import (
@@ -278,6 +280,31 @@ def test_psd_test_requires_positive_tolerance():
         psd_test(pick, 0.0)
 
 
+def _asymmetric():
+    entries = np.eye(2, dtype=complex)
+    entries[0, 1] = 2.0  # LAPACK reads the lower triangle only, where the matrix is I
+    return entries
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex), "finite"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex), "finite"),
+        (_asymmetric(), "not Hermitian"),
+        (np.ones((2, 3), dtype=complex), "square"),
+        (np.eye(3, dtype=complex), "2 points for a Pick matrix of order 3"),
+    ],
+    ids=["nan", "inf", "asymmetric", "non-square", "points"],
+)
+def test_psd_test_refuses_bad_entries_before_any_solve(monkeypatch, entries, message):
+    values = _counting(monkeypatch, np.linalg, "eigvalsh")
+    vectors = _counting(monkeypatch, np.linalg, "eigh")
+    with pytest.raises(ValueError, match=message):
+        psd_test(PickMatrix(points=np.array([0.1, 0.2]), entries=entries))
+    assert values == vectors == []
+
+
 def test_build_pick_raises_typed_division_hazard(monkeypatch):
     # every |K| is below an absurdly large hazard threshold
     monkeypatch.setattr(cnp, "DIVISION_HAZARD_TOL", 1e6)
@@ -361,3 +388,100 @@ def test_witness_search_eigensolve_budget(monkeypatch):
     assert report.verdict == "fail"
     assert len(report.witness.points) == 2
     assert len(calls) <= 4
+
+
+def test_psd_test_solves_for_eigenvectors_only_to_order_a_prefix(monkeypatch):
+    passing = build_pick(
+        to_series(MobiusSpec(a=0.4), 200), -0.5, sample_points(60, np.random.default_rng(3), -0.5)
+    )
+    pair_failing = build_pick(SHIFT, 1.0, sample_points(120, np.random.default_rng([7, 0]), 1.0))
+    spread = np.eye(6, dtype=complex)  # every pair passes; {1, 3, 4} fails
+    spread[np.ix_([1, 3, 4], [1, 3, 4])] -= 0.6 * (1.0 - np.eye(3))
+    spread_failing = PickMatrix(points=np.linspace(0.1, 0.6, 6).astype(complex), entries=spread)
+    for pick, verdict, eigh_calls in (
+        (passing, "psd_pass", 0),
+        (pair_failing, "fail", 0),
+        (spread_failing, "fail", 1),
+    ):
+        calls = _counting(monkeypatch, np.linalg, "eigh")
+        report = psd_test(pick)
+        assert report.verdict == verdict
+        assert len(calls) == eigh_calls
+        monkeypatch.undo()
+
+
+def _psd_test_by_eigh(entries, tolerance):
+    """psd_test by full eigendecompositions: verdict, min eigenvalue, witness mask, its min eigenvalue."""
+
+    def min_eig(m):
+        return float(np.linalg.eigh(m)[0][0])
+
+    def fails(m):
+        return min_eig(m) < -tolerance * max(1.0, float(np.trace(m).real))
+
+    lam, vec = np.linalg.eigh(entries)
+    if not fails(entries):
+        return "psd_pass", float(lam[0]), None, None
+    d = entries.diagonal().real
+    pair_min = (d[:, None] + d) / 2.0 - np.hypot((d[:, None] - d) / 2.0, np.abs(entries))
+    np.fill_diagonal(pair_min, np.inf)
+    i, j = np.unravel_index(np.argmin(pair_min), pair_min.shape)
+    keep = np.isin(np.arange(len(d)), (i, j))
+    if not pair_min[i, j] < -tolerance * max(1.0, d[i] + d[j]):
+        order = np.argsort(-np.abs(vec[:, 0]), kind="stable")
+        m = 2
+        while m < len(order) and not fails(entries[np.ix_(order[:m], order[:m])]):
+            m += 1
+        keep = np.isin(np.arange(len(d)), order[:m])
+        for k in order[:m]:
+            keep[k] = False
+            if keep.sum() < 2 or not fails(entries[np.ix_(keep, keep)]):
+                keep[k] = True
+    return "fail", float(lam[0]), keep, min_eig(entries[np.ix_(keep, keep)])
+
+
+def _test_matrix(kind, n, seed):
+    """A Hermitian matrix that passes, fails by a 2x2 minor, or fails only on a larger block."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    gram = b[:, : rng.integers(1, n + 1)]
+    m = gram @ gram.conj().T / n  # PSD, often singular
+    if kind == "pair":
+        i, j = rng.choice(n, 2, replace=False)
+        phase = np.exp(2j * np.pi * rng.uniform())
+        m[i, j] = rng.uniform(1.2, 3.0) * np.sqrt(m[i, i].real * m[j, j].real) * phase
+        m[j, i] = np.conj(m[i, j])
+    elif kind == "spread":
+        # (1 + rho) I - rho x x* on k points: pairs have eigenvalues 1 +- rho > 0,
+        # the block has 1 + rho - k rho < 0; block-diagonal with the PSD rest
+        k = int(rng.integers(3, n + 1))
+        rho = rng.uniform(1.2 / (k - 1), 0.9)
+        x = np.exp(2j * np.pi * rng.uniform(size=k))
+        m = np.zeros((n, n), dtype=complex)
+        m[:k, :k] = (1.0 + rho) * np.eye(k) - rho * np.outer(x, x.conj())
+        m[k:, k:] = (gram @ gram.conj().T / n)[k:, k:]
+        perm = rng.permutation(n)
+        m = m[np.ix_(perm, perm)]
+    return (m + m.conj().T) / 2.0
+
+
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["pass", "pair", "spread"]),
+    n=st.integers(3, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_psd_test_matches_the_eigh_reference(kind, n, seed):
+    entries = _test_matrix(kind, n, seed)
+    pts = np.linspace(0.05, 0.9, n).astype(complex)
+    report = psd_test(PickMatrix(points=pts, entries=entries))
+    verdict, lam_min, keep, witness_min = _psd_test_by_eigh(entries, cnp.DEFAULT_PSD_TOL)
+    scale = 1e-12 * max(1.0, float(np.trace(entries).real))
+    assert report.verdict == verdict == ("psd_pass" if kind == "pass" else "fail")
+    assert abs(report.min_eigenvalue - lam_min) <= scale
+    if kind == "pass":
+        assert report.witness is None
+        return
+    assert np.array_equal(report.witness.points, pts[keep])
+    assert abs(report.witness.min_eigenvalue - witness_min) <= scale
+    assert (len(report.witness.points) == 2) == (kind == "pair")

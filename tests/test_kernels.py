@@ -30,7 +30,7 @@ from subbergman.kernels import (
 )
 from subbergman.cnp import build_pick
 from subbergman.harness import boundary_ratio_check
-from subbergman.operators import defect_form, gram, normalized_kernel_coeffs
+from subbergman.operators import _defect_form, defect_form, gram, normalized_kernel_coeffs
 from subbergman.scalars import _powers, as_weight, basis_weights
 from subbergman.symbols import (
     BlaschkeSpec,
@@ -146,10 +146,10 @@ def test_conj_sub_makes_one_defect_form_call(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
-        return defect_form(*args, **kwargs)
+        calls.append(args[1])
+        return _defect_form(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "defect_form", counted)
+    monkeypatch.setattr(kernels, "_defect_form", counted)
     spec = KernelSpec("conj_sub", 0.0, to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 64))
     z, w = _pairs(np.random.default_rng(8), 6, 0.95)
     k = eval_kernel(spec, z, w)
@@ -168,7 +168,7 @@ def test_conj_sub_work_budget_refuses_before_compute(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("defect_form ran for a request over the budget")
 
-    monkeypatch.setattr(kernels, "defect_form", refuse)
+    monkeypatch.setattr(kernels, "_defect_form", refuse)
     spec = KernelSpec("conj_sub", 0.0, SHIFT)
     # the shift needs n = 33639 at 0.999, so 1000 pairs cost 1000 x n x 33 > 5e7
     with pytest.raises(ValueError, match="work budget") as info:
