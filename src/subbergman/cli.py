@@ -29,7 +29,14 @@ from .harness import (
     run_scenario,
 )
 from .kernels import KINDS, KernelSpec, _conj_sub_truncation, eval_kernel
-from .operators import berezin_values, defect_matrix, spectrum, toeplitz_matrix
+from .operators import (
+    _check_berezin_work,
+    _check_dense_size,
+    berezin_values,
+    defect_matrix,
+    spectrum,
+    toeplitz_matrix,
+)
 from .scalars import as_weight
 from .symbols import bind_symbol, eval_exact, parse_complex, parse_symbol, symbol_text
 
@@ -38,9 +45,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".15g")
 
 
-def _resolve(symbol_text_arg: str, alpha: float):
-    """Parse a symbol argument and produce (spec, truncated series)."""
-    return bind_symbol(parse_symbol(symbol_text_arg), alpha)
+def _resolve(symbol_text_arg: str, alpha: float, size: int = 0):
+    """Parse a symbol argument and produce (spec, series truncated for a size-`size` section)."""
+    return bind_symbol(parse_symbol(symbol_text_arg), alpha, size)
 
 
 def _write_complex_csv(rows: np.ndarray, out) -> None:
@@ -170,7 +177,8 @@ def _cmd_cnp_test(args) -> int:
 
 def _cmd_toeplitz_build(args) -> int:
     alpha = as_weight(args.alpha)
-    _, series = _resolve(args.symbol, float(alpha))
+    _check_dense_size(args.size)
+    _, series = _resolve(args.symbol, float(alpha), args.size)
     t = toeplitz_matrix(series, alpha, args.size)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -183,7 +191,8 @@ def _cmd_toeplitz_build(args) -> int:
 
 def _cmd_defect_spectrum(args) -> int:
     alpha = as_weight(args.alpha)
-    spec, series = _resolve(args.symbol, float(alpha))
+    _check_dense_size(args.size)
+    spec, series = _resolve(args.symbol, float(alpha), args.size)
     e = defect_matrix(series, alpha, args.size, args.which)
     rep = spectrum(e, args.window)
     schatten = {
@@ -216,7 +225,10 @@ def _cmd_defect_spectrum(args) -> int:
 
 def _cmd_berezin(args) -> int:
     alpha = as_weight(args.alpha)
-    spec, series = _resolve(args.symbol, float(alpha))
+    spec, head = _resolve(args.symbol, float(alpha))
+    # the size-n series has at least the nonzeros of its default-length head: refuse on that first
+    _check_berezin_work(len(args.point), args.size, np.count_nonzero(head.coeffs[: args.size]))
+    _, series = bind_symbol(spec, float(alpha), args.size)
     values = berezin_values(series, alpha, args.size, args.point)
     for a, b in zip(args.point, values):
         expected = 1.0 - abs(eval_exact(spec, a)) ** 2

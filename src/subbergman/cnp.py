@@ -48,8 +48,11 @@ def sample_points(
     Each round draws the uniforms of the candidates still missing in one
     block, radius then angle per candidate, and accepts them in order; so
     the points and the generator state afterwards are those of drawing one
-    candidate at a time.
+    candidate at a time. An r_max outside (0, 1] or a negative or non-finite
+    min_sep raises ValueError before anything is drawn.
     """
+    if not (0.0 < r_max <= 1.0 and 0.0 <= min_sep < np.inf):
+        raise ValueError(f"need r_max in (0, 1] and a finite min_sep >= 0, got {r_max}, {min_sep}")
     expo = 1.0 / (2.0 + max(as_weight(alpha).alpha, 0.0))
     pts = np.empty(n, dtype=complex)
     have = 0

@@ -41,6 +41,11 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
+def _check_dense_size(n: int) -> None:
+    if not 1 <= n <= DENSE_SIZE_MAX:
+        raise ValueError(f"matrix size {n} is outside [1, DENSE_SIZE_MAX = {DENSE_SIZE_MAX}]")
+
+
 def _toeplitz_entries(symbol: PowerSeriesSymbol, alpha, rows: int, cols: int) -> np.ndarray:
     """The rows x cols corner of the multiplication operator.
 
@@ -49,16 +54,17 @@ def _toeplitz_entries(symbol: PowerSeriesSymbol, alpha, rows: int, cols: int) ->
     real BLAS and LAPACK routines downstream. A column count outside
     [1, DENSE_SIZE_MAX] is refused before any work.
     """
-    if not 1 <= cols <= DENSE_SIZE_MAX:
-        raise ValueError(f"matrix size {cols} is outside [1, DENSE_SIZE_MAX = {DENSE_SIZE_MAX}]")
+    _check_dense_size(cols)
     sq = np.sqrt(basis_weights(alpha, rows - 1))
     c = symbol.coeffs
     if not np.any(c.imag):
         c = c.real
     t = np.zeros((rows, cols), dtype=c.dtype)
-    for j in range(min(len(symbol), rows)):
-        k = np.arange(min(cols, rows - j))
-        t[k + j, k] = c[j] * sq[k] / sq[k + j]
+    flat = t.reshape(-1)
+    for j in np.flatnonzero(c[:rows]):
+        # diagonal j starts at flat index j * cols and steps by cols + 1
+        m = min(cols, rows - j)
+        flat[j * cols :: cols + 1][:m] = c[j] * sq[:m] / sq[j : j + m]
     return t
 
 
@@ -181,16 +187,21 @@ def berezin_values(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, n:
     before the weights or the kernel vectors are built.
     """
     a = _check_defect_args(alpha, n, "phi")
-    count, passes = np.size(points), np.count_nonzero(symbol.coeffs[:n]) + 32
+    _check_berezin_work(np.size(points), n, np.count_nonzero(symbol.coeffs[:n]))
+    points = _check_base_points(points)
+    sq = np.sqrt(basis_weights(a, n - 1))
+    c = _kernel_coeffs(a.alpha, points, sq)
+    return np.real(_defect_form(symbol, n, "phi", c, c, sq))
+
+
+def _check_berezin_work(count: int, n: int, diagonals: int) -> None:
+    """Refuse berezin_values work over WORK_BUDGET: count points x n x (diagonals + 32)."""
+    passes = diagonals + 32
     if count * n * passes > WORK_BUDGET:
         raise ValueError(
             f"berezin at size {n}: {count} point(s) x {n} x {passes} passes exceed the "
             f"work budget {WORK_BUDGET:g}; lower the size or split the points"
         )
-    points = _check_base_points(points)
-    sq = np.sqrt(basis_weights(a, n - 1))
-    c = _kernel_coeffs(a.alpha, points, sq)
-    return np.real(_defect_form(symbol, n, "phi", c, c, sq))
 
 
 def _check_base_points(a) -> np.ndarray:

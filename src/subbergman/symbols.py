@@ -274,15 +274,16 @@ def resolve_monomial(spec: MonomialSpec, alpha: WeightParameter | float) -> Mono
     return MonomialSpec(n=spec.n, c=c)
 
 
-def bind_symbol(spec: SymbolSpec | PowerSeriesSymbol, alpha: WeightParameter | float):
+def bind_symbol(spec: SymbolSpec | PowerSeriesSymbol, alpha: WeightParameter | float, size: int = 0):
     """The spec with its deferred monomial scale resolved, and its working series.
 
     The one truncation policy of the package: `verify` and every CLI
-    subcommand cut the symbol at default_series_length.
+    subcommand cut the symbol at max(default_series_length, size), so a
+    size-n section is built from at least its n leading coefficients.
     """
     if isinstance(spec, MonomialSpec):
         spec = resolve_monomial(spec, alpha)
-    return spec, to_series(spec, default_series_length(spec))
+    return spec, to_series(spec, max(default_series_length(spec), size))
 
 
 @dataclass(frozen=True)

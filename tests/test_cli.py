@@ -10,7 +10,7 @@ import pytest
 from subbergman import cli, cnp, harness, kernels, operators
 from subbergman.cli import main
 from subbergman.harness import Scenario, run_scenario
-from subbergman.symbols import parse_symbol
+from subbergman.symbols import bind_symbol, parse_symbol
 
 
 def _read_csv(path):
@@ -375,13 +375,30 @@ def test_defect_spectrum_too_small_for_a_fit_exits_2(capsys):
     assert "too small" in capsys.readouterr().err
 
 
+def test_defect_spectrum_builds_the_section_from_size_coefficients(tmp_path):
+    # the singular series has 600 terms by default; the 800 section needs 800,
+    # and without the last 200 its phi block is indefinite (least eigenvalue -4.85e-4)
+    out = tmp_path / "spec.json"
+    argv = ["defect", "spectrum", "--which", "phi", "--alpha", "-0.5", "--symbol", "singular c=1"]
+    rc = main(argv + ["--size", "800", "--out", str(out)])
+    assert rc == 0
+    assert min(json.loads(out.read_text())["eigenvalues"]) > 0
+
+
 def _no_dense_build(*args):
     raise AssertionError("no dense block may be built")
+
+
+def _bind_at_default_length_only(spec, alpha, size=0):
+    if size:
+        raise AssertionError("no series may be bound at the requested size")
+    return bind_symbol(spec, alpha)
 
 
 @pytest.mark.parametrize("group, cmd", [("defect", "spectrum"), ("toeplitz", "build")])
 def test_dense_size_over_the_cap_exits_2_before_building(monkeypatch, capsys, group, cmd):
     monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
+    monkeypatch.setattr(cli, "bind_symbol", _bind_at_default_length_only)
     rc = main([group, cmd, "--alpha", "0", "--symbol", "series 0,1", "--size", "100000"])
     assert rc == 2
     assert "DENSE_SIZE_MAX" in capsys.readouterr().err
@@ -426,6 +443,7 @@ def test_berezin_builds_no_dense_block(monkeypatch, capsys):
 
 def test_berezin_over_the_work_budget_exits_2_before_building(monkeypatch, capsys):
     monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
+    monkeypatch.setattr(cli, "bind_symbol", _bind_at_default_length_only)
     argv = ["berezin", "--alpha", "0", "--symbol", "mobius a=0.5", "--size", "1000000000"]
     rc = main(argv + ["--point", "0.5"])
     assert rc == 2
@@ -518,15 +536,15 @@ def test_verify_unknown_scenario_exits_2(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
-def test_verify_blaschke_decay_skips_unsettled_sections(tmp_path, capsys):
-    # at matrix_size 200 a Moebius section settles on 35 ranks, too few to fit
+def test_verify_blaschke_decay_passes_at_matrix_size_200(tmp_path, capsys):
+    # the range check settles at 200 for every bundled cell, Moebius ones included
     rc = main(["verify", "blaschke_decay", "--set", "matrix_size=200", "--out", str(tmp_path)])
     assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    mobius = [line for line in lines if "mobius a=0.5" in line]
-    assert len(mobius) == 3
-    assert all(line.startswith("[SKIPPED]") and "matrix_size=200" in line for line in mobius)
-    assert "9 passed, 0 failed, 3 skipped" in lines[-1]
+    assert "12 passed, 0 failed, 0 skipped" in capsys.readouterr().out.splitlines()[-1]
+    cells = json.loads((tmp_path / "blaschke_decay.json").read_text())["checks"]
+    for cell in cells:
+        for key in ("range_min", "range_max", "growth"):
+            assert {f"{key}_phi", f"{key}_conj"} <= set(cell["metrics"])
 
 
 def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
@@ -545,6 +563,7 @@ def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
         ("cnp_moebius_pass", "cnp_points=5000", "cnp_points"),
         ("blaschke_decay", "fit_hi=150", "fit_hi"),
         ("all", "fit_lo=20", "fit_lo"),
+        ("all", "boundary_size=600", "boundary_size"),
     ],
 )
 def test_verify_config_mistakes_exit_2_without_report(

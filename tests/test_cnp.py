@@ -76,6 +76,19 @@ def test_block_sampler_is_bit_identical_to_scalar_draws(n, alpha, r_max, min_sep
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize(
+    "r_max, min_sep",
+    [(1.5, 1e-3), (0.0, 1e-3), (-0.5, 1e-3), (np.nan, 1e-3), (np.inf, 1e-3)]
+    + [(0.9, -1e-3), (0.9, np.nan), (0.9, np.inf)],
+)
+def test_sampler_refuses_bad_radius_and_separation_before_drawing(r_max, min_sep):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="r_max"):
+        sample_points(5, rng, r_max=r_max, min_sep=min_sep)
+    assert rng.bit_generator.state == state
+
+
 def test_sampler_pushes_mass_outward_for_large_alpha():
     # the push exponent shrinks with alpha, enriching the boundary
     rng = np.random.default_rng(9)

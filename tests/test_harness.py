@@ -9,6 +9,7 @@ import pytest
 from subbergman.harness import (
     CHECK_IDS,
     DEFAULT_CONFIG,
+    RANGE_GROWTH_MAX,
     RunReport,
     Scenario,
     boundary_ratio_check,
@@ -19,9 +20,11 @@ from subbergman.harness import (
     merge_config,
     run_scenario,
     _blaschke_degree,
+    _range_section,
 )
+from subbergman import harness
 from subbergman.cnp import cnp_scan
-from subbergman.operators import DENSE_SIZE_MAX, defect_matrix, jacobi_eigenvalues, spectrum
+from subbergman.operators import DENSE_SIZE_MAX, jacobi_eigenvalues
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
@@ -45,7 +48,7 @@ def test_merge_defaults_and_overrides():
     cfg = merge_config({"matrix_size": "120"}, {"seed": 3})
     assert cfg["matrix_size"] == 120 and isinstance(cfg["matrix_size"], int)
     assert cfg["seed"] == 3
-    assert cfg["boundary_size"] == DEFAULT_CONFIG["boundary_size"]
+    assert cfg["berezin_points"] == DEFAULT_CONFIG["berezin_points"]
 
 
 def test_merge_rejects_unknown_and_badly_typed_keys():
@@ -62,9 +65,10 @@ def test_series_lengths_are_not_config_keys(key, value):
         merge_config({key: value})
 
 
-@pytest.mark.parametrize("key", ["fit_lo", "fit_hi"])
+@pytest.mark.parametrize("key", ["fit_lo", "fit_hi", "boundary_size", "boundary_radius"])
 def test_fit_window_is_not_a_config_key(key):
-    # blaschke_decay measures its window from the spectrum
+    # blaschke_decay and singular_noncompact read the range of the defect, with no window
+    # and no boundary Berezin sample
     with pytest.raises(ValueError, match=key):
         merge_config({key: 150})
 
@@ -78,11 +82,11 @@ def test_later_sources_win():
     "override",
     [
         {"matrix_size": 0},
-        {"boundary_size": 0},
+        {"directions": 0},
         {"cnp_points": 2},
         {"rescaling_points": 1},
         {"cnp_trials": 0},
-        {"boundary_radius": 1.0},
+        {"berezin_radius": 1.0},
         {"berezin_radius": 0.0},
         {"ratio_radii": "0.5,1.2"},
         {"ratio_radii": "0.5,x"},
@@ -101,14 +105,14 @@ def test_load_config_file(tmp_path):
         "# sizes\n"
         "matrix_size = 128\n"
         "\n"
-        "boundary_radius = 0.99  # pushed inward\n"
+        "berezin_radius = 0.9  # pushed outward\n"
         "ratio_radii = 0.5,0.9\n"
     )
     raw = load_config(path)
-    assert raw == {"matrix_size": "128", "boundary_radius": "0.99", "ratio_radii": "0.5,0.9"}
+    assert raw == {"matrix_size": "128", "berezin_radius": "0.9", "ratio_radii": "0.5,0.9"}
     cfg = merge_config(raw)
     assert cfg["matrix_size"] == 128
-    assert cfg["boundary_radius"] == 0.99
+    assert cfg["berezin_radius"] == 0.9
     assert cfg["ratio_radii"] == "0.5,0.9"
 
 
@@ -144,7 +148,6 @@ def test_builtin_scenarios_cover_every_check():
 
 _FAST = {
     "matrix_size": 120,
-    "boundary_size": 160,
     "cnp_points": 10,
     "cnp_trials": 3,
     "berezin_points": 5,
@@ -183,31 +186,105 @@ def test_run_scenario_records_numerical_failures():
     assert "admissible" in report.checks[0].reason
 
 
-def test_blaschke_decay_shift_window_follows_matrix_size():
-    # the shift-exact slope window (10, 200) ends at the settled rank, n//2 for the shift
+def test_blaschke_decay_shift_range_is_closed_form():
+    # at alpha = 0 the shift's conj defect is diag(1/(k+2)) and L = diag(1/(k+1)),
+    # so R = diag((k+1)/(k+2)); its phi defect equals L, so R = I
+    n = 200
     scenario = Scenario("x", alpha_list=(0.0,), symbols=(SHIFT,), checks=("blaschke_decay",))
-    report = run_scenario(scenario, {"matrix_size": 200})
-    cell = report.checks[0]
+    cell = run_scenario(scenario, {"matrix_size": n}).checks[0]
     assert (cell.status, cell.reason) == ("pass", "")
-    assert cell.metrics["settled_rank"] == 100
-    # the slope is refitted on the (10, 100) window of the block already solved
-    want = spectrum(defect_matrix(SHIFT, 0.0, 200, "conj"), (10, 100)).decay_exponent
-    assert abs(cell.metrics["shift_slope_10_200"] - want) < 1e-13
+    m = cell.metrics
+    assert m["shift_exact_max_dev"] < 1e-15
+    assert abs(m["range_min_conj"] - 0.5) < 1e-13
+    assert abs(m["range_max_conj"] - n / (n + 1)) < 1e-13
+    half = n // 2
+    assert abs(m["growth_conj"] - np.log2((n / (n + 1)) / (half / (half + 1)))) < 1e-12
+    assert abs(m["range_min_phi"] - 1.0) < 1e-13 and abs(m["range_max_phi"] - 1.0) < 1e-13
 
 
-@pytest.mark.parametrize("size", [100, 140, 200, 300])
+@pytest.mark.parametrize("size", [8, 16, 100, 140, 200, 300, 400])
 def test_blaschke_decay_skips_unsettled_sections_and_never_fails(size):
     report = run_scenario(builtin_scenarios()["blaschke_decay"], {"matrix_size": size})
     assert len(report.checks) == 12
     for cell in report.checks:
-        k = cell.metrics["settled_rank"]
-        assert 0 <= k <= size // 2
+        m = cell.metrics
+        growth = max(m["growth_phi"], m["growth_conj"])
         if cell.status == "skipped":
-            assert k < 60
-            assert f"settled rank {k}" in cell.reason and "matrix_size" in cell.reason
+            assert size < 16 and growth >= RANGE_GROWTH_MAX
+            assert "range has not settled" in cell.reason and f"matrix_size={size}" in cell.reason
         else:
-            assert cell.status == "pass", (cell.symbol, cell.alpha, cell.metrics)
-            assert k >= 60 and cell.metrics["fit_window"] == [20, k]
+            assert cell.status == "pass", (cell.symbol, cell.alpha, m)
+            assert growth < RANGE_GROWTH_MAX
+            assert m["range_min_phi"] > 0 and m["range_min_conj"] > 0
+
+
+@pytest.mark.parametrize("bad_side", ["phi", "conj"])
+@pytest.mark.parametrize(
+    "section, status",
+    [((0.0, 2.0, 0.1), "fail"), ((-1e-3, 2.0, 0.6), "skipped"), ((1e-3, 2.0, 0.49), "pass")],
+)
+def test_blaschke_decay_verdict_rules(monkeypatch, bad_side, section, status):
+    # a nonpositive range_min on either side fails the cell, unless some growth
+    # says the range has not settled
+    settled = (0.5, 2.0, 0.1)
+    monkeypatch.setattr(
+        harness, "_range_section", lambda *args: section if args[-1] == bad_side else settled
+    )
+    scenario = Scenario("x", alpha_list=(0.5,), symbols=(MobiusSpec(a=0.5),), checks=("blaschke_decay",))
+    assert run_scenario(scenario, {"matrix_size": 16}).checks[0].status == status
+
+
+@pytest.mark.parametrize("growth, status", [(0.51, "pass"), (0.5, "fail"), (0.1, "fail")])
+def test_singular_noncompact_passes_on_growth_above_one_half(monkeypatch, growth, status):
+    monkeypatch.setattr(harness, "_range_section", lambda *args: (0.5, 2.0, growth))
+    scenario = builtin_scenarios()["singular_noncompact"]
+    assert run_scenario(scenario, {"matrix_size": 16}).checks[0].status == status
+
+
+def test_range_section_binds_the_section_size():
+    # the 600-term default series makes the n = 800 phi section indefinite
+    lo, _, _ = _range_section(SingularInnerSpec(c=1.0), -0.5, 800, "phi")
+    assert lo > 0
+
+
+def _random_blaschke(rng) -> BlaschkeSpec:
+    degree = int(rng.integers(1, 4))
+    zeros = 0.6 * np.sqrt(rng.uniform(size=degree)) * np.exp(2j * np.pi * rng.uniform(size=degree))
+    return BlaschkeSpec(zeros=tuple(zeros), zeta=np.exp(2j * np.pi * rng.uniform()))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+def test_finite_blaschke_ranges_are_bounded_above_and_below(alpha):
+    # Theorem 2: R is bounded above and below for every finite Blaschke product
+    rng = np.random.default_rng([5, int(2 * alpha) + 1])
+    for _ in range(8):
+        spec = _random_blaschke(rng)
+        for which in ("phi", "conj"):
+            lo, hi, growth = _range_section(spec, alpha, 128, which)
+            assert lo > 0 and growth < RANGE_GROWTH_MAX, (spec, which, lo, hi, growth)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 64, 400])
+def test_singular_inner_range_grows(n):
+    _, _, growth = _range_section(SingularInnerSpec(c=1.0), 0.0, n, "phi")
+    assert growth > RANGE_GROWTH_MAX
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+@pytest.mark.parametrize(
+    "spec",
+    [SHIFT, MobiusSpec(a=0.5), BlaschkeSpec(zeros=(0.5, -0.5, 0.0)), SingularInnerSpec(c=1.0)],
+)
+def test_range_sections_interlace(spec, alpha):
+    # every symbol here binds the same series at n and n // 2, so the n // 2
+    # section is the top-left block of the n section
+    n = 64
+    for which in ("phi", "conj"):
+        lo, hi, growth = _range_section(spec, alpha, n, which)
+        lo_half, hi_half, _ = _range_section(spec, alpha, n // 2, which)
+        tol = 1e-12 * max(1.0, hi)
+        assert hi_half <= hi + tol and lo_half >= lo - tol
+        assert abs(growth - np.log2(hi / hi_half)) < 1e-12
 
 
 def test_witness_margin_is_the_thresholded_quantity():

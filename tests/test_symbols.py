@@ -10,6 +10,7 @@ from subbergman.symbols import (
     PowerSeriesSymbol,
     SingularInnerSpec,
     admissibility_check,
+    bind_symbol,
     default_series_length,
     eval_exact,
     monomial_cnp_scale,
@@ -294,6 +295,14 @@ def test_default_series_length_policies():
     assert default_series_length(SingularInnerSpec(c=1.0)) == 600
     blaschke = default_series_length(BlaschkeSpec(zeros=(0.5,)))
     assert 64 <= blaschke <= 1024
+
+
+def test_bind_symbol_binds_at_least_the_section_size():
+    spec = SingularInnerSpec(c=1.0)
+    _, short = bind_symbol(spec, 0.0, 400)
+    _, long = bind_symbol(spec, 0.0, 800)
+    assert len(short) == 600 and len(long) == 800
+    np.testing.assert_array_equal(long.coeffs[:600], short.coeffs)
 
 
 def test_series_eval_rejects_boundary_points():
