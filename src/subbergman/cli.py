@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -326,10 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ct = csub.add_parser("test", help="run the Pick matrix scan")
     ct.add_argument("--alpha", type=float, required=True)
     ct.add_argument("--symbol", required=True)
-    ct.add_argument("--points", type=int, default=DEFAULT_CONFIG["cnp_points"])
-    ct.add_argument("--trials", type=int, default=DEFAULT_CONFIG["cnp_trials"])
-    ct.add_argument("--seed", type=int, default=DEFAULT_CONFIG["seed"])
-    ct.add_argument("--tol", type=float, default=DEFAULT_CONFIG["psd_tol"])
+    scan = inspect.signature(cnp_scan).parameters
+    ct.add_argument("--points", type=int, default=scan["n_points"].default)
+    ct.add_argument("--trials", type=int, default=scan["n_trials"].default)
+    ct.add_argument("--seed", type=int, default=scan["seed"].default)
+    ct.add_argument("--tol", type=float, default=scan["tolerance"].default)
     ct.add_argument("--out", default="report.json")
     ct.set_defaults(func=_cmd_cnp_test)
 

@@ -2,8 +2,9 @@
 
 After moving the base point to 0 (normalize), the kernel satisfies
 K(z, 0) = 1 and the CNP property is equivalent to positive semidefiniteness
-of M = 1 - 1/K on every finite point set. A failing finite section is a
-certificate of non-CNP; passing sections are sampled evidence only.
+of M = 1 - 1/K on every finite point set, or of the Taylor coefficient
+matrix of 1 - 1/K. A failing finite section is a certificate of non-CNP;
+passing sections are evidence only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .kernels import KernelSpec, eval_kernel
 from .operators import _check_hermitian
-from .scalars import WeightParameter, as_weight
+from .scalars import WeightParameter, as_weight, binomial_coeffs
 from .symbols import PowerSeriesSymbol, admissibility_check, normalize
 
 DIVISION_HAZARD_TOL = 1e-12
@@ -171,6 +172,33 @@ def build_pick(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points
     return _pick_on(_admitted_psi(symbol, a), a, pts)
 
 
+def _coefficient_section(psi: PowerSeriesSymbol, alpha: WeightParameter | float, n: int) -> np.ndarray:
+    """Taylor coefficients B_ij, i, j < n, of 1 - 1/K(z, w) for the normalized kernel.
+
+    With psi(0) = 0, 1/K = (1 - z conj(w))^(2+alpha) sum_k psi(z)^k conj(psi(w))^k,
+    and psi^k starts at z^k, so the section reads only the first n
+    coefficients of psi: it is exact for the truncated series and needs no
+    sample points. The kernel is CNP exactly when every such section is
+    positive semidefinite. A psi shorter than n, or with psi(0) != 0 (above
+    normalize's 1e-15 cutoff), raises ValueError.
+    """
+    c = psi.coeffs
+    if len(c) < n or abs(c[0]) >= 1e-15:
+        raise ValueError(f"need a series of at least {n} terms with psi(0) = 0")
+    powers = np.zeros((n, n), dtype=complex)  # row k: the first n coefficients of psi^k
+    powers[0, 0] = 1.0
+    for k in range(1, n):
+        powers[k] = np.convolve(powers[k - 1], c[:n])[:n]
+    gram = powers.T @ powers.conj()
+    b = binomial_coeffs(2.0 + as_weight(alpha).alpha, n - 1)
+    entries = np.zeros_like(gram)
+    entries[0, 0] = 1.0
+    for k in range(n):
+        # (z conj(w))^k shifts the coefficients k places down the diagonal
+        entries[k:, k:] -= b[k] * gram[: n - k, : n - k]
+    return (entries + entries.conj().T) / 2.0
+
+
 def _min_eig(entries: np.ndarray) -> float:
     # eigenvalues only: LAPACK skips the eigenvectors, which no verdict reads
     return float(np.linalg.eigvalsh(entries)[0])
@@ -178,6 +206,18 @@ def _min_eig(entries: np.ndarray) -> float:
 
 def _fails(entries: np.ndarray, tolerance: float) -> bool:
     return _min_eig(entries) < -tolerance * max(1.0, float(np.trace(entries).real))
+
+
+def _worst_pair(entries: np.ndarray) -> tuple[int, int, float]:
+    """(i, j, lam) for the 2x2 principal minor with the most negative eigenvalue lam.
+
+    Closed form over all pairs at once; a 1x1 matrix gives (0, 0, inf).
+    """
+    d = entries.diagonal().real
+    pair_min = (d[:, None] + d) / 2.0 - np.hypot((d[:, None] - d) / 2.0, np.abs(entries))
+    np.fill_diagonal(pair_min, np.inf)
+    i, j = np.unravel_index(np.argmin(pair_min), pair_min.shape)
+    return int(i), int(j), float(pair_min[i, j])
 
 
 def _grow_then_shrink(entries: np.ndarray, vec: np.ndarray, tolerance: float) -> np.ndarray:
@@ -223,11 +263,9 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
         return PickReport(
             verdict="psd_pass", min_eigenvalue=lam_min, witness=None, trials=1, sampler_seed=None
         )
+    i, j, pair_min = _worst_pair(matrix.entries)
     d = matrix.entries.diagonal().real
-    pair_min = (d[:, None] + d) / 2.0 - np.hypot((d[:, None] - d) / 2.0, np.abs(matrix.entries))
-    np.fill_diagonal(pair_min, np.inf)
-    i, j = np.unravel_index(np.argmin(pair_min), pair_min.shape)
-    if pair_min[i, j] < -tolerance * max(1.0, d[i] + d[j]):
+    if pair_min < -tolerance * max(1.0, d[i] + d[j]):
         keep = np.isin(np.arange(len(d)), (i, j))
     else:
         vec = np.linalg.eigh(matrix.entries)[1][:, 0]

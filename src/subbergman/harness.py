@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cnp import DEFAULT_PSD_TOL, SCAN_WORK_MAX, cnp_scan
+from .cnp import DEFAULT_PSD_TOL, _admitted_psi, _coefficient_section, _fails, _min_eig, _worst_pair
 from .kernels import rescaling_check
 from .operators import (
     DENSE_SIZE_MAX,
@@ -48,10 +48,7 @@ SCHEMA_VERSION = 1
 DEFAULT_CONFIG: dict[str, object] = {
     "matrix_size": 400,
     "directions": 16,
-    "cnp_points": 30,
-    "cnp_trials": 20,
     "seed": 7,
-    "psd_tol": DEFAULT_PSD_TOL,
     "berezin_points": 20,
     "berezin_radius": 0.8,
     "rescaling_points": 10,
@@ -66,6 +63,8 @@ DECAY_BAND = (-1.15, -0.85)
 # |z| <= 0.6 grow by at most 0.14 at n = 128, singular c=1 by about 1 at every n
 RANGE_GROWTH_MAX = 0.5
 WITNESS_TOL = 1e-6
+# order of the coefficient section of 1 - 1/K that the CNP cells read
+CNP_SECTION = 16
 EXACT_TOL = 1e-12
 RANK_FLOOR = 1e-10
 RATIO_REL_TOL = 0.02
@@ -109,12 +108,11 @@ def merge_config(*overrides: dict[str, object] | None) -> dict[str, object]:
     return cfg
 
 
-# least value of each size and count key; spectrum needs matrix_size >= 3 for a fit
+# least value of each integer key; spectrum needs matrix_size >= 3 for a fit
 _CONFIG_MINIMA = {
     "matrix_size": 3,
     "directions": 1,
-    "cnp_points": 3,
-    "cnp_trials": 1,
+    "seed": 0,
     "berezin_points": 1,
     "rescaling_points": 2,
 }
@@ -127,10 +125,8 @@ def _validate_config(cfg: dict[str, object]) -> None:
             raise ValueError(f"{key} must be >= {least}, got {cfg[key]}")
     if cfg["matrix_size"] > DENSE_SIZE_MAX:
         raise ValueError(f"matrix_size must be <= {DENSE_SIZE_MAX}, got {cfg['matrix_size']}")
-    if cfg["cnp_trials"] * float(cfg["cnp_points"]) ** 3 > SCAN_WORK_MAX:
-        raise ValueError(f"cnp_trials x cnp_points^3 must be <= SCAN_WORK_MAX = {SCAN_WORK_MAX:g}")
-    if not cfg["psd_tol"] > 0:
-        raise ValueError(f"psd_tol must be positive, got {cfg['psd_tol']}")
+    if not 0.0 < cfg["ratio_threshold"] < np.inf:
+        raise ValueError(f"ratio_threshold must be finite and positive, got {cfg['ratio_threshold']}")
     try:
         radii = [float(t) for t in str(cfg["ratio_radii"]).split(",")]
     except ValueError as exc:
@@ -392,25 +388,18 @@ def _check_rescaling_identity(alpha, spec, series, cfg):
     }
 
 
-def _scan(series, alpha, cfg):
-    return cnp_scan(
-        series,
-        alpha,
-        n_points=int(cfg["cnp_points"]),
-        n_trials=int(cfg["cnp_trials"]),
-        seed=int(cfg["seed"]),
-        tolerance=float(cfg["psd_tol"]),
-    )
+def _cnp_section(spec, alpha: float) -> tuple[np.ndarray, bool, dict]:
+    """The CNP_SECTION coefficient section B of 1 - 1/K, whether it fails, and its metrics.
 
-
-def _cnp_metrics(report) -> dict:
-    return {
-        "min_eigenvalue": report.min_eigenvalue,
-        "failed_trials": report.failed_trials,
-        "trials": report.trials,
-        "hazards": len(report.hazards),
-        "certificate": report.certificate,
-    }
+    B is exact for the symbol's first CNP_SECTION coefficients, so a B that
+    fails psd_test's trace-scaled threshold certifies that the kernel is not
+    CNP; a passing B is evidence on this section only.
+    """
+    a = as_weight(alpha)
+    _, series = bind_symbol(spec, alpha, CNP_SECTION)
+    b = _coefficient_section(_admitted_psi(series, a), a, CNP_SECTION)
+    failing = _fails(b, DEFAULT_PSD_TOL)
+    return b, failing, {"min_eigenvalue": _min_eig(b), "section": CNP_SECTION, "certificate": failing}
 
 
 def _check_cnp_moebius_pass(alpha, spec, series, cfg):
@@ -429,9 +418,8 @@ def _check_cnp_moebius_pass(alpha, spec, series, cfg):
         else:
             reason = "precondition: symbol is not a Moebius map"
         return "skipped", reason, {}
-    report = _scan(series, alpha, cfg)
-    status = "pass" if report.failed_trials == 0 else "fail"
-    return status, "", _cnp_metrics(report)
+    _, failing, metrics = _cnp_section(spec, alpha)
+    return ("fail" if failing else "pass"), "", metrics
 
 
 def _check_cnp_nonmoebius_fail(alpha, spec, series, cfg):
@@ -446,19 +434,17 @@ def _check_cnp_nonmoebius_fail(alpha, spec, series, cfg):
             "open question: no failure certificate is known for non-Moebius symbols at alpha > 0",
             {},
         )
-    report = _scan(series, alpha, cfg)
-    metrics = _cnp_metrics(report)
-    ok = report.failed_trials >= 1 and report.min_eigenvalue < -WITNESS_TOL
-    if ok and report.witness is not None:
-        jac = jacobi_eigenvalues(report.witness.matrix)
-        metrics["witness_size"] = len(report.witness.points)
-        metrics["witness_min_jacobi"] = float(jac[-1])
-        # the trace-scaled quantity psd_test thresholds against psd_tol
-        metrics["witness_margin"] = -float(jac[-1]) / max(1.0, np.trace(report.witness.matrix).real)
-        ok = jac[-1] < -WITNESS_TOL
-    else:
-        ok = False
-    return ("pass" if ok else "fail"), "", metrics
+    b, failing, metrics = _cnp_section(spec, alpha)
+    if not failing:
+        return "fail", "", metrics
+    i, j, _ = _worst_pair(b)
+    minor = b[np.ix_((i, j), (i, j))]
+    jac = jacobi_eigenvalues(minor)
+    metrics["witness_indices"] = [i, j]
+    metrics["witness_min_jacobi"] = float(jac[-1])
+    # the trace-scaled quantity the PSD threshold compares with DEFAULT_PSD_TOL
+    metrics["witness_margin"] = -float(jac[-1]) / max(1.0, np.trace(minor).real)
+    return ("pass" if jac[-1] < -WITNESS_TOL else "fail"), "", metrics
 
 
 def _check_hardy_degenerate(alpha, spec, series, cfg):

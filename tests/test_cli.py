@@ -1,6 +1,7 @@
 """CLI tests, driving `main(argv)` directly and checking exit codes and files."""
 
 import csv
+import inspect
 import json
 import time
 
@@ -454,9 +455,11 @@ def test_parser_defaults_are_the_default_config():
     parser = cli._build_parser()
     common = ["--alpha", "0", "--symbol", "series 0,1"]
     ct = parser.parse_args(["cnp", "test", *common])
+    scan = inspect.signature(cnp.cnp_scan).parameters
     assert (ct.points, ct.trials, ct.seed, ct.tol) == tuple(
-        harness.DEFAULT_CONFIG[k] for k in ("cnp_points", "cnp_trials", "seed", "psd_tol")
+        scan[k].default for k in ("n_points", "n_trials", "seed", "tolerance")
     )
+    assert (ct.points, ct.trials, ct.seed, ct.tol) == (30, 20, 7, 1e-9)
     for argv in (["toeplitz", "build"], ["defect", "spectrum"], ["berezin", "--point", "0.5"]):
         args = parser.parse_args([*argv, *common])
         assert args.size == harness.DEFAULT_CONFIG["matrix_size"]
@@ -564,12 +567,18 @@ def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
         ("blaschke_decay", "fit_hi=150", "fit_hi"),
         ("all", "fit_lo=20", "fit_lo"),
         ("all", "boundary_size=600", "boundary_size"),
+        ("all", "cnp_points=30", "cnp_points"),
+        ("all", "cnp_trials=5", "cnp_trials"),
+        ("all", "psd_tol=1e-9", "psd_tol"),
+        ("rescaling_identity", "seed=-1", "seed"),
+        ("boundary_ratio", "ratio_threshold=nan", "ratio_threshold"),
     ],
 )
 def test_verify_config_mistakes_exit_2_without_report(
     monkeypatch, tmp_path, capsys, target, setting, message
 ):
-    # an empty or oversized matrix, or a removed key, is a usage error, not a failed cell
+    # an empty or oversized matrix, a negative seed, a threshold no cell can meet
+    # meaningfully, or a removed key, is a usage error, not a failed cell
     monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
     rc = main(["verify", target, "--set", setting, "--out", str(tmp_path / "reports")])
     assert rc == 2

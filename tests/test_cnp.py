@@ -15,13 +15,16 @@ from subbergman.cnp import (
     sample_points,
 )
 from subbergman.operators import jacobi_eigenvalues
+from subbergman.scalars import binomial_coeffs
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
     MonomialSpec,
     PowerSeriesSymbol,
+    bind_symbol,
     default_series_length,
     normalize,
+    parse_symbol,
     to_series,
 )
 
@@ -257,6 +260,60 @@ def test_certificate_and_note_follow_the_verdict():
         rep.note = "certified"
     with pytest.raises(TypeError):
         cnp.PickReport("fail", -1.0, None, 1, None, certificate=False)
+
+
+# ---------------------------------------------------------------------------
+# coefficient sections of 1 - 1/K
+
+SECTION_SYMBOLS = [
+    "mobius a=0.4",
+    "blaschke zeros=0.5,-0.5",
+    "blaschke zeros=0.5,-0.5,0.2i",
+    "monomial n=2 c=1",
+    "series 0.2,0.5,0.1",
+]
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+@pytest.mark.parametrize("text", SECTION_SYMBOLS)
+def test_coefficient_section_sums_to_the_pick_matrix(text, alpha):
+    # sum_ij B_ij z^i conj(w)^j is 1 - 1/K; at |z| <= 0.3 the terms past n = 48 are below 1e-24
+    n = 48
+    _, series = bind_symbol(parse_symbol(text), alpha, n)
+    rng = np.random.default_rng(3)
+    pts = 0.3 * np.sqrt(rng.uniform(size=8)) * np.exp(2j * np.pi * rng.uniform(size=8))
+    b = cnp._coefficient_section(normalize(series).psi, alpha, n)
+    powers = pts[:, None] ** np.arange(n)
+    summed = powers @ b @ powers.conj().T
+    assert np.max(np.abs(summed - build_pick(series, alpha, pts).entries)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [-1.5, -0.5, 0.0, 1.0, 2.5])
+def test_coefficient_section_of_a_rotation_is_diagonal(alpha):
+    # psi = zeta z: 1/K = (1 - t)^(1+alpha) with t = z conj(w), so B = diag of 1 - (1 - t)^(1+alpha)
+    n = 16
+    psi = PowerSeriesSymbol(np.r_[0.0, np.exp(0.7j), np.zeros(n - 2)])
+    want = -binomial_coeffs(1.0 + alpha, n - 1)
+    want[0] += 1.0
+    assert np.max(np.abs(cnp._coefficient_section(psi, alpha, n) - np.diag(want))) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.0])
+@pytest.mark.parametrize("text", SECTION_SYMBOLS)
+def test_half_section_is_the_top_left_block(text, alpha):
+    n = 32
+    _, series = bind_symbol(parse_symbol(text), alpha, n)
+    psi = normalize(series).psi
+    b = cnp._coefficient_section(psi, alpha, n)
+    half = cnp._coefficient_section(psi, alpha, n // 2)
+    np.testing.assert_allclose(half, b[: n // 2, : n // 2], rtol=0, atol=1e-14)
+
+
+def test_coefficient_section_refuses_short_or_unnormalized_series():
+    with pytest.raises(ValueError, match="at least 16 terms"):
+        cnp._coefficient_section(to_series(SHIFT, 15), 0.0, 16)
+    with pytest.raises(ValueError, match="psi\\(0\\) = 0"):
+        cnp._coefficient_section(to_series(PowerSeriesSymbol(np.array([0.5, 0.5])), 16), 0.0, 16)
 
 
 # ---------------------------------------------------------------------------

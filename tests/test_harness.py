@@ -8,6 +8,7 @@ import pytest
 
 from subbergman.harness import (
     CHECK_IDS,
+    CNP_SECTION,
     DEFAULT_CONFIG,
     RANGE_GROWTH_MAX,
     RunReport,
@@ -23,7 +24,7 @@ from subbergman.harness import (
     _range_section,
 )
 from subbergman import harness
-from subbergman.cnp import cnp_scan
+from subbergman.cnp import DEFAULT_PSD_TOL, _coefficient_section, _worst_pair
 from subbergman.operators import DENSE_SIZE_MAX, jacobi_eigenvalues
 from subbergman.symbols import (
     BlaschkeSpec,
@@ -32,6 +33,7 @@ from subbergman.symbols import (
     PowerSeriesSymbol,
     SingularInnerSpec,
     bind_symbol,
+    normalize,
     to_series,
 )
 
@@ -65,17 +67,21 @@ def test_series_lengths_are_not_config_keys(key, value):
         merge_config({key: value})
 
 
-@pytest.mark.parametrize("key", ["fit_lo", "fit_hi", "boundary_size", "boundary_radius"])
+@pytest.mark.parametrize(
+    "key",
+    ["fit_lo", "fit_hi", "boundary_size", "boundary_radius", "cnp_points", "cnp_trials", "psd_tol"],
+)
 def test_fit_window_is_not_a_config_key(key):
     # blaschke_decay and singular_noncompact read the range of the defect, with no window
-    # and no boundary Berezin sample
+    # and no boundary Berezin sample; the CNP cells read a coefficient section, with no
+    # sampled points and a fixed tolerance
     with pytest.raises(ValueError, match=key):
         merge_config({key: 150})
 
 
 def test_later_sources_win():
-    cfg = merge_config({"cnp_trials": 5}, {"cnp_trials": 9})
-    assert cfg["cnp_trials"] == 9
+    cfg = merge_config({"seed": 5}, {"seed": 9})
+    assert cfg["seed"] == 9
 
 
 @pytest.mark.parametrize(
@@ -83,15 +89,17 @@ def test_later_sources_win():
     [
         {"matrix_size": 0},
         {"directions": 0},
-        {"cnp_points": 2},
         {"rescaling_points": 1},
-        {"cnp_trials": 0},
         {"berezin_radius": 1.0},
         {"berezin_radius": 0.0},
         {"ratio_radii": "0.5,1.2"},
         {"ratio_radii": "0.5,x"},
-        {"psd_tol": 0.0},
         {"matrix_size": DENSE_SIZE_MAX + 1},
+        {"seed": -1},
+        {"ratio_threshold": "nan"},
+        {"ratio_threshold": "inf"},
+        {"ratio_threshold": -5.0},
+        {"ratio_threshold": 0.0},
     ],
 )
 def test_merge_rejects_values_no_check_can_run_with(override):
@@ -148,8 +156,6 @@ def test_builtin_scenarios_cover_every_check():
 
 _FAST = {
     "matrix_size": 120,
-    "cnp_points": 10,
-    "cnp_trials": 3,
     "berezin_points": 5,
     "rescaling_points": 4,
 }
@@ -288,15 +294,20 @@ def test_range_sections_interlace(spec, alpha):
 
 
 def test_witness_margin_is_the_thresholded_quantity():
-    spec, series = bind_symbol(MonomialSpec(n=2, c=1.0), 0.0)
+    # the witness is the worst 2x2 principal minor of the coefficient section B
+    spec, series = bind_symbol(MonomialSpec(n=2, c=1.0), 0.0, CNP_SECTION)
     scenario = Scenario("x", (0.0,), (spec,), ("cnp_nonmoebius_fail",))
     cell = run_scenario(scenario, _FAST).checks[0]
     assert cell.status == "pass"
-    scan = cnp_scan(series, 0.0, n_points=10, n_trials=3, seed=7, tolerance=1e-9)
-    w = scan.witness.matrix
+    assert cell.metrics["section"] == CNP_SECTION and cell.metrics["certificate"]
+    b = _coefficient_section(normalize(series).psi, 0.0, CNP_SECTION)
+    i, j = cell.metrics["witness_indices"]
+    assert (i, j) == _worst_pair(b)[:2]
+    w = b[np.ix_((i, j), (i, j))]
     want = -jacobi_eigenvalues(w)[-1] / max(1.0, np.trace(w).real)
     assert cell.metrics["witness_margin"] == pytest.approx(want, rel=1e-12)
-    assert want > 1e-9
+    assert want > DEFAULT_PSD_TOL
+    assert cell.metrics["min_eigenvalue"] <= -want + 1e-12
 
 
 def test_run_scenario_fails_fast_on_config_errors():
