@@ -41,7 +41,6 @@ from .operators import (
     SpectrumReport,
     berezin,
     defect_matrix,
-    gram,
     inclusion_eigenvalues,
     jacobi_eigenvalues,
     normalized_kernel_coeffs,
@@ -105,7 +104,6 @@ __all__ = [
     "emit_report",
     "eval_exact",
     "eval_kernel",
-    "gram",
     "inclusion_eigenvalues",
     "jacobi_eigenvalues",
     "load_config",

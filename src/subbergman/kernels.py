@@ -195,8 +195,6 @@ def conj_sub_quadrature(
     alpha: WeightParameter | float,
     z,
     w,
-    n_radial: int = 128,
-    n_angular: int = 256,
 ):
     """Independent quadrature route for the conjugate sub-Bergman kernel.
 
@@ -204,20 +202,19 @@ def conj_sub_quadrature(
     against dA_alpha = (alpha+1)(1-|u|^2)^alpha dA. In the radial variable
     t = |u|^2 the weight (1-t)^alpha is folded into a Gauss-Jacobi rule
     (plain Gauss-Legendre at alpha = 0, where the weight is constant),
-    computed with numpy by the Golub-Welsch method and cached per
-    (n_radial, alpha); the angular direction uses the trapezoid rule,
-    spectrally accurate for periodic integrands. phi is evaluated on the
-    grid as one matrix product, with a temporary of (nonzero coefficients)
-    x n_angular entries.
+    computed with numpy by the Golub-Welsch method and cached per alpha;
+    the angular direction uses the trapezoid rule, spectrally accurate for
+    periodic integrands. The grid has 128 radial by 256 angular nodes. phi
+    is evaluated on it as one matrix product, with a temporary of (nonzero
+    coefficients) x 256 entries.
     """
     a = as_weight(alpha)
     if not a.integrable:
         raise ValueError("conj_sub kernels require alpha > -1")
-    if n_radial < 1 or n_angular < 1:
-        raise ValueError("n_radial and n_angular must be >= 1")
     _check_disk(z, w)
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
+    n_radial, n_angular = 128, 256
     x, wts = _gauss_jacobi(n_radial, a.alpha)
     r = np.sqrt((x + 1.0) / 2.0)
     j = np.arange(n_angular)

@@ -236,16 +236,6 @@ def berezin(defect: OperatorMatrix, a: complex) -> float:
     return float(np.real(c.conj() @ defect.entries @ c))
 
 
-def gram(f_coeffs: np.ndarray, g_coeffs: np.ndarray, alpha: WeightParameter | float) -> complex:
-    """Coefficient-space inner product sum f_m conj(g_m) / w_m of monomial coefficients."""
-    f = np.asarray(f_coeffs, dtype=complex)
-    g = np.asarray(g_coeffs, dtype=complex)
-    if f.shape != g.shape:
-        raise ValueError("coefficient vectors must have equal length")
-    w = basis_weights(alpha, len(f) - 1)
-    return complex(np.sum(f * np.conj(g) / w))
-
-
 @dataclass(frozen=True)
 class SchattenEstimate:
     value: float
@@ -350,14 +340,14 @@ def inclusion_eigenvalues(
     return basis_weights(g, n) / basis_weights(a, n)
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix by cyclic complex Jacobi rotations.
 
     The reference dense solver: independent of the LAPACK path, used to
     re-verify witnesses. Returns eigenvalues sorted descending. Each
     rotation dephases the pivot entry and applies the classic symmetric
     Jacobi angle; sweeps stop when the off-diagonal Frobenius mass falls
-    below tol times the matrix scale.
+    below 1e-12 times the matrix scale, or after 60 sweeps.
     """
     a = np.array(matrix, dtype=complex)
     _check_hermitian(a)
@@ -366,9 +356,9 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int =
     if n == 1:
         return np.array([a[0, 0].real])
     scale = max(float(np.linalg.norm(a)), 1e-300)
-    for _ in range(max_sweeps):
+    for _ in range(60):
         off = np.sqrt(max(float(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2)), 0.0))
-        if off <= tol * scale:
+        if off <= 1e-12 * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

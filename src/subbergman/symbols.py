@@ -27,7 +27,11 @@ def _unimodular(zeta: complex) -> complex:
 
 @dataclass(frozen=True)
 class MobiusSpec:
-    """Disk automorphism zeta (a-z)/(1-conj(a) z) swapping 0 and a."""
+    """Disk automorphism zeta (a-z)/(1-conj(a) z) swapping 0 and a.
+
+    It is the Blaschke product of degree 1 with zero a; its `zeros` and
+    `degree` let every routine treat it as one.
+    """
 
     a: complex
     zeta: complex = 1.0
@@ -37,6 +41,14 @@ class MobiusSpec:
             raise ValueError(f"Moebius base point must be finite with |a| < 1, got {self.a}")
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "zeta", _unimodular(complex(self.zeta)))
+
+    @property
+    def zeros(self) -> tuple[complex]:
+        return (self.a,)
+
+    @property
+    def degree(self) -> int:
+        return 1
 
 
 @dataclass(frozen=True)
@@ -170,16 +182,11 @@ def to_series(spec: SymbolSpec | PowerSeriesSymbol, length: int) -> PowerSeriesS
             return PowerSeriesSymbol(c, spec.tail_bound)
         dropped = float(np.abs(spec.coeffs[length:]).sum())
         return PowerSeriesSymbol(spec.coeffs[:length], spec.tail_bound + dropped)
-    if isinstance(spec, MobiusSpec):
-        return PowerSeriesSymbol(
-            spec.zeta * _mobius_factor_coeffs(spec.a, length),
-            _mobius_factor_tail(spec.a, length),
-        )
-    if isinstance(spec, BlaschkeSpec):
-        prod = np.zeros(length, dtype=complex)
-        prod[0] = 1.0
-        tail = 0.0
-        for a in spec.zeros:
+    if isinstance(spec, MobiusSpec | BlaschkeSpec):
+        # the first factor is the product so far, so a Moebius map convolves nothing
+        prod = _mobius_factor_coeffs(spec.zeros[0], length)
+        tail = _mobius_factor_tail(spec.zeros[0], length)
+        for a in spec.zeros[1:]:
             f = _mobius_factor_coeffs(a, length)
             tf = _mobius_factor_tail(a, length)
             absprod = np.convolve(np.abs(prod), np.abs(f))
@@ -218,11 +225,10 @@ def default_series_length(spec: SymbolSpec | PowerSeriesSymbol) -> int:
         return max(spec.n + 1, 8)
     if isinstance(spec, SingularInnerSpec):
         return 600
-    zeros = spec.zeros if isinstance(spec, BlaschkeSpec) else (spec.a,)
-    rho = max(abs(z) for z in zeros)
+    rho = max(abs(z) for z in spec.zeros)
     if rho < 1e-12:
-        return max(len(zeros) + 1, 8)
-    need = int(np.ceil(np.log(1e-14) / np.log(rho))) + len(zeros)
+        return max(spec.degree + 1, 8)
+    need = int(np.ceil(np.log(1e-14) / np.log(rho))) + spec.degree
     return int(min(max(need, 64), 1024))
 
 
@@ -233,10 +239,8 @@ def eval_exact(spec: SymbolSpec | PowerSeriesSymbol, z):
         raise ValueError("evaluation point must be finite with |z| < 1")
     if isinstance(spec, PowerSeriesSymbol):
         return spec.eval(z)
-    if isinstance(spec, MobiusSpec):
-        out = spec.zeta * (spec.a - z) / (1.0 - np.conj(spec.a) * z)
-    elif isinstance(spec, BlaschkeSpec):
-        out = np.full_like(z, spec.zeta)
+    if isinstance(spec, MobiusSpec | BlaschkeSpec):
+        out = spec.zeta
         for a in spec.zeros:
             out = out * (a - z) / (1.0 - np.conj(a) * z)
     elif isinstance(spec, MonomialSpec):

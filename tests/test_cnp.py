@@ -316,6 +316,26 @@ def test_coefficient_section_refuses_short_or_unnormalized_series():
         cnp._coefficient_section(to_series(PowerSeriesSymbol(np.array([0.5, 0.5])), 16), 0.0, 16)
 
 
+_unit_coeff = st.builds(
+    lambda r, t: r * np.exp(2j * np.pi * t), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    tail=st.lists(_unit_coeff, min_size=1, max_size=24),
+    alpha=st.floats(-2.0, 3.0, exclude_min=True),
+    cut=st.integers(1, 24),
+)
+def test_coefficient_section_is_hermitian_with_a_zero_first_row(tail, alpha, cut):
+    # K(z, 0) = 1 makes row and column 0 of 1 - 1/K vanish; both facts hold bit for bit
+    psi = PowerSeriesSymbol(np.array([0.0, *tail]))
+    n = min(cut, len(psi))
+    b = cnp._coefficient_section(psi, alpha, n)
+    assert np.array_equal(b, b.conj().T)
+    assert not np.any(b[0]) and not np.any(b[:, 0])
+
+
 # ---------------------------------------------------------------------------
 # validation
 

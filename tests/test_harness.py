@@ -34,6 +34,7 @@ from subbergman.symbols import (
     SingularInnerSpec,
     bind_symbol,
     normalize,
+    parse_symbol,
     to_series,
 )
 
@@ -454,6 +455,38 @@ def test_boundary_ratio_moebius_extrema():
     assert abs(sup - 3.0) <= 0.06
     assert abs(inf - 1.0 / 3.0) <= 0.02 / 3.0
     assert inf > 0
+
+
+def _boundary_ratio_cell(symbol):
+    return run_scenario(Scenario("x", (0.0,), (symbol,), ("boundary_ratio",))).checks[0]
+
+
+@pytest.mark.parametrize(
+    "symbol, expected_sup",
+    [
+        (parse_symbol("mobius a=0.9"), 19.0),
+        # a zero off the 16 grid rays, so no grid point nears the extremal direction
+        (MobiusSpec(a=0.5 * np.exp(1j * np.pi / 16)), 3.0),
+        (BlaschkeSpec(zeros=(-0.3 + 0.4j,), zeta=1j), 3.0),
+        (BlaschkeSpec(zeros=(0.95j,), zeta=np.exp(2.0j)), 39.0),
+        # a raw series with phi(0) = 0.5 gets the same closed-form bounds
+        (to_series(MobiusSpec(a=0.5), 80), 3.0),
+    ],
+    ids=["mobius-0.9", "mobius-off-ray", "blaschke-one-zero", "blaschke-one-zero-0.95", "raw-series"],
+)
+def test_boundary_ratio_degree_one_symbols_stay_within_schwarz_pick_bounds(symbol, expected_sup):
+    cell = _boundary_ratio_cell(symbol)
+    assert cell.status == "pass"
+    assert cell.metrics["expected_sup"] == pytest.approx(expected_sup, rel=1e-12)
+    assert cell.metrics["expected_inf"] == pytest.approx(1.0 / expected_sup, rel=1e-12)
+
+
+@pytest.mark.parametrize("side", ["sup", "inf"])
+def test_boundary_ratio_degree_one_rule_can_fail(monkeypatch, side):
+    hi = 3.0
+    sup, inf = (hi * (1.0 + 2e-9), 1.0 / hi) if side == "sup" else (hi, (1.0 - 2e-9) / hi)
+    monkeypatch.setattr(harness, "boundary_ratio_check", lambda *args: (sup, inf))
+    assert _boundary_ratio_cell(MobiusSpec(a=0.5)).status == "fail"
 
 
 def test_boundary_ratio_rejects_outside_radii():

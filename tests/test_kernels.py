@@ -30,7 +30,7 @@ from subbergman.kernels import (
 )
 from subbergman.cnp import build_pick
 from subbergman.harness import boundary_ratio_check
-from subbergman.operators import _defect_form, defect_form, gram, normalized_kernel_coeffs
+from subbergman.operators import _defect_form, defect_form, normalized_kernel_coeffs
 from subbergman.scalars import _powers, as_weight, basis_weights
 from subbergman.symbols import (
     BlaschkeSpec,
@@ -183,9 +183,6 @@ def test_conj_sub_rejects_nonintegrable_alpha():
         KernelSpec("conj_sub", -1.0, SHIFT)
     with pytest.raises(ValueError):
         conj_sub_quadrature(SHIFT, -1.5, 0.1, 0.2)
-    for sizes in ({"n_radial": 0}, {"n_angular": 0}):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            conj_sub_quadrature(SHIFT, 0.0, 0.1, 0.2, **sizes)
 
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.0, 3.0])
@@ -261,8 +258,9 @@ def test_normalized_kernel_unit_norm_via_gram():
     n = 500
     z = 0.4 - 0.1j
     for alpha in (-0.5, 0.0, 1.0):
-        monomial = normalized_kernel_coeffs(alpha, a, n) * np.sqrt(basis_weights(alpha, n - 1))
-        assert abs(gram(monomial, monomial, alpha) - 1.0) < 1e-10
+        w = basis_weights(alpha, n - 1)
+        monomial = normalized_kernel_coeffs(alpha, a, n) * np.sqrt(w)
+        assert abs(np.sum(np.abs(monomial) ** 2 / w) - 1.0) < 1e-10
         s = 2.0 + alpha
         closed = (1.0 - abs(a) ** 2) ** (s / 2.0) / (1.0 - z * np.conj(a)) ** s
         assert abs(_normalized_kernel_at(alpha, a, n, z) - closed) < 1e-10

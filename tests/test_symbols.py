@@ -44,6 +44,21 @@ def test_mobius_series_matches_closed_form(a):
     np.testing.assert_allclose(series.eval(z), _mobius_exact(a, 1.0, z), atol=1e-12)
 
 
+@pytest.mark.parametrize("zeta", [1.0, -1.0, 1j, np.exp(0.7j)])
+@pytest.mark.parametrize("a", [0.0, 0.5, -0.3 + 0.4j, 0.5 * np.exp(1j * np.pi / 16), 0.99j])
+def test_mobius_is_the_one_zero_blaschke_product(a, zeta):
+    mobius, blaschke = MobiusSpec(a=a, zeta=zeta), BlaschkeSpec(zeros=(a,), zeta=zeta)
+    assert (mobius.zeros, mobius.degree) == (blaschke.zeros, blaschke.degree) == ((complex(a),), 1)
+    for length in (1, 2, 7, 64, 1024):
+        m, b = to_series(mobius, length), to_series(blaschke, length)
+        assert np.array_equal(m.coeffs, b.coeffs) and m.tail_bound == b.tail_bound
+    z = _disk_grid(np.random.default_rng(6), 50, r_max=0.999)
+    assert np.array_equal(eval_exact(mobius, z), eval_exact(blaschke, z))
+    assert eval_exact(mobius, z[0]) == eval_exact(blaschke, z[0])
+    np.testing.assert_allclose(eval_exact(mobius, z), _mobius_exact(a, zeta, z), rtol=1e-13)
+    assert default_series_length(mobius) == default_series_length(blaschke)
+
+
 def test_blaschke_series_matches_factor_product():
     spec = BlaschkeSpec(zeros=(0.5, -0.3 + 0.2j, 0.0), zeta=1j)
     series = to_series(spec, 300)
