@@ -247,13 +247,13 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
 
     The verdict and every reported eigenvalue come from eigenvalue-only
     solves; eigenvectors are computed once, and only when no pair fails and
-    the prefix search needs their order. A matrix that is empty or not
-    square, has a non-finite entry, is not Hermitian within
-    operators.HERMITIAN_TOL, or has a different number of points raises
-    ValueError before any solve.
+    the prefix search needs their order. A tolerance outside (0, inf), or a
+    matrix that is empty or not square, has a non-finite entry, is not
+    Hermitian within operators.HERMITIAN_TOL, or has a different number of
+    points raises ValueError before any solve.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     _check_hermitian(matrix.entries)
     if matrix.points.shape != matrix.entries.shape[:1]:
         n = len(matrix.entries)
@@ -298,16 +298,17 @@ def cnp_scan(
     annotated with the trial count and any per-trial division hazards. A
     failing trial outranks every passing one (the threshold scales with
     each trial's trace), then the lowest minimal eigenvalue is worst, so a
-    failing scan always carries a failing trial's witness. A scan whose
-    trials x points^3 exceeds SCAN_WORK_MAX is refused before any sampling.
+    failing scan always carries a failing trial's witness. A tolerance
+    outside (0, inf), or a scan whose trials x points^3 exceeds
+    SCAN_WORK_MAX, is refused before any sampling.
     """
     a = as_weight(alpha)
     if n_points < 3:
         raise ValueError("need at least 3 points per trial")
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     if n_trials * float(n_points) ** 3 > SCAN_WORK_MAX:
         raise ValueError(
             f"{n_trials} trial(s) x {n_points}^3 points exceed the scan budget "

@@ -16,6 +16,9 @@ import numpy as np
 
 from .scalars import WeightParameter, _neg_power, as_weight, binomial_coeffs
 
+# the tail bound a default-length series aims for; bind_symbol extends one that misses it
+SERIES_TAIL_TOL = 1e-14
+
 
 def _unimodular(zeta: complex) -> complex:
     m = abs(zeta)
@@ -214,10 +217,11 @@ def to_series(spec: SymbolSpec | PowerSeriesSymbol, length: int) -> PowerSeriesS
 
 
 def default_series_length(spec: SymbolSpec | PowerSeriesSymbol) -> int:
-    """Truncation length leaving the tail below downstream tolerances.
+    """Truncation length aiming for a tail bound of SERIES_TAIL_TOL.
 
-    Rational symbols decay geometrically at rate max |a_i|; singular inner
-    coefficients decay slowly, so those symbols get a long fixed length.
+    Rational symbols decay geometrically at rate max |a_i|, within [64, 1024]
+    terms; singular inner coefficients decay slowly, so those symbols get a
+    long fixed length and tail bound 1. bind_symbol extends what misses the aim.
     """
     if isinstance(spec, PowerSeriesSymbol):
         return len(spec)
@@ -228,7 +232,7 @@ def default_series_length(spec: SymbolSpec | PowerSeriesSymbol) -> int:
     rho = max(abs(z) for z in spec.zeros)
     if rho < 1e-12:
         return max(spec.degree + 1, 8)
-    need = int(np.ceil(np.log(1e-14) / np.log(rho))) + spec.degree
+    need = int(np.ceil(np.log(SERIES_TAIL_TOL) / np.log(rho))) + spec.degree
     return int(min(max(need, 64), 1024))
 
 
@@ -281,13 +285,18 @@ def resolve_monomial(spec: MonomialSpec, alpha: WeightParameter | float) -> Mono
 def bind_symbol(spec: SymbolSpec | PowerSeriesSymbol, alpha: WeightParameter | float, size: int = 0):
     """The spec with its deferred monomial scale resolved, and its working series.
 
-    The one truncation policy of the package: `verify` and every CLI
-    subcommand cut the symbol at max(default_series_length, size), so a
-    size-n section is built from at least its n leading coefficients.
+    The one truncation rule of `verify` and every CLI subcommand: the
+    series has default_series_length terms, extended to `size` only when its
+    tail_bound exceeds SERIES_TAIL_TOL, so a size-n section then reads the
+    symbol's n true leading coefficients; a series within tolerance is
+    never padded.
     """
     if isinstance(spec, MonomialSpec):
         spec = resolve_monomial(spec, alpha)
-    return spec, to_series(spec, max(default_series_length(spec), size))
+    series = to_series(spec, default_series_length(spec))
+    if len(series) < size and series.tail_bound > SERIES_TAIL_TOL:
+        series = to_series(spec, size)
+    return spec, series
 
 
 @dataclass(frozen=True)
@@ -372,8 +381,11 @@ def admissibility_check(
     estimate decides. For alpha < -1 contractivity is strictly stronger;
     the check additionally requires (1 - phi(z_i) conj(phi(z_j))) K(z_i,z_j)
     to be PSD on the sample. A passing verdict is grid evidence, not a proof.
+    A tolerance outside (0, inf) raises ValueError before any evaluation.
     """
     a = as_weight(alpha)
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     if grid < 16:
         raise ValueError("admissibility grid must have at least 16 points per axis")
     radii = 1.0 - np.geomspace(1.0, 1e-3, grid)

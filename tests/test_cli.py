@@ -303,6 +303,21 @@ def test_cnp_test_over_the_scan_budget_exits_2_before_sampling(monkeypatch, caps
     assert "SCAN_WORK_MAX" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_cnp_test_bad_tolerance_exits_2_before_sampling(monkeypatch, tmp_path, capsys, tol):
+    # a nan tolerance used to fail every trial of a CNP kernel, an inf one to pass anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad tolerance must be refused before any sampling")
+
+    monkeypatch.setattr(cnp, "_admitted_psi", refuse)
+    monkeypatch.setattr(cnp, "sample_points", refuse)
+    out = tmp_path / "r.json"
+    argv = ["cnp", "test", "--alpha", "0", "--symbol", "mobius a=0.4", "--tol", tol, "--out", str(out)]
+    assert main(argv) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "witness.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # toeplitz build / defect spectrum / berezin
 
@@ -467,7 +482,7 @@ def test_parser_defaults_are_the_default_config():
 
 @pytest.mark.parametrize("alpha", [-1.5, 0.0, 1.0])
 def test_cli_and_verify_truncate_symbols_alike(monkeypatch, alpha):
-    # the series a verify cell receives equals the one the CLI computes with
+    # the series a verify cell receives equals the one the CLI computes with at --size matrix_size
     captured = []
 
     def capture(alpha, spec, series, cfg):
@@ -475,11 +490,13 @@ def test_cli_and_verify_truncate_symbols_alike(monkeypatch, alpha):
         return "skipped", "captured", {}
 
     monkeypatch.setitem(harness._CHECK_ROUTINES, "boundary_ratio", capture)
-    for text in ("mobius a=0.5", "blaschke zeros=0.5,-0.5", "singular c=1", "monomial n=2"):
-        run_scenario(Scenario("x", (alpha,), (parse_symbol(text),), ("boundary_ratio",)))
-        _, series = cli._resolve(text, alpha)
-        np.testing.assert_array_equal(captured[-1].coeffs, series.coeffs)
-        assert captured[-1].tail_bound == series.tail_bound
+    for matrix_size in (400, 800):
+        for text in ("mobius a=0.5", "blaschke zeros=0.5,-0.5", "singular c=1", "monomial n=2"):
+            scenario = Scenario("x", (alpha,), (parse_symbol(text),), ("boundary_ratio",))
+            run_scenario(scenario, {"matrix_size": matrix_size})
+            _, series = cli._resolve(text, alpha, matrix_size)
+            np.testing.assert_array_equal(captured[-1].coeffs, series.coeffs)
+            assert captured[-1].tail_bound == series.tail_bound
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,9 @@ SECTION_SYMBOLS = [
 def test_coefficient_section_sums_to_the_pick_matrix(text, alpha):
     # sum_ij B_ij z^i conj(w)^j is 1 - 1/K; at |z| <= 0.3 the terms past n = 48 are below 1e-24
     n = 48
+    # an exact series is bound at its own length; pad it to the section
     _, series = bind_symbol(parse_symbol(text), alpha, n)
+    series = to_series(series, max(len(series), n))
     rng = np.random.default_rng(3)
     pts = 0.3 * np.sqrt(rng.uniform(size=8)) * np.exp(2j * np.pi * rng.uniform(size=8))
     b = cnp._coefficient_section(normalize(series).psi, alpha, n)
@@ -303,6 +305,7 @@ def test_coefficient_section_of_a_rotation_is_diagonal(alpha):
 def test_half_section_is_the_top_left_block(text, alpha):
     n = 32
     _, series = bind_symbol(parse_symbol(text), alpha, n)
+    series = to_series(series, max(len(series), n))
     psi = normalize(series).psi
     b = cnp._coefficient_section(psi, alpha, n)
     half = cnp._coefficient_section(psi, alpha, n // 2)
@@ -366,8 +369,9 @@ def test_scan_propagates_structural_errors():
 def test_psd_test_requires_positive_tolerance():
     pts = np.array([0.1, 0.2])
     pick = build_pick(SHIFT, 0.0, pts)
-    with pytest.raises(ValueError):
-        psd_test(pick, 0.0)
+    for tolerance in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            psd_test(pick, tolerance)
 
 
 def _asymmetric():
@@ -451,8 +455,9 @@ def test_scan_checks_and_normalizes_the_symbol_once(monkeypatch):
 
 def test_scan_refuses_bad_tolerance_before_any_compute(monkeypatch):
     checks = _counting(monkeypatch, cnp, "admissibility_check")
-    with pytest.raises(ValueError, match="tolerance"):
-        cnp_scan(SHIFT, 0.0, n_points=5, n_trials=2, seed=1, tolerance=0.0)
+    for tolerance in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            cnp_scan(SHIFT, 0.0, n_points=5, n_trials=2, seed=1, tolerance=tolerance)
     assert checks == []
 
 

@@ -250,8 +250,26 @@ def test_singular_noncompact_passes_on_growth_above_one_half(monkeypatch, growth
 
 def test_range_section_binds_the_section_size():
     # the 600-term default series makes the n = 800 phi section indefinite
-    lo, _, _ = _range_section(SingularInnerSpec(c=1.0), -0.5, 800, "phi")
-    assert lo > 0
+    # (range_min -0.44); bound at 800 terms it reads +0.48
+    scenario = Scenario("x", (-0.5,), (SingularInnerSpec(c=1.0),), ("singular_noncompact",))
+    cell = run_scenario(scenario, {"matrix_size": 800}).checks[0]
+    assert cell.metrics["range_min_phi"] > 0
+
+
+def test_run_scenario_binds_each_symbol_once_per_alpha(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bind_symbol(*args)
+
+    monkeypatch.setattr(harness, "bind_symbol", counting)
+    checks = ("blaschke_decay", "boundary_ratio", "cnp_nonmoebius_fail")
+    scenario = Scenario("x", (0.0, 1.0), (MobiusSpec(a=0.5), SHIFT), checks)
+    report = run_scenario(scenario, _FAST)
+    assert len(report.checks) == 12
+    assert len(calls) == 4
+    assert {args[2] for args in calls} == {_FAST["matrix_size"]}
 
 
 def _random_blaschke(rng) -> BlaschkeSpec:
@@ -266,14 +284,16 @@ def test_finite_blaschke_ranges_are_bounded_above_and_below(alpha):
     rng = np.random.default_rng([5, int(2 * alpha) + 1])
     for _ in range(8):
         spec = _random_blaschke(rng)
+        _, series = bind_symbol(spec, alpha, 128)
         for which in ("phi", "conj"):
-            lo, hi, growth = _range_section(spec, alpha, 128, which)
+            lo, hi, growth = _range_section(series, alpha, 128, which)
             assert lo > 0 and growth < RANGE_GROWTH_MAX, (spec, which, lo, hi, growth)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 64, 400])
 def test_singular_inner_range_grows(n):
-    _, _, growth = _range_section(SingularInnerSpec(c=1.0), 0.0, n, "phi")
+    _, series = bind_symbol(SingularInnerSpec(c=1.0), 0.0, n)
+    _, _, growth = _range_section(series, 0.0, n, "phi")
     assert growth > RANGE_GROWTH_MAX
 
 
@@ -283,12 +303,13 @@ def test_singular_inner_range_grows(n):
     [SHIFT, MobiusSpec(a=0.5), BlaschkeSpec(zeros=(0.5, -0.5, 0.0)), SingularInnerSpec(c=1.0)],
 )
 def test_range_sections_interlace(spec, alpha):
-    # every symbol here binds the same series at n and n // 2, so the n // 2
-    # section is the top-left block of the n section
+    # both sections read one series, so the n // 2 section is the top-left
+    # block of the n section
     n = 64
+    _, series = bind_symbol(spec, alpha, n)
     for which in ("phi", "conj"):
-        lo, hi, growth = _range_section(spec, alpha, n, which)
-        lo_half, hi_half, _ = _range_section(spec, alpha, n // 2, which)
+        lo, hi, growth = _range_section(series, alpha, n, which)
+        lo_half, hi_half, _ = _range_section(series, alpha, n // 2, which)
         tol = 1e-12 * max(1.0, hi)
         assert hi_half <= hi + tol and lo_half >= lo - tol
         assert abs(growth - np.log2(hi / hi_half)) < 1e-12
@@ -297,6 +318,7 @@ def test_range_sections_interlace(spec, alpha):
 def test_witness_margin_is_the_thresholded_quantity():
     # the witness is the worst 2x2 principal minor of the coefficient section B
     spec, series = bind_symbol(MonomialSpec(n=2, c=1.0), 0.0, CNP_SECTION)
+    series = to_series(series, CNP_SECTION)  # the 8-term exact series, padded as the cell pads it
     scenario = Scenario("x", (0.0,), (spec,), ("cnp_nonmoebius_fail",))
     cell = run_scenario(scenario, _FAST).checks[0]
     assert cell.status == "pass"
@@ -487,6 +509,27 @@ def test_boundary_ratio_degree_one_rule_can_fail(monkeypatch, side):
     sup, inf = (hi * (1.0 + 2e-9), 1.0 / hi) if side == "sup" else (hi, (1.0 - 2e-9) / hi)
     monkeypatch.setattr(harness, "boundary_ratio_check", lambda *args: (sup, inf))
     assert _boundary_ratio_cell(MobiusSpec(a=0.5)).status == "fail"
+
+
+@pytest.mark.parametrize(
+    "text, status, sup",
+    [
+        # inside the disk on the grid, but no closed-form bound to hold the ratio to
+        ("series 0,0.5", "skipped", 37.94),
+        ("blaschke zeros=0.5,-0.5", "skipped", 3.26),
+        # |phi| > 1 near the circle makes the ratio negative
+        ("series 0,1.3", "fail", None),
+    ],
+)
+def test_boundary_ratio_generic_symbols_cannot_pass(text, status, sup):
+    cell = _boundary_ratio_cell(parse_symbol(text))
+    assert cell.status == status
+    assert {"sup", "inf"} <= set(cell.metrics) and "expected_sup" not in cell.metrics
+    if status == "skipped":
+        assert "no closed-form bound" in cell.reason
+        assert cell.metrics["sup"] == pytest.approx(sup, abs=0.01) and cell.metrics["inf"] > 0
+    else:
+        assert cell.metrics["inf"] == pytest.approx(-33.0, abs=0.1)
 
 
 def test_boundary_ratio_rejects_outside_radii():

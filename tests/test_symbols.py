@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subbergman.symbols import (
+    SERIES_TAIL_TOL,
     BlaschkeSpec,
     MobiusSpec,
     MonomialSpec,
@@ -245,6 +246,12 @@ def test_admissibility_grid_minimum():
         admissibility_check(PowerSeriesSymbol(np.array([0.0, 1.0])), 0.0, grid=8)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1e-8, np.nan, np.inf])
+def test_admissibility_refuses_bad_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        admissibility_check(PowerSeriesSymbol(np.array([0.0, 1.0])), 0.0, tolerance=tolerance)
+
+
 # ---------------------------------------------------------------------------
 # text round-trips
 
@@ -318,6 +325,28 @@ def test_bind_symbol_binds_at_least_the_section_size():
     _, long = bind_symbol(spec, 0.0, 800)
     assert len(short) == 600 and len(long) == 800
     np.testing.assert_array_equal(long.coeffs[:600], short.coeffs)
+
+
+@pytest.mark.parametrize(
+    "text, size, length",
+    [
+        # within SERIES_TAIL_TOL at the default length: neither extended nor padded
+        ("mobius a=0.5", 400, 64),
+        ("blaschke zeros=0.5,-0.5", 400, 64),
+        ("series 0,1", 400, 2),
+        ("monomial n=2 c=1", 16, 8),
+        # the default misses the tolerance: extended to the section size
+        ("mobius a=0.9", 400, 400),
+        ("singular c=1", 800, 800),
+    ],
+)
+def test_bind_symbol_extends_only_past_the_tail_tolerance(text, size, length):
+    spec = parse_symbol(text)
+    _, series = bind_symbol(spec, 0.0, size)
+    assert len(series) == length
+    default = to_series(spec, default_series_length(spec))
+    assert (default.tail_bound > SERIES_TAIL_TOL) == (length > len(default))
+    np.testing.assert_array_equal(series.coeffs[: len(default)], default.coeffs)
 
 
 def test_series_eval_rejects_boundary_points():
