@@ -22,11 +22,11 @@ from .kernels import rescaling_check
 from .operators import (
     DENSE_SIZE_MAX,
     _decay_slope,
+    _defect_rows,
     berezin_values,
     defect_matrix,
     inclusion_eigenvalues,
     jacobi_eigenvalues,
-    spectrum,
 )
 from .scalars import as_weight
 from .symbols import (
@@ -108,7 +108,7 @@ def merge_config(*overrides: dict[str, object] | None) -> dict[str, object]:
     return cfg
 
 
-# least value of each integer key; spectrum needs matrix_size >= 3 for a fit
+# least value of each integer key
 _CONFIG_MINIMA = {
     "matrix_size": 3,
     "directions": 1,
@@ -313,6 +313,30 @@ def _check_berezin_identity(alpha, spec, series, cfg):
     }
 
 
+def _class_eigenvalues(e: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian section e built from the coefficients coeffs.
+
+    With m the gcd of the gaps between the indices of the nonzero entries
+    of coeffs (m = len(e) when fewer than two are nonzero), entry (i, k) of
+    e is an exact zero unless i = k mod m, so e is a permutation of the
+    direct sum of its class blocks e[rho::m, rho::m]. Classes of one size
+    are solved by one stacked eigvalsh call; m = 1 passes e straight to it.
+    """
+    n = len(e)
+    support = np.flatnonzero(coeffs)
+    m = min(int(np.gcd.reduce(np.diff(support))), n) if len(support) > 1 else n
+    if m == 1:
+        return np.linalg.eigvalsh(e)
+    q, extra = divmod(n, m)
+    # classes 0 .. extra-1 have q + 1 members, the others q
+    parts = []
+    for size, first, last in ((q + 1, 0, extra), (q, extra, m)):
+        if first < last:
+            idx = np.arange(first, last)[:, None] + m * np.arange(size)
+            parts.append(np.linalg.eigvalsh(e[idx[:, :, None], idx[:, None, :]]).ravel())
+    return np.sort(np.concatenate(parts))
+
+
 def _range_section(series: PowerSeriesSymbol, alpha: float, n: int, which: str) -> tuple[float, float, float]:
     """range_min, range_max and growth of R_n = L^(-1/2) E_n L^(-1/2).
 
@@ -323,11 +347,23 @@ def _range_section(series: PowerSeriesSymbol, alpha: float, n: int, which: str) 
     and range_max are the extreme eigenvalues of R_n, and growth is
     log2(lambda_max(R_n) / lambda_max(R_n//2)); the n//2 section is the
     top-left block of R_n, so it needs no build of its own.
+
+    Both are solved one rotation class at a time (_class_eigenvalues). If
+    phi(w z) = w^r phi(z) for w = exp(2 pi i / m), the rotation C_w is
+    unitary on every A^2_alpha with the monomials as eigenvectors, and
+    T_phi C_w = w^r C_w T_phi, so T T* and T* T commute with C_w and their
+    entry (i, k) vanishes unless i = k mod m. That holds exactly when the
+    support of the coefficients the section reads lies in r + m Z, so m
+    is read from the exact zeros of the series: the first n coefficients
+    for "phi" (T_n reads no others), all of them for "conj". The shift has
+    one nonzero coefficient, so its R_n is diagonal; Moebius and singular
+    symbols have m = 1 and one dense solve.
     """
     scale = 1.0 / np.sqrt(inclusion_eigenvalues(alpha, alpha - 1.0, n - 1))
     r = scale[:, None] * defect_matrix(series, alpha, n, which).entries * scale
-    ev = np.linalg.eigvalsh(r)
-    half_max = np.linalg.eigvalsh(r[: n // 2, : n // 2])[-1]
+    coeffs = series.coeffs[: _defect_rows(series, n, which)]
+    ev = _class_eigenvalues(r, coeffs)
+    half_max = _class_eigenvalues(r[: n // 2, : n // 2], coeffs)[-1]
     return float(ev[0]), float(ev[-1]), float(np.log2(ev[-1] / half_max))
 
 
@@ -453,7 +489,7 @@ def _check_hardy_degenerate(alpha, spec, series, cfg):
     n = int(cfg["matrix_size"])
     e_conj = defect_matrix(series, alpha, n, "conj")
     econj_max = float(np.max(np.abs(e_conj.entries)))
-    ev = spectrum(defect_matrix(series, alpha, n, "phi")).eigenvalues
+    ev = _class_eigenvalues(defect_matrix(series, alpha, n, "phi").entries, series.coeffs[:n])[::-1]
     count = int(np.sum(ev > RANK_FLOOR))
     top_dev = float(np.max(np.abs(ev[:degree] - 1.0))) if degree <= len(ev) else float("inf")
     ok = econj_max < EXACT_TOL and count == degree and top_dev < EXACT_TOL

@@ -321,14 +321,16 @@ class Normalization:
 
 
 def _reciprocal_series(d: np.ndarray, length: int) -> np.ndarray:
-    # coefficients of 1/d(z) up to degree length-1; d_0 must be nonzero
-    inv = np.zeros(length, dtype=complex)
-    inv[0] = 1.0 / d[0]
-    for k in range(1, length):
-        m = min(k, len(d) - 1)
-        j = np.arange(1, m + 1)
-        inv[k] = -np.dot(d[j], inv[k - j]) / d[0]
-    return inv
+    # coefficients of 1/d(z) up to degree length-1; d_0 must be nonzero. Newton's
+    # step g <- g (2 - d g) mod z^k doubles the number of correct terms, k = 2, 4, ...
+    d = np.pad(np.asarray(d, dtype=complex), (0, max(0, length - len(d))))
+    g = np.array([1.0 / d[0]])
+    while len(g) < length:
+        k = min(2 * len(g), length)
+        e = -np.convolve(d[:k], g)[:k]
+        e[0] += 2.0
+        g = np.convolve(g, e)[:k]
+    return g
 
 
 def normalize(symbol: PowerSeriesSymbol) -> Normalization:

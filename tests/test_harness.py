@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subbergman.harness import (
     CHECK_IDS,
@@ -25,7 +27,7 @@ from subbergman.harness import (
 )
 from subbergman import harness
 from subbergman.cnp import DEFAULT_PSD_TOL, _coefficient_section, _worst_pair
-from subbergman.operators import DENSE_SIZE_MAX, jacobi_eigenvalues
+from subbergman.operators import DENSE_SIZE_MAX, defect_matrix, inclusion_eigenvalues, jacobi_eigenvalues
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
@@ -313,6 +315,92 @@ def test_range_sections_interlace(spec, alpha):
         tol = 1e-12 * max(1.0, hi)
         assert hi_half <= hi + tol and lo_half >= lo - tol
         assert abs(growth - np.log2(hi / hi_half)) < 1e-12
+
+
+def _class_series(m, r, length, complex_symbol, seed):
+    """A series supported on r + m Z (m = None: one term at r), scaled to l1 norm 0.9."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(max(length, r + 1), dtype=complex)
+    idx = [r] if m is None else range(r, len(c), m)
+    for k in idx:
+        c[k] = rng.normal() + (1j * rng.normal() if complex_symbol else 0.0)
+    return PowerSeriesSymbol(0.9 * c / np.abs(c).sum())
+
+
+def _dense_r(series, alpha, n, which):
+    scale = 1.0 / np.sqrt(inclusion_eigenvalues(alpha, alpha - 1.0, n - 1))
+    return scale[:, None] * defect_matrix(series, alpha, n, which).entries * scale
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.sampled_from([1, 2, 3, 5, None]),
+    offset=st.integers(0, 4),
+    n=st.integers(3, 41),
+    length=st.integers(1, 60),
+    complex_symbol=st.booleans(),
+    alpha=st.floats(-0.95, 2.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=2, offset=0, n=40, length=40, complex_symbol=False, alpha=0.0, seed=1)
+@example(m=3, offset=1, n=41, length=60, complex_symbol=True, alpha=-0.5, seed=2)
+@example(m=5, offset=4, n=40, length=9, complex_symbol=True, alpha=2.5, seed=3)
+@example(m=None, offset=1, n=41, length=2, complex_symbol=False, alpha=1.0, seed=4)
+def test_class_split_matches_the_dense_solve(m, offset, n, length, complex_symbol, alpha, seed):
+    # a support in r + m Z makes R_n and E_n block-diagonal up to a permutation;
+    # the class solve must give the dense eigenvalues of the whole section
+    series = _class_series(m, offset if m is None else offset % m, length, complex_symbol, seed)
+    for which in ("phi", "conj"):
+        r = _dense_r(series, alpha, n, which)
+        ev = np.linalg.eigvalsh(r)
+        half_max = np.linalg.eigvalsh(r[: n // 2, : n // 2])[-1]
+        lo, hi, growth = _range_section(series, alpha, n, which)
+        tol = 1e-12 * np.max(np.abs(ev))
+        assert abs(lo - ev[0]) <= tol and abs(hi - ev[-1]) <= tol
+        assert abs(growth - np.log2(ev[-1] / half_max)) <= 1e-12
+    # the hardy cell's spectrum: the phi defect itself, at alpha -1 and at alpha
+    for a in (-1.0, alpha):
+        e = defect_matrix(series, a, n, "phi").entries
+        want = np.linalg.eigvalsh(e)
+        got = harness._class_eigenvalues(e, series.coeffs[:n])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+
+def test_conj_classes_read_the_coefficients_past_the_section():
+    # coefficients 0 and 2 inside the 6-section and 7 past it: the phi section
+    # reads the first two only (two classes), the conj section all three (one class)
+    c = np.zeros(8)
+    c[[0, 2, 7]] = (0.3, 0.3, 0.3)
+    series = PowerSeriesSymbol(c)
+    for which in ("phi", "conj"):
+        r = _dense_r(series, 0.0, 6, which)
+        lo, hi, _ = _range_section(series, 0.0, 6, which)
+        ev = np.linalg.eigvalsh(r)
+        assert abs(lo - ev[0]) <= 1e-12 * ev[-1] and abs(hi - ev[-1]) <= 1e-12 * ev[-1]
+    assert np.any(_dense_r(series, 0.0, 6, "conj")[1::2, ::2])
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_a_stray_coefficient_off_the_class_makes_one_dense_solve(monkeypatch, offset):
+    # the split reads exact zeros: a series in offset + 2Z (as z^2 and z f(z^2) are)
+    # solves two classes, and 1e-300 at an index of the other parity gives m = 1
+    c = np.zeros(64, dtype=complex)
+    c[offset::2] = 0.9 * 0.5 ** np.arange(32)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    n = 40
+    _range_section(PowerSeriesSymbol(c.copy()), 0.0, n, "phi")
+    assert shapes == [(2, n // 2, n // 2), (2, n // 4, n // 4)]
+    shapes.clear()
+    c[offset + 5] = 1e-300
+    _range_section(PowerSeriesSymbol(c.copy()), 0.0, n, "phi")
+    assert shapes == [(n, n), (n // 2, n // 2)]
 
 
 def test_witness_margin_is_the_thresholded_quantity():

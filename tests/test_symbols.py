@@ -10,6 +10,7 @@ from subbergman.symbols import (
     MonomialSpec,
     PowerSeriesSymbol,
     SingularInnerSpec,
+    _reciprocal_series,
     admissibility_check,
     bind_symbol,
     default_series_length,
@@ -208,6 +209,44 @@ def test_normalize_g_factor():
 def test_normalize_rejects_boundary_constant():
     with pytest.raises(ValueError):
         normalize(PowerSeriesSymbol(np.array([1.0, 0.0])))
+
+
+def _reciprocal_by_recurrence(d, length):
+    # the term-by-term recurrence d_0 g_k = -sum_{j>=1} d_j g_{k-j}, the reference
+    inv = np.zeros(length, dtype=complex)
+    inv[0] = 1.0 / d[0]
+    for k in range(1, length):
+        m = min(k, len(d) - 1)
+        j = np.arange(1, m + 1)
+        inv[k] = -np.dot(d[j], inv[k - j]) / d[0]
+    return inv
+
+
+@pytest.mark.parametrize(
+    "text, length",
+    [
+        ("singular c=1", 600),
+        ("singular c=1", 800),
+        ("mobius a=0.9", 307),
+        ("blaschke zeros=0.5,-0.3+0.2i", 1024),
+    ],
+)
+def test_reciprocal_series_matches_the_recurrence(text, length):
+    # the denominator normalize divides by: 1 - conj(a) phi with a = phi(0)
+    c = to_series(parse_symbol(text), length).coeffs
+    d = -np.conj(c[0]) * c
+    d[0] += 1.0
+    want = _reciprocal_by_recurrence(d, length)
+    got = _reciprocal_series(d, length)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9])
+def test_reciprocal_series_of_a_short_denominator(length):
+    # 1 / (1 - z/2) = sum 2^-k z^k, from a denominator shorter than the result
+    got = _reciprocal_series(np.array([1.0, -0.5], dtype=complex), length)
+    np.testing.assert_allclose(got, 0.5 ** np.arange(length), rtol=0, atol=1e-16)
 
 
 # ---------------------------------------------------------------------------
