@@ -81,7 +81,11 @@ def sample_points(
 
 @dataclass(frozen=True)
 class PickMatrix:
-    """Hermitian matrix M_ij = 1 - 1/K(z_i, z_j) for the normalized kernel."""
+    """Hermitian matrix M_ij = 1 - 1/K(z_i, z_j) for the normalized kernel.
+
+    points label the rows: disk points z_i for a sampled Pick matrix, or
+    monomial indices for a Taylor coefficient section of 1 - 1/K.
+    """
 
     points: np.ndarray
     entries: np.ndarray
@@ -93,7 +97,7 @@ class PickMatrix:
 
 @dataclass(frozen=True)
 class Witness:
-    """A minimal failing point subset with its Pick submatrix and minimal eigenvalue."""
+    """A minimal failing subset of rows: their labels, submatrix and minimal eigenvalue."""
 
     points: np.ndarray
     matrix: np.ndarray
@@ -243,7 +247,9 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
     minor fails the same trace-scaled threshold. Otherwise the smallest
     failing prefix (>= 2 points, by weight in the minimal eigenvector) is
     pruned by one deletion pass, so the witness has 2 points or, by
-    interlacing, no single removal keeps the failure.
+    interlacing, no single removal keeps the failure. The witness carries
+    the labels of its rows from matrix.points, of which psd_test reads only
+    the shape, so a coefficient section is tested like a sampled matrix.
 
     The verdict and every reported eigenvalue come from eigenvalue-only
     solves; eigenvectors are computed once, and only when no pair fails and

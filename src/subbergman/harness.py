@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cnp import DEFAULT_PSD_TOL, _admitted_psi, _coefficient_section, _fails, _min_eig, _worst_pair
+from .cnp import PickMatrix, PickReport, _admitted_psi, _coefficient_section, psd_test
 from .kernels import rescaling_check
 from .operators import (
     DENSE_SIZE_MAX,
@@ -420,20 +420,25 @@ def _check_rescaling_identity(alpha, spec, series, cfg):
     }
 
 
-def _cnp_section(series: PowerSeriesSymbol, alpha: float) -> tuple[np.ndarray, bool, dict]:
-    """The CNP_SECTION coefficient section B of 1 - 1/K, whether it fails, and its metrics.
+def _cnp_section(series: PowerSeriesSymbol, alpha: float) -> tuple[PickReport, dict]:
+    """psd_test of the CNP_SECTION coefficient section B of 1 - 1/K, and its metrics.
 
     B is exact for the series' first CNP_SECTION coefficients; a shorter
-    series is exact too and is zero-padded to that length. So a B that
-    fails psd_test's trace-scaled threshold certifies that the kernel is not
-    CNP; a passing B is evidence on this section only.
+    series is exact too and is zero-padded to that length. Its rows are
+    labelled by monomial index, so a failing report certifies that the
+    kernel is not CNP and its witness names the indices of a failing
+    principal minor; a passing B is evidence on this section only.
     """
     a = as_weight(alpha)
     if len(series) < CNP_SECTION:
         series = to_series(series, CNP_SECTION)
     b = _coefficient_section(_admitted_psi(series, a), a, CNP_SECTION)
-    failing = _fails(b, DEFAULT_PSD_TOL)
-    return b, failing, {"min_eigenvalue": _min_eig(b), "section": CNP_SECTION, "certificate": failing}
+    report = psd_test(PickMatrix(points=np.arange(CNP_SECTION), entries=b))
+    return report, {
+        "min_eigenvalue": report.min_eigenvalue,
+        "section": CNP_SECTION,
+        "certificate": report.certificate,
+    }
 
 
 def _check_cnp_moebius_pass(alpha, spec, series, cfg):
@@ -451,8 +456,8 @@ def _check_cnp_moebius_pass(alpha, spec, series, cfg):
         else:
             reason = "precondition: symbol is not a Moebius map"
         return "skipped", reason, {}
-    _, failing, metrics = _cnp_section(series, alpha)
-    return ("fail" if failing else "pass"), "", metrics
+    report, metrics = _cnp_section(series, alpha)
+    return ("fail" if report.certificate else "pass"), "", metrics
 
 
 def _check_cnp_nonmoebius_fail(alpha, spec, series, cfg):
@@ -467,17 +472,16 @@ def _check_cnp_nonmoebius_fail(alpha, spec, series, cfg):
             "open question: no failure certificate is known for non-Moebius symbols at alpha > 0",
             {},
         )
-    b, failing, metrics = _cnp_section(series, alpha)
-    if not failing:
+    report, metrics = _cnp_section(series, alpha)
+    if not report.certificate:
         return "fail", "", metrics
-    i, j, _ = _worst_pair(b)
-    minor = b[np.ix_((i, j), (i, j))]
-    jac = jacobi_eigenvalues(minor)
-    metrics["witness_indices"] = [i, j]
-    metrics["witness_min_jacobi"] = float(jac[-1])
-    # the trace-scaled quantity the PSD threshold compares with DEFAULT_PSD_TOL
-    metrics["witness_margin"] = -float(jac[-1]) / max(1.0, np.trace(minor).real)
-    return ("pass" if jac[-1] < -WITNESS_TOL else "fail"), "", metrics
+    witness = report.witness.matrix
+    lam = float(jacobi_eigenvalues(witness)[-1])
+    metrics["witness_indices"] = report.witness.points.tolist()
+    metrics["witness_min_jacobi"] = lam
+    # the trace-scaled quantity that psd_test's threshold compares with its tolerance
+    metrics["witness_margin"] = -lam / max(1.0, np.trace(witness).real)
+    return ("pass" if lam < -WITNESS_TOL else "fail"), "", metrics
 
 
 def _check_hardy_degenerate(alpha, spec, series, cfg):

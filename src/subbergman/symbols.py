@@ -366,9 +366,6 @@ class AdmissibilityVerdict:
 
     admissible: bool
     sup_estimate: float
-    witness: complex | None
-    pick_min_eigenvalue: float | None
-    note: str
 
 
 def admissibility_check(
@@ -394,31 +391,14 @@ def admissibility_check(
     angles = np.exp(2j * np.pi * np.arange(grid) / grid)
     pts = np.unique((radii[:, None] * angles[None, :]).ravel())
     vals = symbol.eval(pts)
-    mods = np.abs(vals)
-    imax = int(np.argmax(mods))
-    sup = float(mods[imax])
-    witness = complex(pts[imax]) if sup > 1.0 + tolerance else None
+    sup = float(np.max(np.abs(vals)))
     admissible = sup <= 1.0 + tolerance
-    pick_min = None
-    note = "sup-norm grid estimate"
     if admissible and a.alpha < -1:
         zw = pts[:, None] * np.conj(pts)[None, :]
         m = (1.0 - vals[:, None] * np.conj(vals)[None, :]) * _neg_power(1.0 - zw, 2.0 + a.alpha)
         m = (m + m.conj().T) / 2.0
-        lam = np.linalg.eigvalsh(m)
-        pick_min = float(lam[0])
-        thresh = -1e-9 * max(1.0, float(np.trace(m).real))
-        admissible = pick_min >= thresh
-        if not admissible and witness is None:
-            witness = complex(pts[int(np.argmax(np.abs(np.linalg.eigh(m)[1][:, 0])))])
-        note = "sampled Pick condition for alpha < -1: evidence, not proof"
-    return AdmissibilityVerdict(
-        admissible=admissible,
-        sup_estimate=sup,
-        witness=witness,
-        pick_min_eigenvalue=pick_min,
-        note=note,
-    )
+        admissible = float(np.linalg.eigvalsh(m)[0]) >= -1e-9 * max(1.0, float(np.trace(m).real))
+    return AdmissibilityVerdict(admissible=admissible, sup_estimate=sup)
 
 
 def parse_complex(text: str) -> complex:

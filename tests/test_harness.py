@@ -13,6 +13,7 @@ from subbergman.harness import (
     CNP_SECTION,
     DEFAULT_CONFIG,
     RANGE_GROWTH_MAX,
+    WITNESS_TOL,
     RunReport,
     Scenario,
     boundary_ratio_check,
@@ -419,6 +420,42 @@ def test_witness_margin_is_the_thresholded_quantity():
     assert cell.metrics["witness_margin"] == pytest.approx(want, rel=1e-12)
     assert want > DEFAULT_PSD_TOL
     assert cell.metrics["min_eigenvalue"] <= -want + 1e-12
+
+
+@pytest.mark.parametrize("text, alpha", [("series 0,0.98,0.02", -0.25), ("series 0,0.95,0.02", -0.5)])
+def test_section_without_a_failing_pair_certifies_by_a_deeper_witness(text, alpha):
+    # no 2x2 principal minor of B fails here, so the witness is psd_test's
+    # grow-then-shrink subset, not the passing pair (0, 1)
+    scenario = Scenario("x", (alpha,), (parse_symbol(text),), ("cnp_nonmoebius_fail",))
+    cell = run_scenario(scenario, _FAST).checks[0]
+    assert cell.status == "pass"
+    assert cell.metrics["witness_indices"] == [13, 14, 15]
+    assert cell.metrics["witness_min_jacobi"] < -WITNESS_TOL
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    r1=st.floats(0.8, 0.9999),
+    t1=st.floats(0.0, 1.0),
+    s2=st.floats(0.0, 1.0),
+    t2=st.floats(0.0, 1.0),
+    k=st.integers(2, 15),
+    alpha=st.floats(-1.0, 0.0, exclude_min=True),
+)
+@example(r1=0.98, t1=0.0, s2=1.0, t2=0.0, k=2, alpha=-0.25)
+@example(r1=0.95, t1=0.0, s2=0.4, t2=0.0, k=2, alpha=-0.5)
+def test_a_certified_section_has_a_failing_witness(r1, t1, s2, t2, k, alpha):
+    # psi = c1 z + c2 z^k with |c1| + |c2| <= 1, so the symbol is admitted; a
+    # witness is a principal minor of B, so by interlacing its least eigenvalue
+    # lies between B's and 0
+    c = np.zeros(k + 1, dtype=complex)
+    c[1] = r1 * np.exp(2j * np.pi * t1)
+    c[k] = s2 * (1.0 - r1) * np.exp(2j * np.pi * t2)
+    scenario = Scenario("x", (alpha,), (PowerSeriesSymbol(c),), ("cnp_nonmoebius_fail",))
+    metrics = run_scenario(scenario, _FAST).checks[0].metrics
+    if metrics["certificate"]:
+        assert metrics["witness_min_jacobi"] < 0.0
+        assert metrics["witness_min_jacobi"] >= metrics["min_eigenvalue"] - 1e-12
 
 
 def test_run_scenario_fails_fast_on_config_errors():

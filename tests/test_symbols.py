@@ -259,7 +259,6 @@ def test_admissibility_accepts_inner_symbols():
         verdict = admissibility_check(series, 0.0)
         assert verdict.admissible
         assert verdict.sup_estimate <= 1.0 + 1e-8
-        assert verdict.witness is None
 
 
 def test_admissibility_rejects_expanding_symbol():
@@ -267,17 +266,17 @@ def test_admissibility_rejects_expanding_symbol():
     verdict = admissibility_check(series, 0.0)
     assert not verdict.admissible
     assert verdict.sup_estimate > 1.1
-    assert verdict.witness is not None
 
 
 def test_admissibility_below_hardy_uses_pick_sample():
-    # for alpha < -1 the sup-norm alone is not sufficient; the verdict must
-    # carry the sampled Pick eigenvalue
+    # for alpha < -1 the sup-norm alone is not sufficient: z^2 is contractive
+    # on the grid, yet its sampled Pick matrix at alpha -1.5 is not PSD
+    verdict = admissibility_check(to_series(MonomialSpec(n=2, c=1.0), 16), -1.5)
+    assert verdict.sup_estimate <= 1.0
+    assert not verdict.admissible
+    # the monomial scaled for this alpha passes the Pick sample
     series = to_series(resolve_monomial(MonomialSpec(n=2), -1.5), 16)
-    verdict = admissibility_check(series, -1.5)
-    assert verdict.admissible
-    assert verdict.pick_min_eigenvalue is not None
-    assert "evidence" in verdict.note
+    assert admissibility_check(series, -1.5).admissible
 
 
 def test_admissibility_grid_minimum():
