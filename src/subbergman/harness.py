@@ -22,9 +22,8 @@ from .kernels import rescaling_check
 from .operators import (
     DENSE_SIZE_MAX,
     _decay_slope,
-    _defect_rows,
+    _defect_classes,
     berezin_values,
-    defect_matrix,
     inclusion_eigenvalues,
     jacobi_eigenvalues,
 )
@@ -313,28 +312,11 @@ def _check_berezin_identity(alpha, spec, series, cfg):
     }
 
 
-def _class_eigenvalues(e: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian section e built from the coefficients coeffs.
-
-    With m the gcd of the gaps between the indices of the nonzero entries
-    of coeffs (m = len(e) when fewer than two are nonzero), entry (i, k) of
-    e is an exact zero unless i = k mod m, so e is a permutation of the
-    direct sum of its class blocks e[rho::m, rho::m]. Classes of one size
-    are solved by one stacked eigvalsh call; m = 1 passes e straight to it.
-    """
-    n = len(e)
-    support = np.flatnonzero(coeffs)
-    m = min(int(np.gcd.reduce(np.diff(support))), n) if len(support) > 1 else n
-    if m == 1:
-        return np.linalg.eigvalsh(e)
-    q, extra = divmod(n, m)
-    # classes 0 .. extra-1 have q + 1 members, the others q
-    parts = []
-    for size, first, last in ((q + 1, 0, extra), (q, extra, m)):
-        if first < last:
-            idx = np.arange(first, last)[:, None] + m * np.arange(size)
-            parts.append(np.linalg.eigvalsh(e[idx[:, :, None], idx[:, None, :]]).ravel())
-    return np.sort(np.concatenate(parts))
+def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a (g, q, q) stack of Hermitian blocks: read off at q = 1, else one eigvalsh call."""
+    if blocks.shape[1] == 1:
+        return blocks[:, 0, 0].real
+    return np.linalg.eigvalsh(blocks[0] if len(blocks) == 1 else blocks).ravel()
 
 
 def _range_section(series: PowerSeriesSymbol, alpha: float, n: int, which: str) -> tuple[float, float, float]:
@@ -348,23 +330,22 @@ def _range_section(series: PowerSeriesSymbol, alpha: float, n: int, which: str) 
     log2(lambda_max(R_n) / lambda_max(R_n//2)); the n//2 section is the
     top-left block of R_n, so it needs no build of its own.
 
-    Both are solved one rotation class at a time (_class_eigenvalues). If
-    phi(w z) = w^r phi(z) for w = exp(2 pi i / m), the rotation C_w is
+    R_n is built and solved one rotation class at a time (_defect_classes).
+    If phi(w z) = w^r phi(z) for w = exp(2 pi i / m), the rotation C_w is
     unitary on every A^2_alpha with the monomials as eigenvectors, and
     T_phi C_w = w^r C_w T_phi, so T T* and T* T commute with C_w and their
-    entry (i, k) vanishes unless i = k mod m. That holds exactly when the
-    support of the coefficients the section reads lies in r + m Z, so m
-    is read from the exact zeros of the series: the first n coefficients
-    for "phi" (T_n reads no others), all of them for "conj". The shift has
-    one nonzero coefficient, so its R_n is diagonal; Moebius and singular
-    symbols have m = 1 and one dense solve.
+    entry (i, k) vanishes unless i = k mod m. Each class size takes one
+    eigvalsh call; the shift's R_n is diagonal and takes none.
     """
     scale = 1.0 / np.sqrt(inclusion_eigenvalues(alpha, alpha - 1.0, n - 1))
-    r = scale[:, None] * defect_matrix(series, alpha, n, which).entries * scale
-    coeffs = series.coeffs[: _defect_rows(series, n, which)]
-    ev = _class_eigenvalues(r, coeffs)
-    half_max = _class_eigenvalues(r[: n // 2, : n // 2], coeffs)[-1]
-    return float(ev[0]), float(ev[-1]), float(np.log2(ev[-1] / half_max))
+    classes = _defect_classes(series, alpha, n, which, scale)
+    ev = np.concatenate([_block_eigenvalues(b) for _, b in classes])
+    half_max = -np.inf
+    for idx, blocks in classes:
+        members = np.sum(idx < n // 2, axis=1)  # len(range(rho, n // 2, m)), unequal within a size
+        for k in np.unique(members[members > 0]):
+            half_max = max(half_max, _block_eigenvalues(blocks[members == k, :k, :k]).max())
+    return float(ev.min()), float(ev.max()), float(np.log2(ev.max() / half_max))
 
 
 def _check_blaschke_decay(alpha, spec, series, cfg):
@@ -386,8 +367,8 @@ def _check_blaschke_decay(alpha, spec, series, cfg):
     ok = metrics["range_min_phi"] > 0 and metrics["range_min_conj"] > 0
     if degree == 1 and series.coeffs[0] == 0 and alpha == 0:
         # shift at alpha = 0: the conj defect is exactly diag(1/(k+2))
-        e = defect_matrix(series, alpha, n, "conj").entries
-        dev = float(np.max(np.abs(e - np.diag(1.0 / (np.arange(n) + 2.0)))))
+        conj = _defect_classes(series, alpha, n, "conj", np.ones(n))
+        dev = max(float(np.max(np.abs(b - np.eye(b.shape[1]) / (idx[..., None] + 2.0)))) for idx, b in conj)
         metrics["shift_exact_max_dev"] = dev
         ok = ok and dev < EXACT_TOL
     return ("pass" if ok else "fail"), "", metrics
@@ -491,9 +472,9 @@ def _check_hardy_degenerate(alpha, spec, series, cfg):
     if degree is None:
         return "skipped", "precondition: finite-rank degeneracy needs a finite Blaschke symbol", {}
     n = int(cfg["matrix_size"])
-    e_conj = defect_matrix(series, alpha, n, "conj")
-    econj_max = float(np.max(np.abs(e_conj.entries)))
-    ev = _class_eigenvalues(defect_matrix(series, alpha, n, "phi").entries, series.coeffs[:n])[::-1]
+    conj, phi = (_defect_classes(series, alpha, n, which, np.ones(n)) for which in ("conj", "phi"))
+    econj_max = max(float(np.max(np.abs(b))) for _, b in conj)  # every other entry is an exact zero
+    ev = np.sort(np.concatenate([_block_eigenvalues(b) for _, b in phi]))[::-1]
     count = int(np.sum(ev > RANK_FLOOR))
     top_dev = float(np.max(np.abs(ev[:degree] - 1.0))) if degree <= len(ev) else float("inf")
     ok = econj_max < EXACT_TOL and count == degree and top_dev < EXACT_TOL

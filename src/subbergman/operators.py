@@ -112,6 +112,46 @@ def defect_matrix(
     return OperatorMatrix(entries=e, alpha=a, kind=f"defect_{which}")
 
 
+def _defect_classes(symbol: PowerSeriesSymbol, alpha, n: int, which: str, scale: np.ndarray) -> list:
+    """diag(scale) E diag(scale) for E = defect_matrix(symbol, alpha, n, which), by rotation class.
+
+    The coefficients E reads lie in r + m Z, m the gcd of their support's
+    gaps (n with fewer than two nonzero), so E_ik = 0 unless i = k mod m.
+    One (idx, blocks) pair per class size: idx[i] is a class, blocks[i] its
+    entries. E is never formed: at m = n the diagonal comes from the
+    weights; else block rho is diag(s^2) - U U*, U the rows rho of T
+    ("phi", columns rho - r) or of T* ("conj", columns rho + r) times s.
+    """
+    a = _check_defect_args(alpha, n, which)
+    rows = _defect_rows(symbol, n, which)
+    c = symbol.coeffs[:rows]
+    support = np.flatnonzero(c)
+    m = min(int(np.gcd.reduce(np.diff(support))), n) if len(support) > 1 else n
+    if m == n:
+        # (T T*)_ii = sum_j |c_j|^2 w_(i-j) / w_i, (T* T)_kk = sum_j |c_j|^2 w_k / w_(k+j)
+        w = basis_weights(a, rows - 1)
+        d = np.ones(n)
+        for j in support:
+            num, den = (w[: n - j], w[j:n]) if which == "phi" else (w[:n], w[j : j + n])
+            d[n - len(num) :] -= abs(c[j]) ** 2 * num / den
+        return [(np.arange(n)[:, None], (scale**2 * d)[:, None, None])]
+    t = _toeplitz_entries(symbol, a, rows, n)
+    t, r = (t, support[0]) if which == "phi" else (t.conj().T, -support[0])
+    q, extra = divmod(n, m)
+    out = []
+    for size, first, last in ((q + 1, 0, extra), (q, extra, m)):
+        if first < last:
+            idx = np.arange(first, last)[:, None] + m * np.arange(size)
+            blocks = np.empty((last - first, size, size), dtype=t.dtype)
+            for b, rho in zip(blocks, range(first, last)):
+                u = scale[rho::m, None] * t[rho::m, (rho - r) % m :: m]
+                np.matmul(u, u.conj().T, out=b)
+            np.negative(blocks, out=blocks)
+            blocks[:, np.arange(size), np.arange(size)] += scale[idx] ** 2
+            out.append((idx, blocks))
+    return out
+
+
 def defect_form(
     symbol: PowerSeriesSymbol,
     alpha: WeightParameter | float,

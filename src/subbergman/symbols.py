@@ -206,13 +206,12 @@ def to_series(spec: SymbolSpec | PowerSeriesSymbol, length: int) -> PowerSeriesS
             return PowerSeriesSymbol(c, 0.0)
         return PowerSeriesSymbol(c, abs(spec.c))
     if isinstance(spec, SingularInnerSpec):
-        # exp(c (z+1)/(z-1)) = e^{-c} exp(u) with u = -2c z/(1-z);
-        # h_n = (1/n) sum_k k u_k h_{n-k} is the power-series exponential.
-        h = np.zeros(length)
-        h[0] = 1.0
-        for n in range(1, length):
-            h[n] = (-2.0 * spec.c / n) * float(np.dot(np.arange(1, n + 1), h[n - 1 :: -1]))
-        return PowerSeriesSymbol(np.exp(-spec.c) * h.astype(complex), 1.0)
+        # exp(c (z+1)/(z-1)) = e^{-c} sum_n L_n^(-1)(2c) z^n; Laguerre recurrence, DLMF 18.9.1
+        x = 2.0 * spec.c
+        h = [1.0, -x]
+        for n in range(1, length - 1):
+            h.append(((2 * n - x) * h[n] - (n - 1) * h[n - 1]) / (n + 1))
+        return PowerSeriesSymbol(np.exp(-spec.c) * np.array(h[:length], dtype=complex), 1.0)
     raise TypeError(f"unsupported symbol spec {type(spec).__name__}")
 
 

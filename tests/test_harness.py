@@ -26,9 +26,15 @@ from subbergman.harness import (
     _blaschke_degree,
     _range_section,
 )
-from subbergman import harness
+from subbergman import harness, operators
 from subbergman.cnp import DEFAULT_PSD_TOL, _coefficient_section, _worst_pair
-from subbergman.operators import DENSE_SIZE_MAX, defect_matrix, inclusion_eigenvalues, jacobi_eigenvalues
+from subbergman.operators import (
+    DENSE_SIZE_MAX,
+    _defect_classes,
+    defect_matrix,
+    inclusion_eigenvalues,
+    jacobi_eigenvalues,
+)
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
@@ -361,10 +367,50 @@ def test_class_split_matches_the_dense_solve(m, offset, n, length, complex_symbo
         assert abs(growth - np.log2(ev[-1] / half_max)) <= 1e-12
     # the hardy cell's spectrum: the phi defect itself, at alpha -1 and at alpha
     for a in (-1.0, alpha):
-        e = defect_matrix(series, a, n, "phi").entries
-        want = np.linalg.eigvalsh(e)
-        got = harness._class_eigenvalues(e, series.coeffs[:n])
+        want = np.linalg.eigvalsh(defect_matrix(series, a, n, "phi").entries)
+        classes = _defect_classes(series, a, n, "phi", np.ones(n))
+        got = np.sort(np.concatenate([harness._block_eigenvalues(b) for _, b in classes]))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 1.0])
+@pytest.mark.parametrize(
+    "coeffs",
+    [[0.7], [0.0, 1.0], [0.0, 0.0, 0.0, 0.6 + 0.5j], [0.0] * 12 + [0.9], [0.0, 0.0]],
+    ids=["r0", "r1", "r3-complex", "r-past-n", "zero"],
+)
+def test_one_coefficient_sections_are_their_closed_form_diagonal(alpha, coeffs):
+    # one nonzero coefficient c_r (or none) gives m = n: the builder returns the
+    # diagonal of diag(s) E diag(s) from the weights, with unit scale at the Hardy end
+    n = 12
+    series = PowerSeriesSymbol(np.array(coeffs, dtype=complex))
+    s = np.ones(n) if alpha == -1.0 else 1.0 / np.sqrt(inclusion_eigenvalues(alpha, alpha - 1.0, n - 1))
+    for which in ("phi", "conj"):
+        want = s[:, None] * defect_matrix(series, alpha, n, which).entries * s
+        ((idx, blocks),) = _defect_classes(series, alpha, n, which, s)
+        assert idx.tolist() == [[k] for k in range(n)] and blocks.shape == (n, 1, 1)
+        np.testing.assert_allclose(np.diag(blocks[:, 0, 0]), want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_shift_range_and_hardy_cells_build_no_dense_section(monkeypatch):
+    # the shift's sections are diagonal: its cells read them in closed form
+    calls = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return record
+
+    monkeypatch.setattr(operators, "defect_matrix", spy("defect_matrix"))
+    monkeypatch.setattr(harness, "defect_matrix", spy("defect_matrix"), raising=False)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh"))
+    cells = [("blaschke_decay", a) for a in (-0.5, 0.0, 1.0)] + [("hardy_degenerate", -1.0)]
+    for check, alpha in cells:
+        cell = run_scenario(Scenario("x", (alpha,), (SHIFT,), (check,))).checks[0]
+        assert (cell.status, cell.reason) == ("pass", ""), (check, alpha)
+    assert calls == []
 
 
 def test_conj_classes_read_the_coefficients_past_the_section():
