@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cnp import PickMatrix, PickReport, _admitted_psi, _coefficient_section, psd_test
+from .cnp import PickMatrix, PickReport, _coefficient_section, psd_test
 from .kernels import rescaling_check
 from .operators import (
     DENSE_SIZE_MAX,
@@ -45,19 +45,19 @@ from .symbols import (
 
 SCHEMA_VERSION = 1
 
-DEFAULT_CONFIG: dict[str, object] = {
-    "matrix_size": 400,
-    "directions": 16,
-    "seed": 7,
-    "berezin_points": 20,
-    "berezin_radius": 0.8,
-    "rescaling_points": 10,
-    "ratio_radii": "0.5,0.9,0.99",
-    "ratio_threshold": 50.0,
-}
+DEFAULT_CONFIG: dict[str, object] = {"matrix_size": 400}
 
+# seed of the berezin_identity and rescaling_identity sample points
+SEED = 7
+BEREZIN_POINTS = 20
+BEREZIN_RADIUS = 0.8
 BEREZIN_TOL = 1e-6
+RESCALING_POINTS = 10
 RESCALING_TOL = 1e-8
+# boundary_ratio's polar grid, and the sup that singular c=1 must reach on it
+RATIO_DIRECTIONS = 16
+RATIO_RADII = (0.5, 0.9, 0.99)
+RATIO_THRESHOLD = 50.0
 DECAY_BAND = (-1.15, -0.85)
 # growth below which a range has settled: finite Blaschke products with zeros in
 # |z| <= 0.6 grow by at most 0.14 at n = 128, singular c=1 by about 1 at every n
@@ -107,32 +107,10 @@ def merge_config(*overrides: dict[str, object] | None) -> dict[str, object]:
     return cfg
 
 
-# least value of each integer key
-_CONFIG_MINIMA = {
-    "matrix_size": 3,
-    "directions": 1,
-    "seed": 0,
-    "berezin_points": 1,
-    "rescaling_points": 2,
-}
-
-
 def _validate_config(cfg: dict[str, object]) -> None:
     """Reject values no check can run with, so they never show up as failed cells."""
-    for key, least in _CONFIG_MINIMA.items():
-        if cfg[key] < least:
-            raise ValueError(f"{key} must be >= {least}, got {cfg[key]}")
-    if cfg["matrix_size"] > DENSE_SIZE_MAX:
-        raise ValueError(f"matrix_size must be <= {DENSE_SIZE_MAX}, got {cfg['matrix_size']}")
-    if not 0.0 < cfg["ratio_threshold"] < np.inf:
-        raise ValueError(f"ratio_threshold must be finite and positive, got {cfg['ratio_threshold']}")
-    try:
-        radii = [float(t) for t in str(cfg["ratio_radii"]).split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad value for 'ratio_radii': {cfg['ratio_radii']!r}") from exc
-    for key, values in (("berezin_radius", [cfg["berezin_radius"]]), ("ratio_radii", radii)):
-        if not all(0.0 < r < 1.0 for r in values):
-            raise ValueError(f"{key} must lie strictly between 0 and 1, got {cfg[key]}")
+    if not 3 <= cfg["matrix_size"] <= DENSE_SIZE_MAX:
+        raise ValueError(f"matrix_size must lie in [3, {DENSE_SIZE_MAX}], got {cfg['matrix_size']}")
 
 
 @dataclass(frozen=True)
@@ -288,7 +266,8 @@ def _blaschke_degree(spec, series: PowerSeriesSymbol):
 
 
 # ---------------------------------------------------------------------------
-# check routines: each returns (status, reason, metrics)
+# check routines: each takes (alpha, spec, series, n), n = matrix_size, and
+# returns (status, reason, metrics)
 
 
 def _seeded_disk_points(seed: int, tag: int, n: int, r_max: float) -> np.ndarray:
@@ -297,18 +276,18 @@ def _seeded_disk_points(seed: int, tag: int, n: int, r_max: float) -> np.ndarray
     return r * np.exp(2j * np.pi * rng.uniform(size=n))
 
 
-def _check_berezin_identity(alpha, spec, series, cfg):
+def _check_berezin_identity(alpha, spec, series, n):
     if alpha <= -1:
         return "skipped", "precondition alpha > -1 (finite weighted area measure)", {}
-    pts = _seeded_disk_points(int(cfg["seed"]), 11, int(cfg["berezin_points"]), float(cfg["berezin_radius"]))
-    vals = berezin_values(series, alpha, int(cfg["matrix_size"]), pts)
+    pts = _seeded_disk_points(SEED, 11, BEREZIN_POINTS, BEREZIN_RADIUS)
+    vals = berezin_values(series, alpha, n, pts)
     worst = float(np.max(np.abs(vals - (1.0 - np.abs(eval_exact(spec, pts)) ** 2))))
     status = "pass" if worst < BEREZIN_TOL else "fail"
     return status, "", {
         "max_error": worst,
         "tolerance": BEREZIN_TOL,
         "points": len(pts),
-        "size": int(cfg["matrix_size"]),
+        "size": n,
     }
 
 
@@ -348,13 +327,12 @@ def _range_section(series: PowerSeriesSymbol, alpha: float, n: int, which: str) 
     return float(ev.min()), float(ev.max()), float(np.log2(ev.max() / half_max))
 
 
-def _check_blaschke_decay(alpha, spec, series, cfg):
+def _check_blaschke_decay(alpha, spec, series, n):
     degree = _blaschke_degree(spec, series)
     if degree is None:
         return "skipped", "precondition: symbol must be a finite Blaschke product", {}
     if alpha <= -1:
         return "skipped", "precondition alpha > -1 (defect spectra collapse at the Hardy end)", {}
-    n = int(cfg["matrix_size"])
     metrics = {"degree": degree, "size": n}
     for which in ("phi", "conj"):
         lo, hi, growth = _range_section(series, alpha, n, which)
@@ -374,24 +352,26 @@ def _check_blaschke_decay(alpha, spec, series, cfg):
     return ("pass" if ok else "fail"), "", metrics
 
 
-def _check_singular_noncompact(alpha, spec, series, cfg):
+def _check_singular_noncompact(alpha, spec, series, n):
     if not isinstance(spec, SingularInnerSpec):
         return "skipped", "precondition: check targets singular inner symbols", {}
     if alpha <= -1:
         return "skipped", "precondition alpha > -1 (finite weighted area measure)", {}
-    n = int(cfg["matrix_size"])
     # one side growing already shows the ranges differ; the conj side would add nothing
     lo, hi, growth = _range_section(series, alpha, n, "phi")
     metrics = {"range_min_phi": lo, "range_max_phi": hi, "growth_phi": growth, "size": n}
     return ("pass" if growth > RANGE_GROWTH_MAX else "fail"), "", metrics
 
 
-def _check_rescaling_identity(alpha, spec, series, cfg):
+_BASE_POINT_REASON = "precondition: |phi(0)| < 1 required to move the base point"
+
+
+def _check_rescaling_identity(alpha, spec, series, n):
     if not np.any(np.abs(series.coeffs[1:]) > 0):
         return "skipped", "precondition: symbol must be non-constant", {}
     if abs(series.coeffs[0]) >= 1:
-        return "skipped", "precondition: |phi(0)| < 1 required to move the base point", {}
-    pts = _seeded_disk_points(int(cfg["seed"]), 13, int(cfg["rescaling_points"]), 0.9)
+        return "skipped", _BASE_POINT_REASON, {}
+    pts = _seeded_disk_points(SEED, 13, RESCALING_POINTS, 0.9)
     residual = rescaling_check(series, alpha, pts)
     status = "pass" if residual < RESCALING_TOL else "fail"
     return status, "", {
@@ -404,8 +384,9 @@ def _check_rescaling_identity(alpha, spec, series, cfg):
 def _cnp_section(series: PowerSeriesSymbol, alpha: float) -> tuple[PickReport, dict]:
     """psd_test of the CNP_SECTION coefficient section B of 1 - 1/K, and its metrics.
 
-    B is exact for the series' first CNP_SECTION coefficients; a shorter
-    series is exact too and is zero-padded to that length. Its rows are
+    B is built from the normalized series, with no sampled admissibility
+    check: it is exact for the series' first CNP_SECTION coefficients, and a
+    shorter series is exact too and is zero-padded to that length. Its rows are
     labelled by monomial index, so a failing report certifies that the
     kernel is not CNP and its witness names the indices of a failing
     principal minor; a passing B is evidence on this section only.
@@ -413,7 +394,7 @@ def _cnp_section(series: PowerSeriesSymbol, alpha: float) -> tuple[PickReport, d
     a = as_weight(alpha)
     if len(series) < CNP_SECTION:
         series = to_series(series, CNP_SECTION)
-    b = _coefficient_section(_admitted_psi(series, a), a, CNP_SECTION)
+    b = _coefficient_section(normalize(series).psi, a, CNP_SECTION)
     report = psd_test(PickMatrix(points=np.arange(CNP_SECTION), entries=b))
     return report, {
         "min_eigenvalue": report.min_eigenvalue,
@@ -422,7 +403,7 @@ def _cnp_section(series: PowerSeriesSymbol, alpha: float) -> tuple[PickReport, d
     }
 
 
-def _check_cnp_moebius_pass(alpha, spec, series, cfg):
+def _check_cnp_moebius_pass(alpha, spec, series, n):
     moebius = _blaschke_degree(spec, series) == 1
     monomial_scaled = (
         isinstance(spec, MonomialSpec)
@@ -441,7 +422,7 @@ def _check_cnp_moebius_pass(alpha, spec, series, cfg):
     return ("fail" if report.certificate else "pass"), "", metrics
 
 
-def _check_cnp_nonmoebius_fail(alpha, spec, series, cfg):
+def _check_cnp_nonmoebius_fail(alpha, spec, series, n):
     moebius = _blaschke_degree(spec, series) == 1
     if alpha <= -1:
         return "skipped", f"precondition alpha > -1 for the failure direction, got {alpha}", {}
@@ -453,6 +434,8 @@ def _check_cnp_nonmoebius_fail(alpha, spec, series, cfg):
             "open question: no failure certificate is known for non-Moebius symbols at alpha > 0",
             {},
         )
+    if abs(series.coeffs[0]) >= 1:
+        return "skipped", _BASE_POINT_REASON, {}
     report, metrics = _cnp_section(series, alpha)
     if not report.certificate:
         return "fail", "", metrics
@@ -465,13 +448,12 @@ def _check_cnp_nonmoebius_fail(alpha, spec, series, cfg):
     return ("pass" if lam < -WITNESS_TOL else "fail"), "", metrics
 
 
-def _check_hardy_degenerate(alpha, spec, series, cfg):
+def _check_hardy_degenerate(alpha, spec, series, n):
     if abs(alpha + 1.0) > 1e-12:
         return "skipped", f"precondition alpha = -1 (Hardy space), got {alpha}", {}
     degree = _blaschke_degree(spec, series)
     if degree is None:
         return "skipped", "precondition: finite-rank degeneracy needs a finite Blaschke symbol", {}
-    n = int(cfg["matrix_size"])
     conj, phi = (_defect_classes(series, alpha, n, which, np.ones(n)) for which in ("conj", "phi"))
     econj_max = max(float(np.max(np.abs(b))) for _, b in conj)  # every other entry is an exact zero
     ev = np.sort(np.concatenate([_block_eigenvalues(b) for _, b in phi]))[::-1]
@@ -487,18 +469,15 @@ def _check_hardy_degenerate(alpha, spec, series, cfg):
     }
 
 
-def _check_boundary_ratio(alpha, spec, series, cfg):
+def _check_boundary_ratio(alpha, spec, series, n):
     if not np.any(np.abs(series.coeffs[1:]) > 0):
         return "skipped", "precondition: symbol must be non-constant", {}
-    radii = [float(t) for t in str(cfg["ratio_radii"]).split(",")]
-    directions = int(cfg["directions"])
-    sup, inf = boundary_ratio_check(series, radii, directions)
-    metrics = {"sup": sup, "inf": inf, "radii": radii, "directions": directions}
+    sup, inf = boundary_ratio_check(series, RATIO_RADII, RATIO_DIRECTIONS)
+    metrics = {"sup": sup, "inf": inf, "radii": list(RATIO_RADII), "directions": RATIO_DIRECTIONS}
     if isinstance(spec, SingularInnerSpec):
-        threshold = float(cfg["ratio_threshold"])
-        metrics["divergence_threshold"] = threshold
-        metrics["diverging"] = bool(sup >= threshold)
-        ok = sup >= threshold
+        metrics["divergence_threshold"] = RATIO_THRESHOLD
+        metrics["diverging"] = bool(sup >= RATIO_THRESHOLD)
+        ok = sup >= RATIO_THRESHOLD
     elif _blaschke_degree(spec, series) == 1:
         # Schwarz-Pick: the ratio is (1-|a|^2)/|1-conj(a) z|^2 with |a| = |phi(0)|, strictly
         # inside [lo, hi] on the disk, so the grid is held to the bounds up to rounding only
@@ -516,11 +495,11 @@ def _check_boundary_ratio(alpha, spec, series, cfg):
     return ("pass" if ok else "fail"), "", metrics
 
 
-def _check_inclusion_asymptote(alpha, spec, series, cfg):
+def _check_inclusion_asymptote(alpha, spec, series, n):
     gamma = alpha - 1.0
     if gamma <= -2:
         return "skipped", f"precondition: companion exponent gamma = alpha - 1 > -2, got {gamma}", {}
-    n = 256
+    n = 256  # a fixed section of the closed-form ratio, whatever matrix_size is
     vals = inclusion_eigenvalues(alpha, gamma, n)
     k = np.arange(n + 1)
     product = vals * (k + 1.0)
@@ -572,15 +551,16 @@ def run_scenario(scenario: Scenario, config: dict | None = None) -> RunReport:
     abort before any cell runs.
     """
     cfg = merge_config(config)
+    n = int(cfg["matrix_size"])
     started = datetime.now(timezone.utc).isoformat()
     results: list[CheckResult] = []
     for alpha in scenario.alpha_list:
         for raw_spec in scenario.symbols:
             # one series per (alpha, symbol), true to the tail tolerance at matrix_size
-            spec, series = bind_symbol(raw_spec, alpha, int(cfg["matrix_size"]))
+            spec, series = bind_symbol(raw_spec, alpha, n)
             for check in scenario.checks:
                 try:
-                    status, reason, metrics = _CHECK_ROUTINES[check](float(alpha), spec, series, cfg)
+                    status, reason, metrics = _CHECK_ROUTINES[check](float(alpha), spec, series, n)
                 except Exception as exc:
                     status, reason, metrics = "fail", f"{type(exc).__name__}: {exc}", {}
                 results.append(

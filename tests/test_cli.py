@@ -485,7 +485,7 @@ def test_cli_and_verify_truncate_symbols_alike(monkeypatch, alpha):
     # the series a verify cell receives equals the one the CLI computes with at --size matrix_size
     captured = []
 
-    def capture(alpha, spec, series, cfg):
+    def capture(alpha, spec, series, n):
         captured.append(series)
         return "skipped", "captured", {}
 
@@ -516,38 +516,33 @@ def test_verify_scenario_writes_reports(tmp_path, capsys):
     assert "3 passed, 0 failed, 0 skipped" in text
 
 
-def test_verify_set_override_can_force_failure(tmp_path, capsys):
-    rc = main(
-        [
-            "verify",
-            "boundary_ratio",
-            "--set",
-            "ratio_threshold=1e9",
-            "--out",
-            str(tmp_path / "reports"),
-        ]
-    )
+def test_verify_set_override_can_force_failure(monkeypatch, tmp_path, capsys):
+    # a threshold singular c=1 cannot reach fails its boundary_ratio cell, and the run exits 1
+    monkeypatch.setattr(harness, "RATIO_THRESHOLD", 1e9)
+    rc = main(["verify", "boundary_ratio", "--out", str(tmp_path / "reports")])
     assert rc == 1
     assert "1 failed" in capsys.readouterr().out
 
 
 def test_verify_flags_beat_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("ratio_threshold = 1e9\n")
+    cfg.write_text(f"matrix_size = {operators.DENSE_SIZE_MAX + 1}\n")
     rc = main(
         [
             "verify",
-            "boundary_ratio",
+            "hardy_degenerate",
             "--config",
             str(cfg),
             "--set",
-            "ratio_threshold=50",
+            "matrix_size=120",
             "--out",
             str(tmp_path / "reports"),
         ]
     )
     assert rc == 0
     assert "0 failed" in capsys.readouterr().out
+    report = json.loads((tmp_path / "reports" / "hardy_degenerate.json").read_text())
+    assert report["config"] == {"matrix_size": 120}
 
 
 def test_verify_unknown_scenario_exits_2(capsys):
@@ -594,8 +589,7 @@ def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
 def test_verify_config_mistakes_exit_2_without_report(
     monkeypatch, tmp_path, capsys, target, setting, message
 ):
-    # an empty or oversized matrix, a negative seed, a threshold no cell can meet
-    # meaningfully, or a removed key, is a usage error, not a failed cell
+    # an empty or oversized matrix, or a removed key, is a usage error, not a failed cell
     monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
     rc = main(["verify", target, "--set", setting, "--out", str(tmp_path / "reports")])
     assert rc == 2

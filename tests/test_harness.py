@@ -26,7 +26,7 @@ from subbergman.harness import (
     _blaschke_degree,
     _range_section,
 )
-from subbergman import harness, operators
+from subbergman import cnp, harness, operators, symbols
 from subbergman.cnp import DEFAULT_PSD_TOL, _coefficient_section, _worst_pair
 from subbergman.operators import (
     DENSE_SIZE_MAX,
@@ -41,6 +41,7 @@ from subbergman.symbols import (
     MonomialSpec,
     PowerSeriesSymbol,
     SingularInnerSpec,
+    admissibility_check,
     bind_symbol,
     normalize,
     parse_symbol,
@@ -57,10 +58,9 @@ SHIFT = PowerSeriesSymbol(np.array([0.0, 1.0]))
 def test_merge_defaults_and_overrides():
     cfg = merge_config()
     assert cfg == DEFAULT_CONFIG
-    cfg = merge_config({"matrix_size": "120"}, {"seed": 3})
-    assert cfg["matrix_size"] == 120 and isinstance(cfg["matrix_size"], int)
-    assert cfg["seed"] == 3
-    assert cfg["berezin_points"] == DEFAULT_CONFIG["berezin_points"]
+    assert DEFAULT_CONFIG == {"matrix_size": 400}
+    cfg = merge_config({"matrix_size": "120"})
+    assert cfg == {"matrix_size": 120} and isinstance(cfg["matrix_size"], int)
 
 
 def test_merge_rejects_unknown_and_badly_typed_keys():
@@ -79,19 +79,35 @@ def test_series_lengths_are_not_config_keys(key, value):
 
 @pytest.mark.parametrize(
     "key",
-    ["fit_lo", "fit_hi", "boundary_size", "boundary_radius", "cnp_points", "cnp_trials", "psd_tol"],
+    [
+        "fit_lo",
+        "fit_hi",
+        "boundary_size",
+        "boundary_radius",
+        "cnp_points",
+        "cnp_trials",
+        "psd_tol",
+        "seed",
+        "berezin_points",
+        "berezin_radius",
+        "rescaling_points",
+        "directions",
+        "ratio_radii",
+        "ratio_threshold",
+    ],
 )
 def test_fit_window_is_not_a_config_key(key):
     # blaschke_decay and singular_noncompact read the range of the defect, with no window
     # and no boundary Berezin sample; the CNP cells read a coefficient section, with no
-    # sampled points and a fixed tolerance
+    # sampled points and a fixed tolerance; the sample points, the ratio grid and its
+    # threshold are constants beside their checks, so no setting can make a cell fail
     with pytest.raises(ValueError, match=key):
         merge_config({key: 150})
 
 
 def test_later_sources_win():
-    cfg = merge_config({"seed": 5}, {"seed": 9})
-    assert cfg["seed"] == 9
+    cfg = merge_config({"matrix_size": 50}, {"matrix_size": 90})
+    assert cfg["matrix_size"] == 90
 
 
 @pytest.mark.parametrize(
@@ -110,9 +126,11 @@ def test_later_sources_win():
         {"ratio_threshold": "inf"},
         {"ratio_threshold": -5.0},
         {"ratio_threshold": 0.0},
+        {"matrix_size": 2},
     ],
 )
 def test_merge_rejects_values_no_check_can_run_with(override):
+    # matrix_size must lie in [3, DENSE_SIZE_MAX]; every other key is unknown
     with pytest.raises(ValueError):
         merge_config(override)
 
@@ -123,15 +141,11 @@ def test_load_config_file(tmp_path):
         "# sizes\n"
         "matrix_size = 128\n"
         "\n"
-        "berezin_radius = 0.9  # pushed outward\n"
-        "ratio_radii = 0.5,0.9\n"
+        "matrix_size = 256  # later lines win\n"
     )
     raw = load_config(path)
-    assert raw == {"matrix_size": "128", "berezin_radius": "0.9", "ratio_radii": "0.5,0.9"}
-    cfg = merge_config(raw)
-    assert cfg["matrix_size"] == 128
-    assert cfg["berezin_radius"] == 0.9
-    assert cfg["ratio_radii"] == "0.5,0.9"
+    assert raw == {"matrix_size": "256"}
+    assert merge_config(raw) == {"matrix_size": 256}
 
 
 def test_load_config_rejects_garbage(tmp_path):
@@ -164,11 +178,7 @@ def test_builtin_scenarios_cover_every_check():
         assert scenario.name == name
 
 
-_FAST = {
-    "matrix_size": 120,
-    "berezin_points": 5,
-    "rescaling_points": 4,
-}
+_FAST = {"matrix_size": 120}
 
 
 def test_run_scenario_pass_and_skip_rows():
@@ -189,17 +199,16 @@ def test_run_scenario_pass_and_skip_rows():
     assert not report.failed
 
 
-def test_run_scenario_records_numerical_failures():
-    # an inadmissible symbol cannot be scanned; the cell must fail, not raise
-    scenario = Scenario(
-        "bad",
-        alpha_list=(0.0,),
-        symbols=(PowerSeriesSymbol(np.array([0.0, 1.3])),),
-        checks=("cnp_nonmoebius_fail",),
-    )
+def test_run_scenario_records_numerical_failures(monkeypatch):
+    # an error inside a cell must fail that cell, not raise
+    def overflow(*args):
+        raise FloatingPointError("overflow in the coefficient section")
+
+    monkeypatch.setattr(harness, "_coefficient_section", overflow)
+    scenario = Scenario("bad", (0.0,), (MonomialSpec(n=2, c=1.0),), ("cnp_nonmoebius_fail",))
     report = run_scenario(scenario, _FAST)
     assert report.checks[0].status == "fail"
-    assert "admissible" in report.checks[0].reason
+    assert report.checks[0].reason == "FloatingPointError: overflow in the coefficient section"
 
 
 def test_blaschke_decay_shift_range_is_closed_form():
@@ -477,6 +486,45 @@ def test_section_without_a_failing_pair_certifies_by_a_deeper_witness(text, alph
     assert cell.status == "pass"
     assert cell.metrics["witness_indices"] == [13, 14, 15]
     assert cell.metrics["witness_min_jacobi"] < -WITNESS_TOL
+
+
+@pytest.mark.parametrize(
+    "symbol, alpha, status, witness",
+    [
+        # the 600-term series has a grid sup of 1.000351, which a sampled
+        # admissibility check would refuse; its coefficient section certifies
+        (SingularInnerSpec(c=1.0), -0.5, "pass", [3, 4]),
+        (SingularInnerSpec(c=1.0), 0.0, "pass", [2, 3]),
+        # a constant normalizes to psi = 0, leaving the kernel (1 - z conj(w))^-(2+alpha)
+        (parse_symbol("series 0.3"), 0.0, "pass", [0, 2]),
+        # no Moebius map moves phi(0) to 0
+        (parse_symbol("series 1,0.1"), 0.0, "skipped", None),
+    ],
+    ids=["singular-(-0.5)", "singular-0", "constant", "phi0-on-circle"],
+)
+def test_cnp_cells_read_the_normalized_series(symbol, alpha, status, witness):
+    scenario = Scenario("x", (alpha,), (symbol,), ("cnp_nonmoebius_fail",))
+    cell = run_scenario(scenario, _FAST).checks[0]
+    assert cell.status == status
+    if witness is None:
+        assert cell.reason == "precondition: |phi(0)| < 1 required to move the base point"
+    else:
+        assert cell.metrics["witness_indices"] == witness
+        assert cell.metrics["witness_min_jacobi"] < -WITNESS_TOL
+
+
+def test_bundled_cnp_cells_run_no_admissibility_check(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return admissibility_check(*args, **kwargs)
+
+    for owner in (symbols, cnp, harness):
+        monkeypatch.setattr(owner, "admissibility_check", spy, raising=False)
+    for name in ("cnp_moebius_pass", "cnp_nonmoebius_fail"):
+        assert not run_scenario(builtin_scenarios()[name]).failed
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
