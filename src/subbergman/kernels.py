@@ -21,6 +21,8 @@ from .symbols import PowerSeriesSymbol, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
 CONJ_SUB_VALUE_TOL = 1e-8
+# radial rows, and pairs, in one block of conj_sub_quadrature: 16 x 16 x 256 nodes (1 MB)
+_QUAD_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -204,32 +206,58 @@ def conj_sub_quadrature(
     (plain Gauss-Legendre at alpha = 0, where the weight is constant),
     computed with numpy by the Golub-Welsch method and cached per alpha;
     the angular direction uses the trapezoid rule, spectrally accurate for
-    periodic integrands. The grid has 128 radial by 256 angular nodes. phi
-    is evaluated on it as one matrix product, with a temporary of (nonzero
-    coefficients) x 256 entries.
+    periodic integrands. The grid has 128 radial by 256 angular nodes.
+
+    The grid is visited in blocks of _QUAD_BLOCK radial rows by _QUAD_BLOCK
+    pairs, so no temporary grows with the batch: a call holds a few MB at
+    any batch size. On a block's rows phi comes from one inverse FFT per
+    radius, and the integrand takes one principal power of the product of
+    its two factors, which is exact because each factor has Re > 0, so their
+    arguments add without wrapping (see _neg_power). A request of more than
+    WORK_BUDGET pairs x grid nodes (1525 pairs) raises ValueError before any
+    compute.
     """
     a = as_weight(alpha)
     if not a.integrable:
         raise ValueError("conj_sub kernels require alpha > -1")
-    _check_disk(z, w)
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     n_radial, n_angular = 128, 256
+    pairs = np.broadcast(z, w).size
+    if pairs * n_radial * n_angular > WORK_BUDGET:
+        raise ValueError(
+            f"conj_sub_quadrature: {pairs} pair(s) x {n_radial * n_angular} grid nodes exceed "
+            f"the work budget {WORK_BUDGET:g}; split the batch"
+        )
+    _check_disk(z, w)
+    z, w = np.broadcast_arrays(z, w)
+    if z.size == 0:
+        return np.zeros(z.shape, dtype=complex)
     x, wts = _gauss_jacobi(n_radial, a.alpha)
     r = np.sqrt((x + 1.0) / 2.0)
-    j = np.arange(n_angular)
-    u = r[:, None] * np.exp(2j * np.pi * j / n_angular)[None, :]
-    # phi on the grid as one product: sum_k c_k r^k e^(2 pi i k j / n_angular),
-    # the angle reduced mod n_angular; only the nonzero coefficients enter
-    k = np.flatnonzero(symbol.coeffs)
-    fourier = np.exp(2j * np.pi * (np.outer(k, j) % n_angular) / n_angular)
-    dens = 1.0 - np.abs((symbol.coeffs[k] * r[:, None] ** k) @ fourier) ** 2
-    scale = (a.alpha + 1.0) * 2.0 ** (-(1.0 + a.alpha)) / n_angular
+    wts = wts * ((a.alpha + 1.0) * 2.0 ** (-(1.0 + a.alpha)) / n_angular)
+    angles = np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
+    # phi(r e^(2 pi i j / N)) = sum_m g_m e^(2 pi i m j / N), N = n_angular, with
+    # g_m = sum_l c_(lN+m) r^(lN+m): the coefficients fold onto k mod N (row l of
+    # folded), and the inverse FFT pads the columns m >= len(symbol) with zeros
+    k = np.arange(min(len(symbol), n_angular))
+    folded = np.pad(symbol.coeffs, (0, -len(symbol) % n_angular)).reshape(-1, n_angular)[:, : len(k)]
+    zc = z.reshape(-1, 1)
+    wc = np.conj(w).reshape(-1, 1)
     s = 2.0 + a.alpha
-    f = dens / (
-        (1.0 - z[..., None, None] * np.conj(u)) ** s * (1.0 - u * np.conj(w[..., None, None])) ** s
-    )
-    out = scale * np.sum(wts[:, None] * f, axis=(-2, -1))
+    out = np.zeros(z.size, dtype=complex)
+    for i in range(0, n_radial, _QUAD_BLOCK):
+        rb = r[i : i + _QUAD_BLOCK, None]
+        g = sum(rb ** (l * n_angular + k) * row for l, row in enumerate(folded))
+        phi = np.fft.ifft(g, n_angular, norm="forward")
+        dens = wts[i : i + _QUAD_BLOCK, None] * (1.0 - (phi.real**2 + phi.imag**2))
+        dens = dens.astype(complex).ravel()
+        u = (rb * angles).ravel()
+        ub = np.conj(u)
+        for j in range(0, z.size, _QUAD_BLOCK):
+            q = (1.0 - zc[j : j + _QUAD_BLOCK] * ub) * (1.0 - u * wc[j : j + _QUAD_BLOCK])
+            out[j : j + _QUAD_BLOCK] += _neg_power(q, s) @ dens
+    out = out.reshape(z.shape)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -82,13 +82,17 @@ def _powers(base, n: int) -> np.ndarray:
 
 
 def _neg_power(u, s: float):
-    """u^-s on the principal branch, for Re u > 0 and s > 0, as with u = 1 - z conj(w) on the disk.
+    """u^-s on the principal branch, for |arg u| < pi and s > 0.
 
+    That domain holds u = 1 - z conj(w) on the disk (Re u > 0), and also a
+    product u = a b of two such factors, as in conj_sub_quadrature: their
+    arguments lie in (-pi/2, pi/2), so arg u = arg a + arg b does not wrap
+    and u^-s = a^-s b^-s on the principal branch.
     For half-integer s this is u^-m / sqrt(u), m = floor(s): numpy multiplies
     out integer exponents, where the general complex power goes through exp
-    and log at 3-5x the cost. Both factors are principal because Re u > 0,
-    so they agree with the complex power to rounding. Any other s is the
-    complex power itself; for integer s numpy already multiplies it out.
+    and log at 3-5x the cost. sqrt(u) is principal, with argument arg(u) / 2,
+    so the two factors agree with the complex power to rounding. Any other s
+    is the complex power itself; for integer s numpy already multiplies it out.
     """
     m = math.floor(s)
     if s - m == 0.5:

@@ -9,6 +9,7 @@ shift, and the rescaling identity against direct evaluation on both sides.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,52 @@ def test_conj_sub_coefficients_vs_quadrature(alpha):
     coeff_route = eval_kernel(spec, z, w)
     quad_route = conj_sub_quadrature(series, alpha, z, w)
     np.testing.assert_allclose(coeff_route, quad_route, atol=1e-6)
+
+
+def _quadrature_reference(symbol, alpha, z, w):
+    """The quadrature rule in one shot: every grid node of every pair in one array.
+
+    phi comes from a Fourier matrix of the nonzero coefficients, and the two
+    factors of the integrand take separate complex powers.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    n_radial, n_angular = 128, 256
+    x, wts = _gauss_jacobi(n_radial, alpha)
+    r = np.sqrt((x + 1.0) / 2.0)
+    j = np.arange(n_angular)
+    u = r[:, None] * np.exp(2j * np.pi * j / n_angular)[None, :]
+    k = np.flatnonzero(symbol.coeffs)
+    fourier = np.exp(2j * np.pi * (np.outer(k, j) % n_angular) / n_angular)
+    dens = 1.0 - np.abs((symbol.coeffs[k] * r[:, None] ** k) @ fourier) ** 2
+    scale = (alpha + 1.0) * 2.0 ** (-(1.0 + alpha)) / n_angular
+    s = 2.0 + alpha
+    f = dens / ((1.0 - z[..., None, None] * np.conj(u)) ** s * (1.0 - u * np.conj(w[..., None, None])) ** s)
+    return scale * np.sum(wts[:, None] * f, axis=(-2, -1))
+
+
+def test_conj_sub_quadrature_work_budget_and_memory():
+    # pairs x 128 x 256 nodes are priced against WORK_BUDGET (1525 pairs)
+    # before any compute, so 10^5 broadcast pairs are refused without
+    # allocating even one array of their size (1.6 MB)
+    z = np.broadcast_to(np.complex128(0.3), (10**5,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="split the batch") as info:
+            conj_sub_quadrature(SHIFT, 0.0, z, 0.2)
+        refused_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        k = conj_sub_quadrature(SHIFT, 0.0, z[:1000], 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "100000 pair(s)" in str(info.value) and "work budget 5e+07" in str(info.value)
+    assert refused_peak < 2**20
+    # blocks over pairs and nodes; the one-shot rule needs about 3 GB here
+    assert peak < 16 * 2**20
+    np.testing.assert_allclose(k, conj_sub_quadrature(SHIFT, 0.0, 0.3, 0.2), rtol=1e-13)
+    with pytest.raises(ValueError, match="1526 pair"):
+        conj_sub_quadrature(SHIFT, 0.0, z[:1526], 0.2)
 
 
 def _conj_sub_at(symbol, alpha, n, z, w):
@@ -352,3 +399,23 @@ def test_conj_sub_is_hermitian(alpha, z, w):
     spec = KernelSpec("conj_sub", alpha, BLASCHKE)
     k = eval_kernel(spec, z, w)
     assert abs(k - np.conj(eval_kernel(spec, w, z))) <= 1e-10 * max(1.0, abs(k))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.one_of(st.sampled_from([0.0, 1.0, 2.0, -0.5, 0.5, 1.5]), st.floats(-0.95, 2.5)),
+    length=st.sampled_from([1, 2, 64, 255, 256, 257, 600]),
+    shapes=st.sampled_from([((), ()), ((), (5,)), ((5,), (5,)), ((3, 1), (1, 4)), ((0,), ()), ((0, 3), (3,))]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conj_sub_quadrature_matches_the_one_shot_rule(alpha, length, shapes, seed):
+    # integer, half-integer and general alpha; series below, at and past the
+    # 256 angular nodes, where the coefficients fold onto k mod 256
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=length) + 1j * rng.normal(size=length)
+    series = PowerSeriesSymbol(c / np.sum(np.abs(c)))
+    z, w = (0.9 * np.sqrt(rng.uniform(size=sh)) * np.exp(2j * np.pi * rng.uniform(size=sh)) for sh in shapes)
+    k = conj_sub_quadrature(series, alpha, z, w)
+    ref = _quadrature_reference(series, alpha, z, w)
+    assert isinstance(k, complex) if ref.ndim == 0 else k.shape == ref.shape
+    assert np.all(np.abs(k - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))

@@ -96,6 +96,15 @@ def test_neg_power_matches_the_complex_power(s):
             assert np.array_equal(got, want)
     u = np.complex128(0.5 + 0.1j)
     assert abs(_neg_power(u, s) - u**-s) <= 1e-14 * abs(u**-s)
+    # a product of two right-half-plane factors, as conj_sub_quadrature's
+    # (1 - z conj(u)) (1 - u conj(w)), has |arg| < pi but may have Re < 0;
+    # its principal power is the product of the factors' principal powers
+    v = 0.999 * np.exp(2j * np.pi * rng.uniform(size=r.size))
+    a = np.append(1.0 - z[:, None] * np.conj(v), 1.0 - 0.999 * np.exp([0.05j, -0.05j, 0.001j]))
+    b = np.append(1.0 - v * np.conj(z[::-1, None]), 1.0 - 0.999 * np.exp([0.04j, -0.05j, 0.002j]))
+    assert np.sum((a * b).real < 0) > 3 and np.max(np.abs(np.angle(a * b))) > 3.0
+    want = a**-s * b**-s
+    assert np.max(np.abs(_neg_power(a * b, s) - want) / np.abs(want)) <= 1e-14
 
 
 def test_weight_parameter_validation():
