@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, eval_kernel
 from .operators import _check_hermitian
-from .scalars import WeightParameter, as_weight, binomial_coeffs
+from .scalars import WeightParameter, _hermitian_gram, _psd_within, as_weight, binomial_coeffs
 from .symbols import PowerSeriesSymbol, admissibility_check, normalize
 
 DIVISION_HAZARD_TOL = 1e-12
@@ -50,7 +49,8 @@ def sample_points(
     block, radius then angle per candidate, and accepts them in order; so
     the points and the generator state afterwards are those of drawing one
     candidate at a time. An r_max outside (0, 1] or a negative or non-finite
-    min_sep raises ValueError before anything is drawn.
+    min_sep raises ValueError before anything is drawn, and so does a
+    sample that cannot keep its separation within 10000 n draws.
     """
     if not (0.0 < r_max <= 1.0 and 0.0 <= min_sep < np.inf):
         raise ValueError(f"need r_max in (0, 1] and a finite min_sep >= 0, got {r_max}, {min_sep}")
@@ -60,7 +60,10 @@ def sample_points(
     attempts = 0
     while have < n:
         if attempts > 10000 * n:
-            raise RuntimeError("point sampler failed to honor the minimum separation")
+            raise ValueError(
+                f"point sampler failed to keep {n} points {min_sep:g} apart within radius {r_max:g}; "
+                "use fewer points or a smaller min_sep"
+            )
         k = n - have
         attempts += k
         u = rng.uniform(size=2 * k)
@@ -144,16 +147,26 @@ def _admitted_psi(symbol: PowerSeriesSymbol, a: WeightParameter) -> PowerSeriesS
 
 
 def _pick_on(psi: PowerSeriesSymbol, a: WeightParameter, pts: np.ndarray) -> PickMatrix:
-    """Per-point-set step: Pick matrix of the normalized kernel on checked points."""
-    k = eval_kernel(KernelSpec("sub", a, psi), pts[:, None], pts[None, :])
-    small = np.abs(k) < DIVISION_HAZARD_TOL
-    if np.any(small):
-        ii, jj = np.nonzero(small)
-        pairs = ", ".join(f"({i},{j})" for i, j in zip(ii[:5], jj[:5]))
-        raise DivisionHazard(f"division hazard: |K| < {DIVISION_HAZARD_TOL} at point pairs {pairs}")
-    m = 1.0 - 1.0 / k
-    m = (m + m.conj().T) / 2.0
-    return PickMatrix(points=pts, entries=m)
+    """Per-point-set step: Pick matrix of the normalized kernel on checked points.
+
+    psi is evaluated once per point. K(z_i, z_j) = (1 - psi(z_i)
+    conj(psi(z_j))) (1 - z_i conj(z_j))^-(2+alpha) and then 1 - 1/K are
+    formed on the upper triangle i <= j only and mirrored by conjugation
+    (scalars._hermitian_gram), so the entries are exactly Hermitian with a
+    real diagonal and need no symmetrization. |K(z_j, z_i)| = |K(z_i, z_j)|,
+    so testing the triangle tests every pair for a division hazard.
+    """
+
+    def one_minus_reciprocal(k: np.ndarray) -> np.ndarray:
+        small = np.abs(k) < DIVISION_HAZARD_TOL
+        if np.any(small):
+            ii, jj = (idx[small] for idx in np.triu_indices(len(pts)))
+            pairs = ", ".join(f"({i},{j})" for i, j in zip(ii[:5], jj[:5]))
+            raise DivisionHazard(f"division hazard: |K| < {DIVISION_HAZARD_TOL} at point pairs {pairs}")
+        return 1.0 - 1.0 / k
+
+    entries = _hermitian_gram(psi.eval(pts), pts, 2.0 + a.alpha, one_minus_reciprocal)
+    return PickMatrix(points=pts, entries=entries)
 
 
 def build_pick(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points) -> PickMatrix:
@@ -208,10 +221,6 @@ def _min_eig(entries: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(entries)[0])
 
 
-def _fails(entries: np.ndarray, tolerance: float) -> bool:
-    return _min_eig(entries) < -tolerance * max(1.0, float(np.trace(entries).real))
-
-
 def _worst_pair(entries: np.ndarray) -> tuple[int, int, float]:
     """(i, j, lam) for the 2x2 principal minor with the most negative eigenvalue lam.
 
@@ -225,15 +234,19 @@ def _worst_pair(entries: np.ndarray) -> tuple[int, int, float]:
 
 
 def _grow_then_shrink(entries: np.ndarray, vec: np.ndarray, tolerance: float) -> np.ndarray:
-    """Mask of the smallest failing prefix by |vec| (>= 2 points), pruned by one deletion pass."""
+    """Mask of the smallest failing prefix by |vec| (>= 2 points), pruned by one deletion pass.
+
+    Each step asks only whether a principal submatrix fails, so it is
+    decided by one Cholesky factorization (scalars._psd_within).
+    """
     order = np.argsort(-np.abs(vec), kind="stable")  # most involved points first
     m = 2  # the full set can read as passing at rounding level, so stop at n
-    while m < len(order) and not _fails(entries[np.ix_(order[:m], order[:m])], tolerance):
+    while m < len(order) and _psd_within(entries[np.ix_(order[:m], order[:m])], tolerance):
         m += 1
     keep = np.isin(np.arange(len(order)), order[:m])
     for i in order[:m]:
         keep[i] = False
-        if keep.sum() < 2 or not _fails(entries[np.ix_(keep, keep)], tolerance):
+        if keep.sum() < 2 or _psd_within(entries[np.ix_(keep, keep)], tolerance):
             keep[i] = True
     return keep
 
@@ -251,12 +264,15 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
     the labels of its rows from matrix.points, of which psd_test reads only
     the shape, so a coefficient section is tested like a sampled matrix.
 
-    The verdict and every reported eigenvalue come from eigenvalue-only
-    solves; eigenvectors are computed once, and only when no pair fails and
-    the prefix search needs their order. A tolerance outside (0, inf), or a
-    matrix that is empty or not square, has a non-finite entry, is not
-    Hermitian within operators.HERMITIAN_TOL, or has a different number of
-    points raises ValueError before any solve.
+    The verdict and every reported eigenvalue (min_eigenvalue and the
+    witness's) come from eigenvalue-only solves; eigenvectors are computed
+    once, and only when no pair fails and the prefix search needs their
+    order. Each step of that search needs only a fail-or-pass answer, so it
+    is one Cholesky factorization of the submatrix shifted by the
+    threshold (scalars._psd_within), not an eigensolve. A tolerance outside
+    (0, inf), or a matrix that is empty or not square, has a non-finite
+    entry, is not Hermitian within operators.HERMITIAN_TOL, or has a
+    different number of points raises ValueError before any solve.
     """
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
@@ -306,7 +322,8 @@ def cnp_scan(
     each trial's trace), then the lowest minimal eigenvalue is worst, so a
     failing scan always carries a failing trial's witness. A tolerance
     outside (0, inf), or a scan whose trials x points^3 exceeds
-    SCAN_WORK_MAX, is refused before any sampling.
+    SCAN_WORK_MAX, is refused before any sampling. A scan in which every
+    trial hits a division hazard raises DivisionHazard, a ValueError.
     """
     a = as_weight(alpha)
     if n_points < 3:
@@ -337,7 +354,7 @@ def cnp_scan(
         if worst is None or rank > worst_rank:
             worst, worst_rank = report, rank
     if worst is None:
-        raise RuntimeError("every trial hit a division hazard; no Pick matrix was testable")
+        raise DivisionHazard(f"all {n_trials} trial(s) hit a division hazard; no Pick matrix was testable")
     return PickReport(
         verdict=worst.verdict,
         min_eigenvalue=worst.min_eigenvalue,

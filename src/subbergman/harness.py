@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .cnp import PickMatrix, PickReport, _coefficient_section, psd_test
-from .kernels import rescaling_check
+from .kernels import _log_tail, rescaling_check
 from .operators import (
     DENSE_SIZE_MAX,
     _decay_slope,
@@ -280,15 +281,22 @@ def _check_berezin_identity(alpha, spec, series, n):
     if alpha <= -1:
         return "skipped", "precondition alpha > -1 (finite weighted area measure)", {}
     pts = _seeded_disk_points(SEED, 11, BEREZIN_POINTS, BEREZIN_RADIUS)
+    # the unit kernel vector k_a loses mass tau past its first n coefficients, and
+    # ||E|| <= 1, so |<E k_a, k_a> - <E k_n, k_n>| <= 2 sqrt(tau) + tau; tau grows with |a|
+    t = float(np.max(np.abs(pts))) ** 2
+    tau = (1.0 - t) ** (2.0 + alpha) * math.exp(_log_tail(alpha, t, n))
+    bound = 2.0 * math.sqrt(tau) + tau
+    metrics = {"truncation_bound": bound, "tolerance": BEREZIN_TOL, "points": len(pts), "size": n}
+    if not bound <= BEREZIN_TOL:
+        reason = (
+            f"truncation: the kernel vectors cut at matrix_size={n} bound the error by "
+            f"{bound:.3g} > {BEREZIN_TOL:g}; raise matrix_size"
+        )
+        return "skipped", reason, metrics
     vals = berezin_values(series, alpha, n, pts)
     worst = float(np.max(np.abs(vals - (1.0 - np.abs(eval_exact(spec, pts)) ** 2))))
     status = "pass" if worst < BEREZIN_TOL else "fail"
-    return status, "", {
-        "max_error": worst,
-        "tolerance": BEREZIN_TOL,
-        "points": len(pts),
-        "size": n,
-    }
+    return status, "", {"max_error": worst, **metrics}
 
 
 def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:

@@ -100,6 +100,46 @@ def _neg_power(u, s: float):
     return u**-s
 
 
+def _hermitian_gram(v: np.ndarray, z: np.ndarray, s: float, f=None) -> np.ndarray:
+    """Hermitian matrix of f((1 - v_i conj(v_j)) (1 - z_i conj(z_j))^-s) for 1-d v, z in the disk.
+
+    The entries are computed on the upper triangle i <= j only
+    (np.triu_indices), mapped there by f when one is given, and mirrored
+    by conjugation, so the result is exactly Hermitian with a real
+    diagonal. f must commute with conjugation, as 1 - 1/k does; it sees
+    the triangle as one array in np.triu_indices order.
+    """
+    n = len(z)
+    i, j = np.triu_indices(n)
+    t = (1.0 - v[i] * np.conj(v[j])) * _neg_power(1.0 - z[i] * np.conj(z[j]), s)
+    if f is not None:
+        t = f(t)
+    out = np.empty((n, n), dtype=complex)
+    out[j, i] = np.conj(t)
+    out[i, j] = t
+    out.flat[:: n + 1] = out.diagonal().real
+    return out
+
+
+def _psd_within(entries: np.ndarray, tol: float) -> bool:
+    """True when lambda_min(entries) >= -tol max(1, trace), by one Cholesky factorization.
+
+    entries + tol max(1, trace) I is positive definite exactly when
+    lambda_min exceeds -tol max(1, trace), and Cholesky succeeds exactly on
+    positive definite input; the two rules differ only when lambda_min
+    lies within rounding of the threshold. Cholesky reads one triangle, so
+    entries must be Hermitian. No eigenvalue is computed: a caller that
+    reports one still needs eigvalsh.
+    """
+    shifted = np.array(entries, dtype=complex)
+    shifted.flat[:: len(shifted) + 1] += tol * max(1.0, float(np.trace(shifted).real))
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def binomial_coeffs(s: float, n_max: int) -> np.ndarray:
     """Taylor coefficients c_0..c_N of (1-x)^s, read-only.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import WeightParameter, _neg_power, as_weight, binomial_coeffs
+from .scalars import WeightParameter, _hermitian_gram, _psd_within, as_weight, binomial_coeffs
 
 # the tail bound a default-length series aims for; bind_symbol extends one that misses it
 SERIES_TAIL_TOL = 1e-14
@@ -378,8 +378,13 @@ def admissibility_check(
     For alpha >= -1 the multiplier ball is the H-infinity ball, so the sup
     estimate decides. For alpha < -1 contractivity is strictly stronger;
     the check additionally requires (1 - phi(z_i) conj(phi(z_j))) K(z_i,z_j)
-    to be PSD on the sample. A passing verdict is grid evidence, not a proof.
-    A tolerance outside (0, inf) raises ValueError before any evaluation.
+    to be PSD on the sample, with least eigenvalue >= -1e-9 max(1, trace).
+    That matrix is built on its upper triangle and mirrored
+    (scalars._hermitian_gram), and the PSD verdict is one Cholesky
+    factorization of it shifted by the threshold (scalars._psd_within), as
+    no eigenvalue is reported. A passing verdict is grid evidence, not a
+    proof. A tolerance outside (0, inf) raises ValueError before any
+    evaluation.
     """
     a = as_weight(alpha)
     if not 0.0 < tolerance < np.inf:
@@ -393,10 +398,7 @@ def admissibility_check(
     sup = float(np.max(np.abs(vals)))
     admissible = sup <= 1.0 + tolerance
     if admissible and a.alpha < -1:
-        zw = pts[:, None] * np.conj(pts)[None, :]
-        m = (1.0 - vals[:, None] * np.conj(vals)[None, :]) * _neg_power(1.0 - zw, 2.0 + a.alpha)
-        m = (m + m.conj().T) / 2.0
-        admissible = float(np.linalg.eigvalsh(m)[0]) >= -1e-9 * max(1.0, float(np.trace(m).real))
+        admissible = _psd_within(_hermitian_gram(vals, pts, 2.0 + a.alpha), 1e-9)
     return AdmissibilityVerdict(admissible=admissible, sup_estimate=sup)
 
 

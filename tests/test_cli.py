@@ -303,6 +303,20 @@ def test_cnp_test_over_the_scan_budget_exits_2_before_sampling(monkeypatch, caps
     assert "SCAN_WORK_MAX" in capsys.readouterr().err
 
 
+def test_cnp_test_with_every_trial_a_division_hazard_exits_2(monkeypatch, tmp_path, capsys):
+    def hazard(psi, alpha, points):
+        raise cnp.DivisionHazard("division hazard: forced")
+
+    monkeypatch.setattr(cnp, "_pick_on", hazard)
+    out = tmp_path / "r.json"
+    argv = ["cnp", "test", "--alpha", "0", "--symbol", "mobius a=0.4", "--trials", "3", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: all 3 trial(s) hit a division hazard")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_cnp_test_bad_tolerance_exits_2_before_sampling(monkeypatch, tmp_path, capsys, tol):
     # a nan tolerance used to fail every trial of a CNP kernel, an inf one to pass anything

@@ -14,8 +14,9 @@ from subbergman.cnp import (
     psd_test,
     sample_points,
 )
+from subbergman.kernels import KernelSpec, eval_kernel
 from subbergman.operators import jacobi_eigenvalues
-from subbergman.scalars import binomial_coeffs
+from subbergman.scalars import as_weight, binomial_coeffs
 from subbergman.symbols import (
     BlaschkeSpec,
     MobiusSpec,
@@ -90,6 +91,12 @@ def test_sampler_refuses_bad_radius_and_separation_before_drawing(r_max, min_sep
     with pytest.raises(ValueError, match="r_max"):
         sample_points(5, rng, r_max=r_max, min_sep=min_sep)
     assert rng.bit_generator.state == state
+
+
+def test_sampler_that_cannot_keep_its_separation_raises_value_error():
+    # no two points of the disk are 2.5 apart
+    with pytest.raises(ValueError, match="failed to keep 3 points 2.5 apart"):
+        sample_points(3, np.random.default_rng(0), min_sep=2.5)
 
 
 def test_sampler_pushes_mass_outward_for_large_alpha():
@@ -337,6 +344,46 @@ def test_coefficient_section_is_hermitian_with_a_zero_first_row(tail, alpha, cut
     b = cnp._coefficient_section(psi, alpha, n)
     assert np.array_equal(b, b.conj().T)
     assert not np.any(b[0]) and not np.any(b[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# Pick builds on the upper triangle
+
+# the admitted (symbol, alpha, scan verdict) pairs of the cnp-scan benchmark workload
+SCAN_PAIRS = [
+    ("mobius a=0.4", -0.5, "psd_pass"),
+    ("mobius a=0.3i", 0.0, "psd_pass"),
+    ("monomial n=2", -1.5, "psd_pass"),
+    ("monomial n=2 c=1", 0.0, "fail"),
+    ("blaschke zeros=0.5,-0.5", -0.5, "fail"),
+    ("series 0,1", 1.0, "fail"),
+]
+
+
+def _pick_reference(psi, alpha, pts):
+    """Reference Pick entries: K on the full outer product, 1 - 1/K, averaged with its conjugate transpose."""
+    k = eval_kernel(KernelSpec("sub", alpha, psi), pts[:, None], pts[None, :])
+    m = 1.0 - 1.0 / k
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n_points", [60, 120])
+@pytest.mark.parametrize("text, alpha, verdict", SCAN_PAIRS)
+def test_pick_build_is_hermitian_and_matches_the_outer_product(text, alpha, verdict, n_points):
+    _, series = bind_symbol(parse_symbol(text), alpha)
+    a = as_weight(alpha)
+    psi = cnp._admitted_psi(series, a)
+    for trial in range(2):
+        pts = sample_points(n_points, np.random.default_rng([5, trial]), a)
+        m = cnp._pick_on(psi, a, pts).entries
+        assert np.array_equal(m, m.conj().T)
+        assert np.all(m.diagonal().imag == 0.0)
+        ref = _pick_reference(psi, a, pts)
+        assert np.all(np.abs(m - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        assert np.array_equal(build_pick(series, a, pts).entries, m)
+    rep = cnp_scan(series, a, n_points=n_points, n_trials=2, seed=11)
+    assert rep.verdict == verdict
+    assert (rep.witness is not None) == (verdict == "fail")
 
 
 # ---------------------------------------------------------------------------

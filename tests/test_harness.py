@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subbergman.harness import (
+    BEREZIN_TOL,
     CHECK_IDS,
     CNP_SECTION,
     DEFAULT_CONFIG,
@@ -241,6 +242,31 @@ def test_blaschke_decay_skips_unsettled_sections_and_never_fails(size):
             assert cell.status == "pass", (cell.symbol, cell.alpha, m)
             assert growth < RANGE_GROWTH_MAX
             assert m["range_min_phi"] > 0 and m["range_min_conj"] > 0
+
+
+@pytest.mark.parametrize("size", [3, 20, 33, 34, 72, 80, 400])
+def test_berezin_identity_skips_truncated_kernel_vectors_and_never_fails(size):
+    # up to size 33 the cells used to fail: the kernel vectors were cut too early
+    report = run_scenario(builtin_scenarios()["berezin_identity"], {"matrix_size": size})
+    assert len(report.checks) == 9
+    for cell in report.checks:
+        bound = cell.metrics["truncation_bound"]
+        if cell.status == "skipped":
+            assert size < 80 and bound > BEREZIN_TOL
+            assert cell.reason.startswith("truncation:") and f"matrix_size={size}" in cell.reason
+            assert "max_error" not in cell.metrics
+        else:
+            assert cell.status == "pass", (cell.symbol, cell.alpha, cell.metrics)
+            assert bound <= BEREZIN_TOL and cell.metrics["max_error"] < BEREZIN_TOL
+    statuses = {cell.status for cell in report.checks}
+    assert statuses == ({"skipped"} if size <= 34 else {"pass"} if size >= 80 else {"pass", "skipped"})
+
+
+def test_berezin_identity_fails_an_error_above_its_tolerance(monkeypatch):
+    real = harness.berezin_values
+    monkeypatch.setattr(harness, "berezin_values", lambda *args: real(*args) + 2 * BEREZIN_TOL)
+    report = run_scenario(builtin_scenarios()["berezin_identity"], dict(DEFAULT_CONFIG))
+    assert {cell.status for cell in report.checks} == {"fail"}
 
 
 @pytest.mark.parametrize("bad_side", ["phi", "conj"])

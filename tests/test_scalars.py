@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from subbergman.scalars import (
     WeightParameter,
+    _hermitian_gram,
     _neg_power,
     _powers,
+    _psd_within,
     as_weight,
     basis_weights,
     binomial_coeffs,
@@ -166,3 +170,98 @@ def test_weight_asymptote_limit():
         assert abs(ratios[-1] - limit) < 1e-3 * abs(limit)
         tail = ratios[3 * len(ratios) // 4 :]
         assert (tail.max() - tail.min()) / np.mean(tail) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Hermitian Gram builder and the PSD predicate
+
+
+def _psd_by_eigvalsh(entries, tol):
+    """Reference rule: lambda_min >= -tol max(1, trace), from eigvalsh."""
+    return float(np.linalg.eigvalsh(entries)[0]) >= -tol * max(1.0, float(np.trace(entries).real))
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.7])
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_hermitian_gram_mirrors_the_full_outer_product(n, s):
+    rng = np.random.default_rng(n)
+    z = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    v = 0.9 * z**2
+    m = _hermitian_gram(v, z, s)
+    full = (1.0 - v[:, None] * np.conj(v)) * (1.0 - z[:, None] * np.conj(z)) ** -s
+    assert np.array_equal(m, m.conj().T)
+    assert np.all(m.diagonal().imag == 0.0)
+    np.testing.assert_allclose(m, full, rtol=1e-14, atol=0)
+    # f maps the triangle before the mirror
+    np.testing.assert_allclose(_hermitian_gram(v, z, s, lambda t: 1.0 - 1.0 / t), 1.0 - 1.0 / full, rtol=1e-13)
+
+
+def _hermitian_with_spectrum(eigenvalues, seed):
+    rng = np.random.default_rng(seed)
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = (q * eigenvalues) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    log_scale=st.floats(-3.0, 3.0),
+    log_gap=st.floats(-5.9, 0.0),
+    below=st.booleans(),
+)
+def test_psd_within_agrees_with_the_eigenvalue_rule(n, seed, tol, log_scale, log_gap, below):
+    # lambda_min is put 10^log_gap * scale above or below the threshold, so the
+    # factorization and the eigensolve must agree; the rest of the spectrum is >= 0
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    rest = scale * rng.uniform(0.0, 1.0, size=n - 1) * (rng.uniform(size=n - 1) < 0.7)
+    gap = (-1.0 if below else 1.0) * 10.0**log_gap * max(1.0, scale)
+    r = float(rest.sum())
+    lam = (gap - tol * r) / (1.0 + tol)  # threshold -tol (lam + r) when lam + r >= 1
+    if lam + r < 1.0:
+        lam = gap - tol
+    entries = _hermitian_with_spectrum(np.append(lam, rest), seed)
+    ev_min = float(np.linalg.eigvalsh(entries)[0])
+    threshold = -tol * max(1.0, float(np.trace(entries).real))
+    assume(abs(ev_min - threshold) >= 1e-6 * max(1.0, float(np.trace(entries).real)))
+    assert _psd_within(entries, tol) == _psd_by_eigvalsh(entries, tol) == (ev_min >= threshold)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 30),
+    rank=st.integers(0, 29),
+    seed=st.integers(0, 2**32 - 1),
+    integer=st.booleans(),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+)
+def test_psd_within_admits_rank_deficient_gram_matrices(n, rank, seed, integer, tol):
+    # B B* with fewer columns than rows is PSD with a zero eigenvalue; with
+    # small integer entries every entry, and so the rank deficiency, is exact
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n - 1)
+    shape = (n, rank)
+    if integer:
+        b = rng.integers(-3, 4, size=shape) + 1j * rng.integers(-3, 4, size=shape)
+    else:
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gram = b @ b.conj().T
+    assert _psd_within(gram, tol) and _psd_by_eigvalsh(gram, tol)
+    # the same Gram matrix with one direction pushed below the threshold fails both rules
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    worse = gram - (np.linalg.norm(gram, 2) + 1.0) * np.outer(x, x.conj())
+    worse = (worse + worse.conj().T) / 2.0
+    assert not _psd_within(worse, tol) and not _psd_by_eigvalsh(worse, tol)
+
+
+def test_psd_within_leaves_its_input_unchanged():
+    entries = np.eye(3, dtype=complex)
+    entries.setflags(write=False)
+    assert _psd_within(entries, 1e-9)
+    assert np.array_equal(entries, np.eye(3))
+    assert not _psd_within(-entries, 1e-9)

@@ -298,6 +298,45 @@ def test_admissibility_below_hardy_uses_pick_sample():
     assert admissibility_check(series, -1.5).admissible
 
 
+def _grid_sup_reference(symbol, grid):
+    """Reference sample grid and sup estimate of admissibility_check."""
+    radii = 1.0 - np.geomspace(1.0, 1e-3, grid)
+    angles = np.exp(2j * np.pi * np.arange(grid) / grid)
+    pts = np.unique((radii[:, None] * angles[None, :]).ravel())
+    vals = symbol.eval(pts)
+    return pts, vals, float(np.max(np.abs(vals)))
+
+
+def _admissibility_reference(symbol, alpha, grid, tolerance=1e-8):
+    """Reference admissibility_check: the full outer product and a full eigvalsh."""
+    pts, vals, sup = _grid_sup_reference(symbol, grid)
+    admissible = sup <= 1.0 + tolerance
+    if admissible and alpha < -1:
+        zw = pts[:, None] * np.conj(pts)[None, :]
+        m = (1.0 - vals[:, None] * np.conj(vals)[None, :]) * (1.0 - zw) ** -(2.0 + alpha)
+        m = (m + m.conj().T) / 2.0
+        admissible = float(np.linalg.eigvalsh(m)[0]) >= -1e-9 * max(1.0, float(np.trace(m).real))
+    return admissible, sup
+
+
+# (n, scaled): the monomial scaled for alpha is admissible below -1, the unit one is not
+_MONOMIALS = [(2, True), (2, False), (3, True), (3, False)]
+
+
+@pytest.mark.parametrize("alpha", [-1.9, -1.5, -1.2])
+@pytest.mark.parametrize("n, scaled", _MONOMIALS)
+def test_admissibility_below_hardy_matches_the_eigenvalue_rule(n, scaled, alpha):
+    spec = resolve_monomial(MonomialSpec(n=n, c=None if scaled else 1.0), alpha)
+    series = to_series(spec, default_series_length(spec))
+    # pinned at the default grid, with the sup estimate bitwise unchanged
+    verdict = admissibility_check(series, alpha)
+    assert verdict.admissible is scaled
+    assert verdict.sup_estimate == _grid_sup_reference(series, 32)[2]
+    # the full eigensolve agrees on the coarse grid that cnp_scan uses
+    coarse = admissibility_check(series, alpha, grid=16, tolerance=1e-6)
+    assert (coarse.admissible, coarse.sup_estimate) == _admissibility_reference(series, alpha, 16, 1e-6)
+
+
 def test_admissibility_grid_minimum():
     with pytest.raises(ValueError):
         admissibility_check(PowerSeriesSymbol(np.array([0.0, 1.0])), 0.0, grid=8)
