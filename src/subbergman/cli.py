@@ -51,19 +51,14 @@ def _resolve(symbol_text_arg: str, alpha: float, size: int = 0):
     return bind_symbol(parse_symbol(symbol_text_arg), alpha, size)
 
 
-def _write_complex_csv(rows: np.ndarray, out) -> None:
-    """Matrix CSV: header row, complex entries as re,im column pairs."""
+def _write_complex_csv(rows: np.ndarray, out, name: str = "c", points=None) -> None:
+    """Matrix CSV: header row, complex entries as re,im column pairs, after a z pair per row if points."""
+    columns = [f"{name}{j}" for j in range(rows.shape[1])]
+    if points is not None:
+        columns, rows = ["z", *columns], np.column_stack([points, rows])
     writer = csv.writer(out)
-    n = rows.shape[1]
-    header: list[str] = []
-    for j in range(n):
-        header.extend([f"c{j}_re", f"c{j}_im"])
-    writer.writerow(header)
-    for row in rows:
-        flat: list[str] = []
-        for v in row:
-            flat.extend([_fmt(v.real), _fmt(v.imag)])
-        writer.writerow(flat)
+    writer.writerow([f"{c}_{part}" for c in columns for part in ("re", "im")])
+    writer.writerows([_fmt(p) for v in row for p in (v.real, v.imag)] for row in rows)
 
 
 def _truncation_fields(spec: KernelSpec, z, w) -> str:
@@ -154,19 +149,8 @@ def _cmd_cnp_test(args) -> int:
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if report.verdict == "fail" and report.witness is not None:
         wpath = out.with_name("witness.csv")
-        pts = report.witness.points
-        m = report.witness.matrix
         with wpath.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["z_re", "z_im"]
-            for j in range(len(pts)):
-                header.extend([f"m{j}_re", f"m{j}_im"])
-            writer.writerow(header)
-            for i, p in enumerate(pts):
-                row = [_fmt(p.real), _fmt(p.imag)]
-                for v in m[i]:
-                    row.extend([_fmt(v.real), _fmt(v.imag)])
-                writer.writerow(row)
+            _write_complex_csv(report.witness.matrix, fh, "m", report.witness.points)
         print(f"witness written to {wpath}")
     print(
         f"verdict={report.verdict} min_eigenvalue={_fmt(report.min_eigenvalue)} "

@@ -110,9 +110,10 @@ def _conj_sub_truncation(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w
     the symbol, plus 32 for building the vectors and the two sums (their
     cost when the vectors were complex powers, kept so that the budget
     refuses the same requests). A request whose pairs x n x passes
-    exceeds WORK_BUDGET is refused before any compute, which also keeps
-    its memory near 100 bytes per pair and basis element. The bound is on
-    truncation only: the two sums of defect_form round at about
+    exceeds WORK_BUDGET is refused before any compute, which also bounds its
+    memory (tracemalloc peaks per pair and basis element at 60 pairs: 91 B
+    for a 64-term Moebius series, 133 B for the 600-term singular c=1). The
+    bound is on truncation only: the two sums of defect_form round at about
     eps ||x|| ||y||.
     """
     a = alpha.alpha

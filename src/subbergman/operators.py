@@ -23,6 +23,7 @@ HERMITIAN_TOL = 1e-10
 DENSE_SIZE_MAX = 4096
 # most work of one matrix-free request, in passes over its vectors x basis size
 WORK_BUDGET = 5e7
+_FFT_BLOCK = 16  # vectors in one block of the FFT band apply, 16 x N entries per transform
 
 
 @dataclass(frozen=True)
@@ -163,12 +164,9 @@ def defect_form(
     """The quadratic form x* E y of the block E = defect_matrix(symbol, alpha, n, which).
 
     E is never formed. With S as in defect_matrix, x* E y = x*y - (Sx)*(Sy)
-    for "conj" and x*y - (T_n* x)*(T_n* y) for "phi". T is applied by one
-    np.convolve per vector when the batch has fewer vectors than the symbol
-    has nonzero diagonals and at least half its band is nonzero, and one
-    nonzero band diagonal at a time over the whole batch otherwise, so the
-    Python loop runs over the shorter axis. x and y have length n in their
-    last axis and broadcast over the leading axes.
+    for "conj" and x*y - (T_n* x)*(T_n* y) for "phi"; T is applied as in
+    _defect_form, once when y is x. x and y have length n in their last
+    axis and broadcast over the leading axes.
     """
     a = _check_defect_args(alpha, n, which)
     if np.shape(x)[-1:] != (n,) or np.shape(y)[-1:] != (n,):
@@ -177,44 +175,52 @@ def defect_form(
     return _defect_form(symbol, n, which, x, y, sq)
 
 
+def _fast_length(m: int) -> int:
+    """Smallest k 2^e >= m with k in (1, 3, 5, 9, 15): an FFT length within 25% of m."""
+    return min(k << (-(-m // k) - 1).bit_length() for k in (1, 3, 5, 9, 15))
+
+
 def _defect_form(symbol: PowerSeriesSymbol, n: int, which: str, x, y, sq: np.ndarray):
     """defect_form on checked arguments, with sq the square roots of the weights of its rows.
 
     sq = sqrt(basis_weights(alpha, _defect_rows(symbol, n, which) - 1)); a
     caller that already holds these weights for its own vectors passes them
-    down, so each request runs the weight recurrence once.
+    down, so each request runs the weight recurrence once. T is applied
+    one nonzero band diagonal at a time when there are at most log2 N of
+    them, else by FFTs of a length N >= n + L - 1 (L the band) over blocks
+    of _FFT_BLOCK vectors, so no temporary grows with the batch.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     rows = len(sq)
     c = symbol.coeffs[:rows]
-    diagonals = np.flatnonzero(c)
     # conj: S u is the full convolution of u and c, of length rows; phi: T_n* u
     # correlates u with c, entries len(c)-1 .. len(c)+n-2 of u convolved with conj(c) reversed
     kernel, start = (c, 0) if which == "conj" else (np.conj(c)[::-1], len(c) - 1)
+    size = _fast_length(n + len(c) - 1)
+    # more than log2 N nonzero diagonals, for an integer count at least N's bit length
+    spectrum = np.fft.fft(kernel, size) if np.count_nonzero(c) >= size.bit_length() else None
 
     def apply(v):
         # conj: (Sv)_m = sum_j c_j sqrt(w_{m-j}) v_{m-j} / sqrt(w_m), m < rows
         # phi: (T_n* v)_k = sqrt(w_k) sum_j conj(c_j) v_{k+j} / sqrt(w_{k+j}), k < n
         u = (v * sq[:n] if which == "conj" else v / sq).reshape(-1, n)
         out = np.zeros((len(u), rows), dtype=complex)
-        if len(u) < len(diagonals) and 2 * len(diagonals) >= len(c):
-            # loop over the shorter axis. np.convolve sums each entry term by
-            # term, so rounding stays per term (an FFT's scales with max |u|);
-            # it also multiplies the zeros inside the band, so it takes only
-            # bands at least half full, where it does at most twice the terms
-            for i, row in enumerate(u):
-                out[i] = np.convolve(row, kernel)[start : start + rows]
-        elif which == "conj":
-            for j in diagonals:
-                out[:, j : j + n] += c[j] * u
+        if spectrum is not None:
+            for i in range(0, len(u), _FFT_BLOCK):
+                f = np.fft.fft(u[i : i + _FFT_BLOCK], size)
+                f *= spectrum
+                out[i : i + _FFT_BLOCK] = np.fft.ifft(f)[:, start : start + rows]
         else:
-            for j in diagonals:
-                out[:, : n - j] += np.conj(c[j]) * u[:, j:]
+            for i in np.flatnonzero(kernel):  # kernel[i] u[:, k] lands in column k + i - start
+                lo = i - start
+                out[:, max(lo, 0) : lo + n] += kernel[i] * u[:, max(-lo, 0) :]
         out = out.reshape(v.shape[:-1] + (rows,))
-        return out / sq if which == "conj" else out * sq
+        return np.divide(out, sq, out=out) if which == "conj" else np.multiply(out, sq, out=out)
 
-    return np.sum(np.conj(x) * y, axis=-1) - np.sum(np.conj(apply(x)) * apply(y), axis=-1)
+    tx = apply(x)
+    ty = tx if y is x else apply(y)
+    return np.sum(np.conj(x) * y, axis=-1) - np.sum(np.conj(tx) * ty, axis=-1)
 
 
 def berezin_values(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, n: int, points):

@@ -31,7 +31,7 @@ from subbergman.kernels import (
 )
 from subbergman.cnp import build_pick
 from subbergman.harness import boundary_ratio_check
-from subbergman.operators import _defect_form, defect_form, normalized_kernel_coeffs
+from subbergman.operators import _defect_form, _defect_rows, _fast_length, defect_form, normalized_kernel_coeffs
 from subbergman.scalars import _powers, as_weight, basis_weights
 from subbergman.symbols import (
     BlaschkeSpec,
@@ -40,6 +40,7 @@ from subbergman.symbols import (
     SingularInnerSpec,
     bind_symbol,
     eval_exact,
+    parse_symbol,
     to_series,
 )
 
@@ -157,6 +158,66 @@ def test_conj_sub_quadrature_work_budget_and_memory():
     np.testing.assert_allclose(k, conj_sub_quadrature(SHIFT, 0.0, 0.3, 0.2), rtol=1e-13)
     with pytest.raises(ValueError, match="1526 pair"):
         conj_sub_quadrature(SHIFT, 0.0, z[:1526], 0.2)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="long double is no wider than double here"
+)
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "text, r_out", [("mobius a=0.5", 0.98), ("blaschke zeros=0.5,-0.5", 0.98), ("singular c=1", 0.95)]
+)
+def test_fft_band_apply_matches_a_long_double_band_loop(text, r_out, alpha):
+    # a batch built as the kernel-eval benchmark builds one: a pair at the
+    # outer radius, two inside 0.9, three beyond, and every pair swapped
+    _, series = bind_symbol(parse_symbol(text), alpha)
+    rng = np.random.default_rng(23)
+    r = np.concatenate([[r_out], rng.uniform(0.1, 0.9, 2), rng.uniform(0.9, r_out, 3)])
+    z = r * np.exp(2j * np.pi * rng.uniform(size=6))
+    w = np.append(r_out, rng.uniform(0.1, r_out, 5)) * np.exp(2j * np.pi * rng.uniform(size=6))
+    z, w = np.concatenate([z, w]), np.concatenate([w, z])
+    a = as_weight(alpha)
+    n, _ = _conj_sub_truncation(series, a, z, w)
+    sq = np.sqrt(basis_weights(a, _defect_rows(series, n, "conj") - 1))
+    x = sq[:n] * _powers(np.conj(z), n)
+    y = sq[:n] * _powers(np.conj(w), n)
+    assert np.count_nonzero(series.coeffs) > np.log2(_fast_length(len(sq)))  # the FFT route
+    got = _defect_form(series, n, "conj", x, y, sq)
+    ld = sq.astype(np.longdouble)
+
+    def band(v):
+        u = v.astype(np.clongdouble) * ld[:n]
+        out = np.zeros((len(u), len(ld)), dtype=np.clongdouble)
+        for j in np.flatnonzero(series.coeffs):
+            out[:, j : j + n] += series.coeffs[j] * u
+        return out / ld
+
+    xl, yl = x.astype(np.clongdouble), y.astype(np.clongdouble)
+    want = np.sum(np.conj(xl) * yl, axis=-1) - np.sum(np.conj(band(x)) * band(y), axis=-1)
+    scale = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
+    assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * scale)
+
+
+def test_conj_sub_long_band_batch_memory():
+    # 60 pairs of the 600-term singular c=1 series at radius 0.95 settle at
+    # n = 582 with 1181 rows of S; the FFT runs over blocks of 16 vectors, so
+    # the peak stays below the 150 bytes per pair and basis element that one
+    # np.convolve per vector took
+    _, series = bind_symbol(SingularInnerSpec(c=1.0), 0.0)
+    spec = KernelSpec("conj_sub", 0.0, series)
+    z = 0.95 * np.exp(2j * np.pi * np.random.default_rng(4).uniform(size=60))
+    w = z[::-1].copy()
+    eval_kernel(spec, z[:1], w[:1])  # numpy.fft's first use allocates its caches
+    n, _ = _conj_sub_truncation(series, spec.alpha, z, w)
+    tracemalloc.start()
+    try:
+        k = eval_kernel(spec, z, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 582
+    assert peak <= 150 * z.size * n
+    np.testing.assert_allclose(k, np.conj(k[::-1]), rtol=0, atol=1e-10 * np.max(np.abs(k)))
 
 
 def _conj_sub_at(symbol, alpha, n, z, w):

@@ -213,9 +213,10 @@ def test_defect_form_matches_dense_block(alpha, which):
         assert abs(scalar - x[0, 0].conj() @ e @ y[0]) < 1e-13
 
 
-# (x shape, y shape) before the length-n axis. A batch of fewer vectors than
-# the symbol has nonzero diagonals, on a band at least half full, is applied
-# by np.convolve, any other by the band loop; the examples pin both sides
+# (x shape, y shape) before the length-n axis. A symbol with more than log2 N
+# nonzero diagonals, N >= n + L - 1 the FFT length, is applied by FFTs over
+# blocks of 16 vectors, any other by the band loop; the examples pin both
+# sides, the FFT on a batch of 24 vectors (two blocks) included
 _FORM_BATCHES = [((), ()), ((1,), (6,)), ((3, 1), (4,)), ((2, 3), (1, 3)), ((24,), ()), ((0,), (0,))]
 
 
@@ -230,9 +231,9 @@ _FORM_BATCHES = [((), ()), ((1,), (6,)), ((3, 1), (4,)), ((2, 3), (1, 3)), ((24,
     shapes=st.sampled_from(_FORM_BATCHES),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(which="conj", alpha=0.0, n=30, length=16, density=1.0, complex_symbol=True, shapes=((1,), (6,)), seed=1)
-@example(which="phi", alpha=1.0, n=30, length=16, density=1.0, complex_symbol=False, shapes=((1,), (6,)), seed=2)
-@example(which="conj", alpha=-0.5, n=30, length=3, density=1.0, complex_symbol=True, shapes=((24,), ()), seed=3)
+@example(which="conj", alpha=0.0, n=30, length=16, density=1.0, complex_symbol=True, shapes=((24,), ()), seed=1)
+@example(which="phi", alpha=1.0, n=30, length=16, density=1.0, complex_symbol=False, shapes=((3, 1), (4,)), seed=2)
+@example(which="conj", alpha=-0.5, n=30, length=3, density=1.0, complex_symbol=True, shapes=((1,), (6,)), seed=3)
 @example(which="phi", alpha=3.0, n=30, length=3, density=1.0, complex_symbol=False, shapes=((24,), ()), seed=4)
 def test_defect_form_matches_the_dense_block_on_any_batch(
     which, alpha, n, length, density, complex_symbol, shapes, seed
@@ -251,6 +252,60 @@ def test_defect_form_matches_the_dense_block_on_any_batch(
     # |x* E y| <= ||E|| ||x|| ||y||, the scale of the rounding in both routes
     scale = max(1.0, np.linalg.norm(e, 2)) * np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("which", ["phi", "conj"])
+@pytest.mark.parametrize(
+    "coeffs, fft",
+    [
+        # z + z^30: two diagonals on a 31-term band, at most log2 N, stay on the loop
+        (np.eye(31)[1] + np.eye(31)[30], False),
+        # 16 nonzero diagonals, more than log2 N (N = 60), go to the FFT
+        (np.linspace(0.1, -0.05, 16) + 0.02j, True),
+    ],
+    ids=["z+z^30", "dense-16"],
+)
+def test_defect_form_chooses_the_fft_by_the_number_of_diagonals(monkeypatch, which, coeffs, fft):
+    transforms = []
+    fft_of = np.fft.fft
+
+    def counted(*args, **kwargs):
+        transforms.append(args[0].shape)
+        return fft_of(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    series = PowerSeriesSymbol(coeffs / np.sum(np.abs(coeffs)))
+    n = 40
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
+    got = defect_form(series, 0.5, n, which, x, x[::-1])
+    # the band's transform, then one per block of 16 vectors for each side
+    assert len(transforms) == (5 if fft else 0)
+    e = defect_matrix(series, 0.5, n, which).entries
+    want = np.einsum("...m,mk,...k->...", x.conj(), e, x[::-1])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_berezin_values_apply_the_band_once(monkeypatch):
+    # the kernel vectors are both sides of the form, so T* is applied once,
+    # and the values are bit for bit those of two applies to equal vectors
+    inverses = []
+    ifft_of = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        inverses.append(args[0].shape[0])
+        return ifft_of(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    series = to_series(MobiusSpec(a=0.5), 64)
+    pts = 0.9 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 20, endpoint=False))
+    n = 400
+    vals = berezin_values(series, 0.0, n, pts)
+    assert inverses == [16, 4]
+    c = normalized_kernel_coeffs(0.0, pts, n)
+    twice = defect_form(series, 0.0, n, "phi", c, c.copy())
+    assert inverses == [16, 4] * 3
+    np.testing.assert_array_equal(vals, np.real(twice))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
