@@ -63,9 +63,7 @@ from .harness import (
     boundary_ratio_check,
     builtin_scenarios,
     emit_report,
-    load_config,
     load_report,
-    merge_config,
     run_scenario,
 )
 
@@ -106,9 +104,7 @@ __all__ = [
     "eval_kernel",
     "inclusion_eigenvalues",
     "jacobi_eigenvalues",
-    "load_config",
     "load_report",
-    "merge_config",
     "monomial_cnp_scale",
     "normalize",
     "normalized_kernel_coeffs",

@@ -3,8 +3,9 @@
 Subcommands: `kernel eval`, `cnp test`, `toeplitz build`, `defect spectrum`,
 `berezin`, and `verify <scenario|all>`. Numeric output is printed at 15
 significant digits; reports carry a `schema` version field. Exit codes
-follow the verdicts: 0 iff no check failed (skips are allowed), 2 for
-usage or validation errors.
+follow the verdicts: 0 iff no check failed (skips are allowed), 1 for a
+failed check, 2 for usage or validation errors, and 3 when a `verify` cell
+raised (an `error` cell outranks a failed one).
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ import numpy as np
 
 from .cnp import cnp_scan
 from .harness import (
-    DEFAULT_CONFIG,
+    MATRIX_SIZE,
     SCHEMA_VERSION,
     RunReport,
     builtin_scenarios,
     emit_report,
-    load_config,
-    merge_config,
     run_scenario,
 )
 from .kernels import KINDS, KernelSpec, _conj_sub_truncation, eval_kernel
@@ -224,26 +223,10 @@ def _cmd_berezin(args) -> int:
     return 0
 
 
-def _merge_cli_config(args) -> dict:
-    sources = []
-    if args.config:
-        sources.append(load_config(args.config))
-    if args.set:
-        overrides = {}
-        for item in args.set:
-            if "=" not in item:
-                raise ValueError(f"--set expects key=value, got {item!r}")
-            key, value = item.split("=", 1)
-            overrides[key.strip()] = value.strip()
-        sources.append(overrides)
-    return merge_config(*sources)
-
-
 def _cmd_verify(args) -> int:
-    cfg = _merge_cli_config(args)
     scenarios = builtin_scenarios()
     if args.target == "all":
-        parts = [run_scenario(s, cfg) for s in scenarios.values()]
+        parts = [run_scenario(s, args.size) for s in scenarios.values()]
         checks = sorted(
             (c for r in parts for c in r.checks),
             key=lambda r: (r.check, r.alpha, r.symbol),
@@ -256,7 +239,7 @@ def _cmd_verify(args) -> int:
             finished=parts[-1].finished,
         )
     elif args.target in scenarios:
-        report = run_scenario(scenarios[args.target], cfg)
+        report = run_scenario(scenarios[args.target], args.size)
     else:
         raise ValueError(
             f"unknown scenario {args.target!r}; available: {', '.join(sorted(scenarios))}, all"
@@ -265,7 +248,7 @@ def _cmd_verify(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     emit_report(report, outdir / f"{report.scenario}.json", "json")
     emit_report(report, outdir / f"{report.scenario}.csv", "csv")
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
+    counts = {"pass": 0, "fail": 0, "skipped": 0, "error": 0}
     for cell in report.checks:
         counts[cell.status] += 1
         line = f"[{cell.status.upper():>7}] {cell.check} alpha={cell.alpha:g} {cell.symbol}"
@@ -274,9 +257,9 @@ def _cmd_verify(args) -> int:
         print(line)
     print(
         f"{report.scenario}: {counts['pass']} passed, {counts['fail']} failed, "
-        f"{counts['skipped']} skipped; reports in {outdir}"
+        f"{counts['skipped']} skipped, {counts['error']} errors; reports in {outdir}"
     )
-    return 1 if report.failed else 0
+    return 3 if counts["error"] else 1 if counts["fail"] else 0
 
 
 def _window(text: str) -> tuple[int, int]:
@@ -324,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tb = tsub.add_parser("build", help="export the truncated Toeplitz matrix as CSV")
     tb.add_argument("--alpha", type=float, required=True)
     tb.add_argument("--symbol", required=True)
-    tb.add_argument("--size", type=int, default=DEFAULT_CONFIG["matrix_size"])
+    tb.add_argument("--size", type=int, default=MATRIX_SIZE)
     tb.add_argument("--out", help="CSV destination (stdout if omitted)")
     tb.set_defaults(func=_cmd_toeplitz_build)
 
@@ -334,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--which", choices=("phi", "conj"), default="phi")
     ds.add_argument("--alpha", type=float, required=True)
     ds.add_argument("--symbol", required=True)
-    ds.add_argument("--size", type=int, default=DEFAULT_CONFIG["matrix_size"])
+    ds.add_argument("--size", type=int, default=MATRIX_SIZE)
     ds.add_argument("--window", type=_window, help="fit window a:b (eigenvalue ranks)")
     ds.add_argument("--out", help="JSON report destination")
     ds.set_defaults(func=_cmd_defect_spectrum)
@@ -342,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ber = sub.add_parser("berezin", help="Berezin transform of the defect operator")
     ber.add_argument("--alpha", type=float, required=True)
     ber.add_argument("--symbol", required=True)
-    ber.add_argument("--size", type=int, default=DEFAULT_CONFIG["matrix_size"])
+    ber.add_argument("--size", type=int, default=MATRIX_SIZE)
     ber.add_argument(
         "--point", type=parse_complex, action="append", required=True, help="repeatable"
     )
@@ -350,8 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a bundled scenario (or all of them)")
     ver.add_argument("target", help="scenario name or 'all'")
-    ver.add_argument("--config", help="key = value configuration file")
-    ver.add_argument("--set", action="append", help="override one config key (key=value)")
+    ver.add_argument("--size", type=int, default=MATRIX_SIZE)
     ver.add_argument("--out", default="reports", help="directory for JSON/CSV reports")
     ver.set_defaults(func=_cmd_verify)
 

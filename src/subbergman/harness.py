@@ -1,10 +1,13 @@
-"""Scenario runner: theorem-level checks, configuration, and reports.
+"""Scenario runner: theorem-level checks and reports.
 
 Each check identifier names one executable routine; a scenario crosses a
 check list with weight parameters and symbols, and every cell either runs
-to a pass/fail with metrics or is skipped with a machine-readable reason
-naming the violated precondition. Equivalence theorems are decomposed into
-one-directional numeric checks; the runner never claims to certify an iff.
+to a pass/fail with metrics, is skipped with a machine-readable reason
+naming the violated precondition, or records the exception it raised as an
+error. A verdict depends on the symbol, alpha and the section size n alone
+(MATRIX_SIZE unless run_scenario is given another). Equivalence theorems
+are decomposed into one-directional numeric checks; the runner never claims
+to certify an iff.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from .symbols import (
 
 SCHEMA_VERSION = 1
 
-DEFAULT_CONFIG: dict[str, object] = {"matrix_size": 400}
+# the section size n of every operator check, unless run_scenario is given another
+MATRIX_SIZE = 400
 
 # seed of the berezin_identity and rescaling_identity sample points
 SEED = 7
@@ -69,49 +73,6 @@ CNP_SECTION = 16
 EXACT_TOL = 1e-12
 RANK_FLOOR = 1e-10
 INCLUSION_BAND = (0.25, 4.0)
-
-
-def load_config(path) -> dict[str, object]:
-    """Read a flat `key = value` file with `#` comments."""
-    out: dict[str, object] = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
-    return out
-
-
-def merge_config(*overrides: dict[str, object] | None) -> dict[str, object]:
-    """Defaults overlaid by config files and flags (later sources win).
-
-    Unknown keys and badly typed values are configuration errors and abort
-    before any computation.
-    """
-    cfg = dict(DEFAULT_CONFIG)
-    for ov in overrides:
-        if not ov:
-            continue
-        for key, value in ov.items():
-            if key not in cfg:
-                raise ValueError(f"unknown configuration key {key!r}")
-            target = type(DEFAULT_CONFIG[key])
-            try:
-                cfg[key] = target(value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad value for {key!r}: {value!r}") from exc
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: dict[str, object]) -> None:
-    """Reject values no check can run with, so they never show up as failed cells."""
-    if not 3 <= cfg["matrix_size"] <= DENSE_SIZE_MAX:
-        raise ValueError(f"matrix_size must lie in [3, {DENSE_SIZE_MAX}], got {cfg['matrix_size']}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +100,7 @@ class CheckResult:
     check: str
     alpha: float
     symbol: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | skipped | error
     reason: str = ""
     metrics: dict = field(default_factory=dict)
 
@@ -462,6 +423,17 @@ def _check_hardy_degenerate(alpha, spec, series, n):
     degree = _blaschke_degree(spec, series)
     if degree is None:
         return "skipped", "precondition: finite-rank degeneracy needs a finite Blaschke symbol", {}
+    # at alpha -1, E_phi projects onto the model space K_B, so the nonzero eigenvalues of
+    # its n section are 1 minus those of the Gram matrix of the tails (I - P_n) e_i of an
+    # orthonormal basis of K_B; that Gram matrix has trace sum_(j>n) (j - n) |c_j|^2
+    j = np.arange(n + 1, len(series))
+    tau = float(np.sum((j - n) * np.abs(series.coeffs[n + 1 :]) ** 2))
+    if not tau < EXACT_TOL:
+        reason = (
+            f"truncation: the section at matrix_size={n} moves the top eigenvalues by up to "
+            f"{tau:.3g} >= {EXACT_TOL:g}; raise matrix_size"
+        )
+        return "skipped", reason, {"truncation_bound": tau, "size": n}
     conj, phi = (_defect_classes(series, alpha, n, which, np.ones(n)) for which in ("conj", "phi"))
     econj_max = max(float(np.max(np.abs(b))) for _, b in conj)  # every other entry is an exact zero
     ev = np.sort(np.concatenate([_block_eigenvalues(b) for _, b in phi]))[::-1]
@@ -551,15 +523,16 @@ _CHECK_ROUTINES = {
 CHECK_IDS = tuple(_CHECK_ROUTINES)
 
 
-def run_scenario(scenario: Scenario, config: dict | None = None) -> RunReport:
-    """Execute every (check, alpha, symbol) cell and assemble a report.
+def run_scenario(scenario: Scenario, matrix_size: int = MATRIX_SIZE) -> RunReport:
+    """Execute every (check, alpha, symbol) cell at section size matrix_size and assemble a report.
 
-    Precondition violations become skipped cells; numerical failures inside
-    a cell are recorded as fail rows, never raised. Configuration problems
-    abort before any cell runs.
+    Precondition violations become skipped cells; an exception inside a
+    cell is recorded as an error row with its message, never raised. A size
+    outside [3, DENSE_SIZE_MAX] raises ValueError before any cell runs.
     """
-    cfg = merge_config(config)
-    n = int(cfg["matrix_size"])
+    if not isinstance(matrix_size, int | np.integer) or not 3 <= matrix_size <= DENSE_SIZE_MAX:
+        raise ValueError(f"matrix_size must be an integer in [3, {DENSE_SIZE_MAX}], got {matrix_size!r}")
+    n = int(matrix_size)
     started = datetime.now(timezone.utc).isoformat()
     results: list[CheckResult] = []
     for alpha in scenario.alpha_list:
@@ -570,7 +543,7 @@ def run_scenario(scenario: Scenario, config: dict | None = None) -> RunReport:
                 try:
                     status, reason, metrics = _CHECK_ROUTINES[check](float(alpha), spec, series, n)
                 except Exception as exc:
-                    status, reason, metrics = "fail", f"{type(exc).__name__}: {exc}", {}
+                    status, reason, metrics = "error", f"{type(exc).__name__}: {exc}", {}
                 results.append(
                     CheckResult(
                         check=check,
@@ -584,7 +557,7 @@ def run_scenario(scenario: Scenario, config: dict | None = None) -> RunReport:
     results.sort(key=lambda r: (r.check, r.alpha, r.symbol))
     return RunReport(
         scenario=scenario.name,
-        config=_plain(cfg),
+        config={"matrix_size": n},
         checks=results,
         started=started,
         finished=datetime.now(timezone.utc).isoformat(),

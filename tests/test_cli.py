@@ -491,7 +491,8 @@ def test_parser_defaults_are_the_default_config():
     assert (ct.points, ct.trials, ct.seed, ct.tol) == (30, 20, 7, 1e-9)
     for argv in (["toeplitz", "build"], ["defect", "spectrum"], ["berezin", "--point", "0.5"]):
         args = parser.parse_args([*argv, *common])
-        assert args.size == harness.DEFAULT_CONFIG["matrix_size"]
+        assert args.size == harness.MATRIX_SIZE
+    assert parser.parse_args(["verify", "all"]).size == harness.MATRIX_SIZE
 
 
 @pytest.mark.parametrize("alpha", [-1.5, 0.0, 1.0])
@@ -507,7 +508,7 @@ def test_cli_and_verify_truncate_symbols_alike(monkeypatch, alpha):
     for matrix_size in (400, 800):
         for text in ("mobius a=0.5", "blaschke zeros=0.5,-0.5", "singular c=1", "monomial n=2"):
             scenario = Scenario("x", (alpha,), (parse_symbol(text),), ("boundary_ratio",))
-            run_scenario(scenario, {"matrix_size": matrix_size})
+            run_scenario(scenario, matrix_size=matrix_size)
             _, series = cli._resolve(text, alpha, matrix_size)
             np.testing.assert_array_equal(captured[-1].coeffs, series.coeffs)
             assert captured[-1].tail_bound == series.tail_bound
@@ -538,27 +539,6 @@ def test_verify_set_override_can_force_failure(monkeypatch, tmp_path, capsys):
     assert "1 failed" in capsys.readouterr().out
 
 
-def test_verify_flags_beat_config_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"matrix_size = {operators.DENSE_SIZE_MAX + 1}\n")
-    rc = main(
-        [
-            "verify",
-            "hardy_degenerate",
-            "--config",
-            str(cfg),
-            "--set",
-            "matrix_size=120",
-            "--out",
-            str(tmp_path / "reports"),
-        ]
-    )
-    assert rc == 0
-    assert "0 failed" in capsys.readouterr().out
-    report = json.loads((tmp_path / "reports" / "hardy_degenerate.json").read_text())
-    assert report["config"] == {"matrix_size": 120}
-
-
 def test_verify_unknown_scenario_exits_2(capsys):
     rc = main(["verify", "nonsense", "--out", "reports"])
     assert rc == 2
@@ -567,7 +547,7 @@ def test_verify_unknown_scenario_exits_2(capsys):
 
 def test_verify_blaschke_decay_passes_at_matrix_size_200(tmp_path, capsys):
     # the range check settles at 200 for every bundled cell, Moebius ones included
-    rc = main(["verify", "blaschke_decay", "--set", "matrix_size=200", "--out", str(tmp_path)])
+    rc = main(["verify", "blaschke_decay", "--size", "200", "--out", str(tmp_path)])
     assert rc == 0
     assert "12 passed, 0 failed, 0 skipped" in capsys.readouterr().out.splitlines()[-1]
     cells = json.loads((tmp_path / "blaschke_decay.json").read_text())["checks"]
@@ -576,12 +556,22 @@ def test_verify_blaschke_decay_passes_at_matrix_size_200(tmp_path, capsys):
             assert {f"{key}_phi", f"{key}_conj"} <= set(cell["metrics"])
 
 
+def _exit_code(argv) -> int:
+    """main's return code, or the code argparse exits with on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
-    rc = main(
+    # verify has no --set: a key=value setting is a usage error
+    rc = _exit_code(
         ["verify", "boundary_ratio", "--set", "bogus=1", "--out", str(tmp_path / "reports")]
     )
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize(
@@ -598,14 +588,38 @@ def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
         ("all", "psd_tol=1e-9", "psd_tol"),
         ("rescaling_identity", "seed=-1", "seed"),
         ("boundary_ratio", "ratio_threshold=nan", "ratio_threshold"),
+        ("berezin_identity", "--size=0", "matrix_size"),
+        ("all", "--size=2", "matrix_size"),
+        ("hardy_degenerate", "--size=4097", "matrix_size"),
+        ("all", "--config=run.cfg", "--config"),
+        ("all", "--size=many", "--size"),
     ],
 )
 def test_verify_config_mistakes_exit_2_without_report(
     monkeypatch, tmp_path, capsys, target, setting, message
 ):
-    # an empty or oversized matrix, or a removed key, is a usage error, not a failed cell
+    # a section size outside [3, DENSE_SIZE_MAX] is a validation error, not a failed
+    # cell; --set key=value and --config are usage errors, as verify has no such flags
     monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
-    rc = main(["verify", target, "--set", setting, "--out", str(tmp_path / "reports")])
+    flags = [setting] if setting.startswith("--") else ["--set", setting]
+    rc = _exit_code(["verify", target, *flags, "--out", str(tmp_path / "reports")])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
+
+
+def test_verify_error_cells_exit_3(monkeypatch, tmp_path, capsys):
+    # a cell that raises is an error, kept with its message; an error outranks a fail
+    def routine(alpha, spec, series, n):
+        if len(series) == 2:
+            raise FloatingPointError("overflow")
+        return "fail", "", {}
+
+    monkeypatch.setitem(harness._CHECK_ROUTINES, "boundary_ratio", routine)
+    rc = main(["verify", "boundary_ratio", "--out", str(tmp_path)])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert "[  ERROR] boundary_ratio alpha=0 series 0,1  (FloatingPointError: overflow)" in out
+    assert "0 passed, 2 failed, 0 skipped, 1 errors" in out
+    cells = json.loads((tmp_path / "boundary_ratio.json").read_text())["checks"]
+    assert sorted(c["status"] for c in cells) == ["error", "fail", "fail"]

@@ -1,4 +1,4 @@
-"""Harness tests: configuration, scenario execution, report round-trips."""
+"""Harness tests: section size, scenario execution, report round-trips."""
 
 import csv
 import json
@@ -12,7 +12,7 @@ from subbergman.harness import (
     BEREZIN_TOL,
     CHECK_IDS,
     CNP_SECTION,
-    DEFAULT_CONFIG,
+    MATRIX_SIZE,
     RANGE_GROWTH_MAX,
     WITNESS_TOL,
     RunReport,
@@ -20,9 +20,7 @@ from subbergman.harness import (
     boundary_ratio_check,
     builtin_scenarios,
     emit_report,
-    load_config,
     load_report,
-    merge_config,
     run_scenario,
     _blaschke_degree,
     _range_section,
@@ -53,29 +51,37 @@ SHIFT = PowerSeriesSymbol(np.array([0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# section size: the one value a run can set
+
+
+def _refuses_setting(key, value):
+    scenario = builtin_scenarios()["inclusion_asymptote"]
+    with pytest.raises(TypeError, match=key):
+        run_scenario(scenario, **{key: value})
 
 
 def test_merge_defaults_and_overrides():
-    cfg = merge_config()
-    assert cfg == DEFAULT_CONFIG
-    assert DEFAULT_CONFIG == {"matrix_size": 400}
-    cfg = merge_config({"matrix_size": "120"})
-    assert cfg == {"matrix_size": 120} and isinstance(cfg["matrix_size"], int)
+    # a run is at MATRIX_SIZE unless given another size, and its report records the size
+    scenario = builtin_scenarios()["inclusion_asymptote"]
+    assert MATRIX_SIZE == 400
+    assert run_scenario(scenario).config == {"matrix_size": MATRIX_SIZE}
+    assert run_scenario(scenario, 120).config == {"matrix_size": 120}
+    config = run_scenario(scenario, matrix_size=np.int64(120)).config
+    assert config == {"matrix_size": 120} and type(config["matrix_size"]) is int
 
 
 def test_merge_rejects_unknown_and_badly_typed_keys():
-    with pytest.raises(ValueError):
-        merge_config({"matrix_sise": 100})
-    with pytest.raises(ValueError):
-        merge_config({"matrix_size": "many"})
+    _refuses_setting("matrix_sise", 100)
+    scenario = builtin_scenarios()["inclusion_asymptote"]
+    for size in ("many", "120", 120.0, None):
+        with pytest.raises(ValueError, match="matrix_size"):
+            run_scenario(scenario, size)
 
 
 @pytest.mark.parametrize("key, value", [("series_length", 200), ("singular_series_length", 600)])
 def test_series_lengths_are_not_config_keys(key, value):
-    # every symbol is truncated by default_series_length, in verify and the CLI alike
-    with pytest.raises(ValueError, match=key):
-        merge_config({key: value})
+    # every symbol is truncated by bind_symbol, in verify and the CLI alike
+    _refuses_setting(key, value)
 
 
 @pytest.mark.parametrize(
@@ -102,13 +108,7 @@ def test_fit_window_is_not_a_config_key(key):
     # and no boundary Berezin sample; the CNP cells read a coefficient section, with no
     # sampled points and a fixed tolerance; the sample points, the ratio grid and its
     # threshold are constants beside their checks, so no setting can make a cell fail
-    with pytest.raises(ValueError, match=key):
-        merge_config({key: 150})
-
-
-def test_later_sources_win():
-    cfg = merge_config({"matrix_size": 50}, {"matrix_size": 90})
-    assert cfg["matrix_size"] == 90
+    _refuses_setting(key, 150)
 
 
 @pytest.mark.parametrize(
@@ -130,30 +130,16 @@ def test_later_sources_win():
         {"matrix_size": 2},
     ],
 )
-def test_merge_rejects_values_no_check_can_run_with(override):
-    # matrix_size must lie in [3, DENSE_SIZE_MAX]; every other key is unknown
-    with pytest.raises(ValueError):
-        merge_config(override)
-
-
-def test_load_config_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# sizes\n"
-        "matrix_size = 128\n"
-        "\n"
-        "matrix_size = 256  # later lines win\n"
-    )
-    raw = load_config(path)
-    assert raw == {"matrix_size": "256"}
-    assert merge_config(raw) == {"matrix_size": 256}
-
-
-def test_load_config_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("just words\n")
-    with pytest.raises(ValueError):
-        load_config(path)
+def test_merge_rejects_values_no_check_can_run_with(monkeypatch, override):
+    # matrix_size must lie in [3, DENSE_SIZE_MAX], checked before any cell runs; no other
+    # value is a parameter
+    monkeypatch.setattr(harness, "bind_symbol", lambda *args: pytest.fail("a cell ran"))
+    (key, value), = override.items()
+    if key != "matrix_size":
+        _refuses_setting(key, value)
+        return
+    with pytest.raises(ValueError, match="matrix_size"):
+        run_scenario(builtin_scenarios()["blaschke_decay"], value)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +165,7 @@ def test_builtin_scenarios_cover_every_check():
         assert scenario.name == name
 
 
-_FAST = {"matrix_size": 120}
+_FAST = 120
 
 
 def test_run_scenario_pass_and_skip_rows():
@@ -189,7 +175,7 @@ def test_run_scenario_pass_and_skip_rows():
         symbols=(to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 80), SHIFT),
         checks=("cnp_moebius_pass", "rescaling_identity"),
     )
-    report = run_scenario(scenario, _FAST)
+    report = run_scenario(scenario, matrix_size=_FAST)
     by = {(r.check, r.symbol): r for r in report.checks}
     assert len(report.checks) == 4
     # the Moebius positivity claim has no content at alpha = 0.5
@@ -201,15 +187,16 @@ def test_run_scenario_pass_and_skip_rows():
 
 
 def test_run_scenario_records_numerical_failures(monkeypatch):
-    # an error inside a cell must fail that cell, not raise
+    # an exception inside a cell makes that cell an error, not a raise
     def overflow(*args):
         raise FloatingPointError("overflow in the coefficient section")
 
     monkeypatch.setattr(harness, "_coefficient_section", overflow)
     scenario = Scenario("bad", (0.0,), (MonomialSpec(n=2, c=1.0),), ("cnp_nonmoebius_fail",))
-    report = run_scenario(scenario, _FAST)
-    assert report.checks[0].status == "fail"
+    report = run_scenario(scenario, matrix_size=_FAST)
+    assert report.checks[0].status == "error"
     assert report.checks[0].reason == "FloatingPointError: overflow in the coefficient section"
+    assert not report.failed
 
 
 def test_blaschke_decay_shift_range_is_closed_form():
@@ -217,7 +204,7 @@ def test_blaschke_decay_shift_range_is_closed_form():
     # so R = diag((k+1)/(k+2)); its phi defect equals L, so R = I
     n = 200
     scenario = Scenario("x", alpha_list=(0.0,), symbols=(SHIFT,), checks=("blaschke_decay",))
-    cell = run_scenario(scenario, {"matrix_size": n}).checks[0]
+    cell = run_scenario(scenario, matrix_size=n).checks[0]
     assert (cell.status, cell.reason) == ("pass", "")
     m = cell.metrics
     assert m["shift_exact_max_dev"] < 1e-15
@@ -230,7 +217,7 @@ def test_blaschke_decay_shift_range_is_closed_form():
 
 @pytest.mark.parametrize("size", [8, 16, 100, 140, 200, 300, 400])
 def test_blaschke_decay_skips_unsettled_sections_and_never_fails(size):
-    report = run_scenario(builtin_scenarios()["blaschke_decay"], {"matrix_size": size})
+    report = run_scenario(builtin_scenarios()["blaschke_decay"], matrix_size=size)
     assert len(report.checks) == 12
     for cell in report.checks:
         m = cell.metrics
@@ -247,7 +234,7 @@ def test_blaschke_decay_skips_unsettled_sections_and_never_fails(size):
 @pytest.mark.parametrize("size", [3, 20, 33, 34, 72, 80, 400])
 def test_berezin_identity_skips_truncated_kernel_vectors_and_never_fails(size):
     # up to size 33 the cells used to fail: the kernel vectors were cut too early
-    report = run_scenario(builtin_scenarios()["berezin_identity"], {"matrix_size": size})
+    report = run_scenario(builtin_scenarios()["berezin_identity"], matrix_size=size)
     assert len(report.checks) == 9
     for cell in report.checks:
         bound = cell.metrics["truncation_bound"]
@@ -265,7 +252,7 @@ def test_berezin_identity_skips_truncated_kernel_vectors_and_never_fails(size):
 def test_berezin_identity_fails_an_error_above_its_tolerance(monkeypatch):
     real = harness.berezin_values
     monkeypatch.setattr(harness, "berezin_values", lambda *args: real(*args) + 2 * BEREZIN_TOL)
-    report = run_scenario(builtin_scenarios()["berezin_identity"], dict(DEFAULT_CONFIG))
+    report = run_scenario(builtin_scenarios()["berezin_identity"])
     assert {cell.status for cell in report.checks} == {"fail"}
 
 
@@ -282,21 +269,21 @@ def test_blaschke_decay_verdict_rules(monkeypatch, bad_side, section, status):
         harness, "_range_section", lambda *args: section if args[-1] == bad_side else settled
     )
     scenario = Scenario("x", alpha_list=(0.5,), symbols=(MobiusSpec(a=0.5),), checks=("blaschke_decay",))
-    assert run_scenario(scenario, {"matrix_size": 16}).checks[0].status == status
+    assert run_scenario(scenario, matrix_size=16).checks[0].status == status
 
 
 @pytest.mark.parametrize("growth, status", [(0.51, "pass"), (0.5, "fail"), (0.1, "fail")])
 def test_singular_noncompact_passes_on_growth_above_one_half(monkeypatch, growth, status):
     monkeypatch.setattr(harness, "_range_section", lambda *args: (0.5, 2.0, growth))
     scenario = builtin_scenarios()["singular_noncompact"]
-    assert run_scenario(scenario, {"matrix_size": 16}).checks[0].status == status
+    assert run_scenario(scenario, matrix_size=16).checks[0].status == status
 
 
 def test_range_section_binds_the_section_size():
     # the 600-term default series makes the n = 800 phi section indefinite
     # (range_min -0.44); bound at 800 terms it reads +0.48
     scenario = Scenario("x", (-0.5,), (SingularInnerSpec(c=1.0),), ("singular_noncompact",))
-    cell = run_scenario(scenario, {"matrix_size": 800}).checks[0]
+    cell = run_scenario(scenario, matrix_size=800).checks[0]
     assert cell.metrics["range_min_phi"] > 0
 
 
@@ -310,10 +297,10 @@ def test_run_scenario_binds_each_symbol_once_per_alpha(monkeypatch):
     monkeypatch.setattr(harness, "bind_symbol", counting)
     checks = ("blaschke_decay", "boundary_ratio", "cnp_nonmoebius_fail")
     scenario = Scenario("x", (0.0, 1.0), (MobiusSpec(a=0.5), SHIFT), checks)
-    report = run_scenario(scenario, _FAST)
+    report = run_scenario(scenario, matrix_size=_FAST)
     assert len(report.checks) == 12
     assert len(calls) == 4
-    assert {args[2] for args in calls} == {_FAST["matrix_size"]}
+    assert {args[2] for args in calls} == {_FAST}
 
 
 def _random_blaschke(rng) -> BlaschkeSpec:
@@ -448,6 +435,42 @@ def test_shift_range_and_hardy_cells_build_no_dense_section(monkeypatch):
     assert calls == []
 
 
+def _hardy_cell(spec, size):
+    return run_scenario(Scenario("x", (-1.0,), (spec,), ("hardy_degenerate",)), size).checks[0]
+
+
+@pytest.mark.parametrize("zeros", [(0.5, -0.5), (0.9,), (0.3j, 0.6, -0.2)])
+@pytest.mark.parametrize("size", [3, 10, 19, 20, 21, 40, 120])
+def test_hardy_truncation_bound_covers_the_top_eigenvalues(zeros, size):
+    # E_phi projects onto K_B at alpha -1, so the top deg B eigenvalues of its n section
+    # are 1 minus those of the tails' Gram matrix, whose trace is the truncation bound;
+    # the cell skips on that bound instead of failing (zeros 0.5, -0.5 failed up to 19)
+    spec = BlaschkeSpec(zeros=zeros)
+    _, series = bind_symbol(spec, -1.0, size)
+    j = np.arange(len(series))
+    tau = float(np.sum(np.clip(j - size, 0, None) * np.abs(series.coeffs) ** 2))
+    ev = np.sort(np.linalg.eigvalsh(defect_matrix(series, -1.0, size, "phi").entries))[::-1]
+    top = ev[: spec.degree]
+    assert np.all(1.0 - top <= tau + 1e-14) and np.all(top <= 1.0 + 1e-14)
+    cell = _hardy_cell(spec, size)
+    if tau >= harness.EXACT_TOL:
+        assert cell.status == "skipped" and cell.metrics["truncation_bound"] == pytest.approx(tau, rel=1e-12)
+        assert cell.reason.startswith("truncation:") and f"matrix_size={size}" in cell.reason
+    else:
+        assert (cell.status, cell.reason) == ("pass", ""), cell.metrics
+
+
+def test_hardy_degenerate_skips_a_slow_zero_and_fails_a_wrong_section(monkeypatch):
+    # a zero at 0.9 needs more than 120 terms; a section 1e-3 off at size 400 fails
+    assert _hardy_cell(BlaschkeSpec(zeros=(0.9,)), 120).status == "skipped"
+    spec = BlaschkeSpec(zeros=(0.5, -0.5))
+    assert _hardy_cell(spec, 400).status == "pass"
+    real = harness._defect_classes
+    scaled = lambda *args: [(idx, b * (1.0 + 1e-3)) for idx, b in real(*args)]
+    monkeypatch.setattr(harness, "_defect_classes", scaled)
+    assert _hardy_cell(spec, 400).status == "fail"
+
+
 def test_conj_classes_read_the_coefficients_past_the_section():
     # coefficients 0 and 2 inside the 6-section and 7 past it: the phi section
     # reads the first two only (two classes), the conj section all three (one class)
@@ -490,7 +513,7 @@ def test_witness_margin_is_the_thresholded_quantity():
     spec, series = bind_symbol(MonomialSpec(n=2, c=1.0), 0.0, CNP_SECTION)
     series = to_series(series, CNP_SECTION)  # the 8-term exact series, padded as the cell pads it
     scenario = Scenario("x", (0.0,), (spec,), ("cnp_nonmoebius_fail",))
-    cell = run_scenario(scenario, _FAST).checks[0]
+    cell = run_scenario(scenario, matrix_size=_FAST).checks[0]
     assert cell.status == "pass"
     assert cell.metrics["section"] == CNP_SECTION and cell.metrics["certificate"]
     b = _coefficient_section(normalize(series).psi, 0.0, CNP_SECTION)
@@ -508,7 +531,7 @@ def test_section_without_a_failing_pair_certifies_by_a_deeper_witness(text, alph
     # no 2x2 principal minor of B fails here, so the witness is psd_test's
     # grow-then-shrink subset, not the passing pair (0, 1)
     scenario = Scenario("x", (alpha,), (parse_symbol(text),), ("cnp_nonmoebius_fail",))
-    cell = run_scenario(scenario, _FAST).checks[0]
+    cell = run_scenario(scenario, matrix_size=_FAST).checks[0]
     assert cell.status == "pass"
     assert cell.metrics["witness_indices"] == [13, 14, 15]
     assert cell.metrics["witness_min_jacobi"] < -WITNESS_TOL
@@ -530,7 +553,7 @@ def test_section_without_a_failing_pair_certifies_by_a_deeper_witness(text, alph
 )
 def test_cnp_cells_read_the_normalized_series(symbol, alpha, status, witness):
     scenario = Scenario("x", (alpha,), (symbol,), ("cnp_nonmoebius_fail",))
-    cell = run_scenario(scenario, _FAST).checks[0]
+    cell = run_scenario(scenario, matrix_size=_FAST).checks[0]
     assert cell.status == status
     if witness is None:
         assert cell.reason == "precondition: |phi(0)| < 1 required to move the base point"
@@ -572,7 +595,7 @@ def test_a_certified_section_has_a_failing_witness(r1, t1, s2, t2, k, alpha):
     c[1] = r1 * np.exp(2j * np.pi * t1)
     c[k] = s2 * (1.0 - r1) * np.exp(2j * np.pi * t2)
     scenario = Scenario("x", (alpha,), (PowerSeriesSymbol(c),), ("cnp_nonmoebius_fail",))
-    metrics = run_scenario(scenario, _FAST).checks[0].metrics
+    metrics = run_scenario(scenario, matrix_size=_FAST).checks[0].metrics
     if metrics["certificate"]:
         assert metrics["witness_min_jacobi"] < 0.0
         assert metrics["witness_min_jacobi"] >= metrics["min_eigenvalue"] - 1e-12
@@ -581,7 +604,7 @@ def test_a_certified_section_has_a_failing_witness(r1, t1, s2, t2, k, alpha):
 def test_run_scenario_fails_fast_on_config_errors():
     scenario = Scenario("x", alpha_list=(0.0,), symbols=(SHIFT,), checks=("boundary_ratio",))
     with pytest.raises(ValueError):
-        run_scenario(scenario, {"unknown_knob": 1})
+        run_scenario(scenario, matrix_size=DENSE_SIZE_MAX + 1)
 
 
 def test_reports_are_deterministic():
@@ -591,8 +614,8 @@ def test_reports_are_deterministic():
         symbols=(to_series(MobiusSpec(a=0.4), 80),),
         checks=("cnp_moebius_pass", "boundary_ratio"),
     )
-    r1 = run_scenario(scenario, _FAST).to_dict()
-    r2 = run_scenario(scenario, _FAST).to_dict()
+    r1 = run_scenario(scenario, matrix_size=_FAST).to_dict()
+    r2 = run_scenario(scenario, matrix_size=_FAST).to_dict()
     for r in (r1, r2):
         r.pop("started")
         r.pop("finished")
@@ -633,7 +656,7 @@ def test_blaschke_degree_classifies_every_spec_type(spec, degree):
 
 def test_report_json_round_trip(tmp_path):
     scenario = Scenario("rt", alpha_list=(0.0,), symbols=(SHIFT,), checks=("boundary_ratio",))
-    report = run_scenario(scenario, _FAST)
+    report = run_scenario(scenario, matrix_size=_FAST)
     path = tmp_path / "report.json"
     emit_report(report, path, "json")
     loaded = load_report(path)
@@ -689,7 +712,7 @@ def test_csv_row_count_matches_cells(tmp_path):
         symbols=(SHIFT, to_series(MobiusSpec(a=0.5), 80)),
         checks=("boundary_ratio", "rescaling_identity"),
     )
-    report = run_scenario(scenario, _FAST)
+    report = run_scenario(scenario, matrix_size=_FAST)
     path = tmp_path / "report.csv"
     emit_report(report, path, "csv")
     with path.open() as fh:
