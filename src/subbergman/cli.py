@@ -259,7 +259,9 @@ def _cmd_verify(args) -> int:
         f"{report.scenario}: {counts['pass']} passed, {counts['fail']} failed, "
         f"{counts['skipped']} skipped, {counts['error']} errors; reports in {outdir}"
     )
-    return 3 if counts["error"] else 1 if counts["fail"] else 0
+    if any(cell.status == "error" for cell in report.checks):
+        return 3
+    return 1 if report.failed else 0
 
 
 def _window(text: str) -> tuple[int, int]:

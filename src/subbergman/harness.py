@@ -33,6 +33,7 @@ from .operators import (
 )
 from .scalars import as_weight
 from .symbols import (
+    SERIES_TAIL_TOL,
     BlaschkeSpec,
     MobiusSpec,
     MonomialSpec,
@@ -116,7 +117,8 @@ class RunReport:
 
     @property
     def failed(self) -> bool:
-        return any(r.status == "fail" for r in self.checks)
+        # a cell that raised is no evidence that the claim holds, so it counts too
+        return any(r.status in ("fail", "error") for r in self.checks)
 
     def to_dict(self) -> dict:
         return _plain(asdict(self))
@@ -250,8 +252,8 @@ def _check_berezin_identity(alpha, spec, series, n):
     metrics = {"truncation_bound": bound, "tolerance": BEREZIN_TOL, "points": len(pts), "size": n}
     if not bound <= BEREZIN_TOL:
         reason = (
-            f"truncation: the kernel vectors cut at matrix_size={n} bound the error by "
-            f"{bound:.3g} > {BEREZIN_TOL:g}; raise matrix_size"
+            f"truncation: the kernel vectors cut at section size n={n} bound the error by "
+            f"{bound:.3g} > {BEREZIN_TOL:g}; raise --size"
         )
         return "skipped", reason, metrics
     vals = berezin_values(series, alpha, n, pts)
@@ -308,8 +310,8 @@ def _check_blaschke_decay(alpha, spec, series, n):
         metrics.update({f"range_min_{which}": lo, f"range_max_{which}": hi, f"growth_{which}": growth})
     growth = max(metrics["growth_phi"], metrics["growth_conj"])
     if growth >= RANGE_GROWTH_MAX:
-        reason = f"precondition: the range has not settled at matrix_size={n} (growth {growth:.3f})"
-        return "skipped", reason + "; raise matrix_size", metrics
+        reason = f"precondition: the range has not settled at section size n={n} (growth {growth:.3f})"
+        return "skipped", reason + "; raise --size", metrics
     # compressing R can only raise its least eigenvalue, so range_min <= 0 certifies a failure
     ok = metrics["range_min_phi"] > 0 and metrics["range_min_conj"] > 0
     if degree == 1 and series.coeffs[0] == 0 and alpha == 0:
@@ -425,13 +427,18 @@ def _check_hardy_degenerate(alpha, spec, series, n):
         return "skipped", "precondition: finite-rank degeneracy needs a finite Blaschke symbol", {}
     # at alpha -1, E_phi projects onto the model space K_B, so the nonzero eigenvalues of
     # its n section are 1 minus those of the Gram matrix of the tails (I - P_n) e_i of an
-    # orthonormal basis of K_B; that Gram matrix has trace sum_(j>n) (j - n) |c_j|^2
-    j = np.arange(n + 1, len(series))
-    tau = float(np.sum((j - n) * np.abs(series.coeffs[n + 1 :]) ** 2))
+    # orthonormal basis of K_B; that Gram matrix has trace sum_(j>n) (j - n) |c_j|^2. A
+    # series that stops short of SERIES_TAIL_TOL dropped at most the rest of the Dirichlet
+    # sum sum_j j |c_j|^2 = degree (B covers the disk degree times) past its last term
+    weight = np.abs(series.coeffs) ** 2
+    j = np.arange(len(series))
+    tau = float(np.sum((j[n + 1 :] - n) * weight[n + 1 :]))
+    if series.tail_bound > SERIES_TAIL_TOL:
+        tau += max(0.0, degree - float(np.dot(j, weight)))
     if not tau < EXACT_TOL:
         reason = (
-            f"truncation: the section at matrix_size={n} moves the top eigenvalues by up to "
-            f"{tau:.3g} >= {EXACT_TOL:g}; raise matrix_size"
+            f"truncation: the section at size n={n} moves the top eigenvalues by up to "
+            f"{tau:.3g} >= {EXACT_TOL:g}; raise --size"
         )
         return "skipped", reason, {"truncation_bound": tau, "size": n}
     conj, phi = (_defect_classes(series, alpha, n, which, np.ones(n)) for which in ("conj", "phi"))
@@ -531,7 +538,9 @@ def run_scenario(scenario: Scenario, matrix_size: int = MATRIX_SIZE) -> RunRepor
     outside [3, DENSE_SIZE_MAX] raises ValueError before any cell runs.
     """
     if not isinstance(matrix_size, int | np.integer) or not 3 <= matrix_size <= DENSE_SIZE_MAX:
-        raise ValueError(f"matrix_size must be an integer in [3, {DENSE_SIZE_MAX}], got {matrix_size!r}")
+        raise ValueError(
+            f"the section size (--size) must be an integer in [3, {DENSE_SIZE_MAX}], got {matrix_size!r}"
+        )
     n = int(matrix_size)
     started = datetime.now(timezone.utc).isoformat()
     results: list[CheckResult] = []

@@ -588,9 +588,9 @@ def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
         ("all", "psd_tol=1e-9", "psd_tol"),
         ("rescaling_identity", "seed=-1", "seed"),
         ("boundary_ratio", "ratio_threshold=nan", "ratio_threshold"),
-        ("berezin_identity", "--size=0", "matrix_size"),
-        ("all", "--size=2", "matrix_size"),
-        ("hardy_degenerate", "--size=4097", "matrix_size"),
+        ("berezin_identity", "--size=0", "--size"),
+        ("all", "--size=2", "--size"),
+        ("hardy_degenerate", "--size=4097", "--size"),
         ("all", "--config=run.cfg", "--config"),
         ("all", "--size=many", "--size"),
     ],

@@ -1,6 +1,7 @@
 """Harness tests: section size, scenario execution, report round-trips."""
 
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -26,6 +27,7 @@ from subbergman.harness import (
     _range_section,
 )
 from subbergman import cnp, harness, operators, symbols
+from subbergman.cli import main
 from subbergman.cnp import DEFAULT_PSD_TOL, _coefficient_section, _worst_pair
 from subbergman.operators import (
     DENSE_SIZE_MAX,
@@ -51,13 +53,16 @@ SHIFT = PowerSeriesSymbol(np.array([0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
-# section size: the one value a run can set
+# section size: the one value a run can set. The test names below date from the
+# configuration file verify once read; each removed key is now a harness constant.
 
 
-def _refuses_setting(key, value):
-    scenario = builtin_scenarios()["inclusion_asymptote"]
-    with pytest.raises(TypeError, match=key):
-        run_scenario(scenario, **{key: value})
+def _not_a_parameter(key, value):
+    # the size is the only parameter of run_scenario and the only setting of verify
+    assert list(inspect.signature(run_scenario).parameters) == ["scenario", "matrix_size"]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", f"--{key.replace('_', '-')}", str(value)])
+    assert exc.value.code == 2
 
 
 def test_merge_defaults_and_overrides():
@@ -71,17 +76,17 @@ def test_merge_defaults_and_overrides():
 
 
 def test_merge_rejects_unknown_and_badly_typed_keys():
-    _refuses_setting("matrix_sise", 100)
+    _not_a_parameter("matrix_sise", 100)
     scenario = builtin_scenarios()["inclusion_asymptote"]
     for size in ("many", "120", 120.0, None):
-        with pytest.raises(ValueError, match="matrix_size"):
+        with pytest.raises(ValueError, match="--size"):
             run_scenario(scenario, size)
 
 
 @pytest.mark.parametrize("key, value", [("series_length", 200), ("singular_series_length", 600)])
 def test_series_lengths_are_not_config_keys(key, value):
     # every symbol is truncated by bind_symbol, in verify and the CLI alike
-    _refuses_setting(key, value)
+    _not_a_parameter(key, value)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +113,7 @@ def test_fit_window_is_not_a_config_key(key):
     # and no boundary Berezin sample; the CNP cells read a coefficient section, with no
     # sampled points and a fixed tolerance; the sample points, the ratio grid and its
     # threshold are constants beside their checks, so no setting can make a cell fail
-    _refuses_setting(key, 150)
+    _not_a_parameter(key, 150)
 
 
 @pytest.mark.parametrize(
@@ -136,9 +141,9 @@ def test_merge_rejects_values_no_check_can_run_with(monkeypatch, override):
     monkeypatch.setattr(harness, "bind_symbol", lambda *args: pytest.fail("a cell ran"))
     (key, value), = override.items()
     if key != "matrix_size":
-        _refuses_setting(key, value)
+        _not_a_parameter(key, value)
         return
-    with pytest.raises(ValueError, match="matrix_size"):
+    with pytest.raises(ValueError, match="--size"):
         run_scenario(builtin_scenarios()["blaschke_decay"], value)
 
 
@@ -196,7 +201,7 @@ def test_run_scenario_records_numerical_failures(monkeypatch):
     report = run_scenario(scenario, matrix_size=_FAST)
     assert report.checks[0].status == "error"
     assert report.checks[0].reason == "FloatingPointError: overflow in the coefficient section"
-    assert not report.failed
+    assert report.failed
 
 
 def test_blaschke_decay_shift_range_is_closed_form():
@@ -224,7 +229,8 @@ def test_blaschke_decay_skips_unsettled_sections_and_never_fails(size):
         growth = max(m["growth_phi"], m["growth_conj"])
         if cell.status == "skipped":
             assert size < 16 and growth >= RANGE_GROWTH_MAX
-            assert "range has not settled" in cell.reason and f"matrix_size={size}" in cell.reason
+            assert "range has not settled" in cell.reason and f"n={size}" in cell.reason
+            assert cell.reason.endswith("raise --size")
         else:
             assert cell.status == "pass", (cell.symbol, cell.alpha, m)
             assert growth < RANGE_GROWTH_MAX
@@ -240,8 +246,8 @@ def test_berezin_identity_skips_truncated_kernel_vectors_and_never_fails(size):
         bound = cell.metrics["truncation_bound"]
         if cell.status == "skipped":
             assert size < 80 and bound > BEREZIN_TOL
-            assert cell.reason.startswith("truncation:") and f"matrix_size={size}" in cell.reason
-            assert "max_error" not in cell.metrics
+            assert cell.reason.startswith("truncation:") and f"n={size}" in cell.reason
+            assert cell.reason.endswith("raise --size") and "max_error" not in cell.metrics
         else:
             assert cell.status == "pass", (cell.symbol, cell.alpha, cell.metrics)
             assert bound <= BEREZIN_TOL and cell.metrics["max_error"] < BEREZIN_TOL
@@ -455,7 +461,7 @@ def test_hardy_truncation_bound_covers_the_top_eigenvalues(zeros, size):
     cell = _hardy_cell(spec, size)
     if tau >= harness.EXACT_TOL:
         assert cell.status == "skipped" and cell.metrics["truncation_bound"] == pytest.approx(tau, rel=1e-12)
-        assert cell.reason.startswith("truncation:") and f"matrix_size={size}" in cell.reason
+        assert cell.reason.startswith("truncation:") and f"n={size}" in cell.reason
     else:
         assert (cell.status, cell.reason) == ("pass", ""), cell.metrics
 
@@ -469,6 +475,19 @@ def test_hardy_degenerate_skips_a_slow_zero_and_fails_a_wrong_section(monkeypatc
     scaled = lambda *args: [(idx, b * (1.0 + 1e-3)) for idx, b in real(*args)]
     monkeypatch.setattr(harness, "_defect_classes", scaled)
     assert _hardy_cell(spec, 400).status == "fail"
+
+
+@pytest.mark.parametrize("size", [1023, 1024, 2000])
+def test_hardy_truncation_bound_counts_the_coefficients_the_series_dropped(monkeypatch, size):
+    # a zero at 0.999 needs about 32000 terms, past the 1024 a series gets by default, so
+    # the series stops at or before n + 1 and its own terms past n sum to 0; the section's
+    # top eigenvalue is 1 - 0.999^(2n), and the bound must cover that gap
+    monkeypatch.setattr(harness, "_defect_classes", lambda *args: pytest.fail("a section was built"))
+    _, series = bind_symbol(BlaschkeSpec(zeros=(0.999,)), -1.0, size)
+    assert len(series) <= size + 1
+    cell = _hardy_cell(BlaschkeSpec(zeros=(0.999,)), size)
+    assert cell.status == "skipped" and cell.reason.startswith("truncation:")
+    assert cell.metrics["truncation_bound"] >= 0.999 ** (2 * size)
 
 
 def test_conj_classes_read_the_coefficients_past_the_section():
