@@ -30,8 +30,8 @@ from .harness import (
 )
 from .kernels import KINDS, KernelSpec, _conj_sub_truncation, eval_kernel
 from .operators import (
-    _check_berezin_work,
     _check_dense_size,
+    _check_work,
     berezin_values,
     defect_matrix,
     spectrum,
@@ -210,8 +210,8 @@ def _cmd_defect_spectrum(args) -> int:
 def _cmd_berezin(args) -> int:
     alpha = as_weight(args.alpha)
     spec, head = _resolve(args.symbol, float(alpha))
-    # the size-n series has at least the nonzeros of its default-length head: refuse on that first
-    _check_berezin_work(len(args.point), args.size, np.count_nonzero(head.coeffs[: args.size]))
+    # the size-n series extends its default-length head, and the price grows with the band: refuse on the head first
+    _check_work(head, alpha, args.size, "phi", args.point, args.point)
     _, series = bind_symbol(spec, float(alpha), args.size)
     values = berezin_values(series, alpha, args.size, args.point)
     for a, b in zip(args.point, values):

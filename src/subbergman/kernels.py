@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import WORK_BUDGET, _defect_form, _defect_rows
-from .scalars import WeightParameter, _neg_power, _powers, as_weight, basis_weights
+from .operators import WORK_BUDGET, _kernel_form
+from .scalars import WeightParameter, _neg_power, as_weight
 from .symbols import PowerSeriesSymbol, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
@@ -60,11 +60,8 @@ def eval_kernel(spec: KernelSpec, z, w):
 
     The principal branch of the complex power is unambiguous here because
     Re(1 - z conj(w)) > 0 on the disk. Points that are not finite or not
-    strictly inside the disk raise ValueError. conj_sub evaluation truncates
-    at the smallest basis size whose stated bound on the truncation error is
-    at most CONJ_SUB_VALUE_TOL (see _conj_sub_truncation), with one
-    defect_form call per evaluation; a request whose work would exceed
-    WORK_BUDGET raises ValueError before any compute.
+    strictly inside the disk raise ValueError. conj_sub is truncated within
+    CONJ_SUB_VALUE_TOL and refused over WORK_BUDGET before any compute.
     """
     _check_disk(z, w)
     z = np.asarray(z, dtype=complex)
@@ -105,16 +102,9 @@ def _conj_sub_truncation(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w
     ||x_t||^2 is bounded by _log_tail, and ||E|| = ||I - T*T|| <=
     max(1, s^2 - 1) with s = sum |c_j| >= ||T||, because ||M_{z^j}|| <= 1
     for alpha > -1. A batch is bounded at its largest |z| and |w|. n is
-    found by doubling and bisection on this closed form. Work is counted in
-    passes over the pairs x n kernel vectors: one per nonzero diagonal of
-    the symbol, plus 32 for building the vectors and the two sums (their
-    cost when the vectors were complex powers, kept so that the budget
-    refuses the same requests). A request whose pairs x n x passes
-    exceeds WORK_BUDGET is refused before any compute, which also bounds its
-    memory (tracemalloc peaks per pair and basis element at 60 pairs: 91 B
-    for a 64-term Moebius series, 133 B for the 600-term singular c=1). The
-    bound is on truncation only: the two sums of defect_form round at about
-    eps ||x|| ||y||.
+    found by doubling and bisection on this closed form; its price is
+    _kernel_form's. The bound is on truncation only: the two sums of
+    defect_form round at about eps ||x|| ||y||.
     """
     a = alpha.alpha
     tz = float(np.max(np.abs(z))) ** 2
@@ -129,19 +119,9 @@ def _conj_sub_truncation(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w
         tails = (0.5 * _log_tail(a, tz, n) + log_y, log_x + 0.5 * _log_tail(a, tw, n))
         return log_e + float(np.logaddexp(*tails))
 
-    pairs, passes = np.broadcast(z, w).size, np.count_nonzero(symbol.coeffs) + 32
-    n_max = int(WORK_BUDGET // (pairs * passes))
-    if n_max < 1 or log_bound(n_max) > log_tol:
-        radius = math.sqrt(max(tz, tw))
-        raise ValueError(
-            f"conj_sub at radius {radius:.10g} needs a basis larger than n = {n_max} to bound the "
-            f"truncation by {CONJ_SUB_VALUE_TOL:g}, and {pairs} pair(s) x n x {passes} passes "
-            f"past that exceed the work budget {WORK_BUDGET:g}; "
-            "move the points away from the boundary or split the batch"
-        )
     hi = 1
     while log_bound(hi) > log_tol:
-        hi = min(2 * hi, n_max)
+        hi *= 2
     lo = hi // 2  # 0, or a size whose bound is too large: the bound falls with n
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -153,21 +133,13 @@ def _conj_sub_truncation(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w
 
 
 def _conj_sub(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w):
-    """sum_{m,k} sqrt(w_m w_k) z^m E_mk conj(w)^k with E the n x n block of I - T* T.
-
-    The value is read off the quadratic form of E at the conjugated kernel
-    vectors, so E is never formed; n comes from _conj_sub_truncation, and
-    one defect_form call gives every value of the batch.
-    """
+    """sum_{m,k} sqrt(w_m w_k) z^m E_mk conj(w)^k, E the n x n block of I - T* T with n from
+    _conj_sub_truncation: the form of E at the kernel vectors, one call for the batch."""
     z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     if z.size == 0:
         return np.zeros(z.shape, dtype=complex)
     n, _ = _conj_sub_truncation(symbol, alpha, z, w)
-    # the weights of the rows of S, whose first n also scale the kernel vectors
-    sq = np.sqrt(basis_weights(alpha, _defect_rows(symbol, n, "conj") - 1))
-    x = sq[:n] * _powers(np.conj(z), n)
-    y = sq[:n] * _powers(np.conj(w), n)
-    return _defect_form(symbol, n, "conj", x, y, sq)
+    return _kernel_form(symbol, alpha, n, "conj", z, w, False)
 
 
 @lru_cache(maxsize=32)

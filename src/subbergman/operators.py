@@ -175,9 +175,38 @@ def defect_form(
     return _defect_form(symbol, n, which, x, y, sq)
 
 
-def _fast_length(m: int) -> int:
-    """Smallest k 2^e >= m with k in (1, 3, 5, 9, 15): an FFT length within 25% of m."""
-    return min(k << (-(-m // k) - 1).bit_length() for k in (1, 3, 5, 9, 15))
+def _band_route(symbol: PowerSeriesSymbol, n: int, which: str) -> tuple[np.ndarray, int, bool]:
+    """The band c the n x n block reads, an FFT length N (the least k 2^e >= n + len(c) - 1 with
+    k in 1, 3, 5, 9, 15, so within 25%), and whether T is applied by FFT: when more than
+    log2 N diagonals are nonzero, an integer count at least N's bit length."""
+    c = symbol.coeffs[: _defect_rows(symbol, n, which)]
+    m = n + len(c) - 1
+    size = min(k << (-(-m // k) - 1).bit_length() for k in (1, 3, 5, 9, 15))
+    return c, size, np.count_nonzero(c) >= size.bit_length()
+
+
+def _check_work(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w) -> WeightParameter:
+    """Check the arguments of x* E y at the kernel vectors of z and w; refuse it over WORK_BUDGET.
+
+    Work is pairs x n x passes, priced by the route _defect_form takes: one
+    pass per nonzero diagonal on the band loop, ceil(N/n) log2 N on the FFT
+    route but never more than the loop, plus 32 for the vectors and the two
+    sums (their cost as complex powers, kept so that the budget refuses the
+    same band requests). Nothing is built before the refusal.
+    """
+    a = _check_defect_args(alpha, n, which)
+    c, size, fft = _band_route(symbol, n, which)
+    nnz = int(np.count_nonzero(c))  # a Python int: n may pass int64's range near the boundary
+    passes = (min(nnz, -(-size // n) * size.bit_length()) if fft else nnz) + 32
+    pairs = np.broadcast(z, w).size
+    if pairs * n * passes > WORK_BUDGET:
+        radius = max(float(np.max(np.abs(z))), float(np.max(np.abs(w))))
+        name, hint = ("berezin", "lower the size") if which == "phi" else ("conj_sub", "move the points inward")
+        raise ValueError(
+            f"{name} at radius {radius:.10g} with n = {n}: {pairs} pair(s) x n x {passes} passes "
+            f"exceed the work budget {WORK_BUDGET:g}; {hint} or split the batch"
+        )
+    return a
 
 
 def _defect_form(symbol: PowerSeriesSymbol, n: int, which: str, x, y, sq: np.ndarray):
@@ -185,21 +214,18 @@ def _defect_form(symbol: PowerSeriesSymbol, n: int, which: str, x, y, sq: np.nda
 
     sq = sqrt(basis_weights(alpha, _defect_rows(symbol, n, which) - 1)); a
     caller that already holds these weights for its own vectors passes them
-    down, so each request runs the weight recurrence once. T is applied
-    one nonzero band diagonal at a time when there are at most log2 N of
-    them, else by FFTs of a length N >= n + L - 1 (L the band) over blocks
-    of _FFT_BLOCK vectors, so no temporary grows with the batch.
+    down, so each request runs the weight recurrence once. T is applied by
+    the route _band_route picks, the FFT over blocks of _FFT_BLOCK vectors,
+    so no temporary grows with the batch.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     rows = len(sq)
-    c = symbol.coeffs[:rows]
+    c, size, fft = _band_route(symbol, n, which)
     # conj: S u is the full convolution of u and c, of length rows; phi: T_n* u
     # correlates u with c, entries len(c)-1 .. len(c)+n-2 of u convolved with conj(c) reversed
     kernel, start = (c, 0) if which == "conj" else (np.conj(c)[::-1], len(c) - 1)
-    size = _fast_length(n + len(c) - 1)
-    # more than log2 N nonzero diagonals, for an integer count at least N's bit length
-    spectrum = np.fft.fft(kernel, size) if np.count_nonzero(c) >= size.bit_length() else None
+    spectrum = np.fft.fft(kernel, size) if fft else None
 
     def apply(v):
         # conj: (Sv)_m = sum_j c_j sqrt(w_{m-j}) v_{m-j} / sqrt(w_m), m < rows
@@ -223,31 +249,29 @@ def _defect_form(symbol: PowerSeriesSymbol, n: int, which: str, x, y, sq: np.nda
     return np.sum(np.conj(x) * y, axis=-1) - np.sum(np.conj(tx) * ty, axis=-1)
 
 
+def _kernel_form(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w, unit: bool):
+    """x* E y for E = defect_matrix(symbol, alpha, n, which) at the (unit) kernel vectors of z and w.
+
+    Checked and priced by _check_work before the weight recurrence runs
+    once, over the rows E reads; T is applied once when w is z.
+    """
+    same = w is z
+    z = _check_base_points(z)
+    w = z if same else _check_base_points(w)
+    a = _check_work(symbol, alpha, n, which, z, w)
+    sq = np.sqrt(basis_weights(a, _defect_rows(symbol, n, which) - 1))
+    x = _kernel_vectors(a.alpha, z, sq[:n], unit)
+    y = x if same else _kernel_vectors(a.alpha, w, sq[:n], unit)
+    return _defect_form(symbol, n, which, x, y, sq)
+
+
 def berezin_values(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, n: int, points):
     """Berezin transforms <E k_a, k_a> of E = defect_matrix(symbol, alpha, n, "phi") at every a.
 
-    One defect_form call on the stacked kernel vectors, so E is never
-    formed; berezin on the dense block is the independent oracle. The work
-    is counted as in kernels._conj_sub_truncation, points x n x (nonzero
-    diagonals + 32), and a request over WORK_BUDGET raises ValueError
-    before the weights or the kernel vectors are built.
+    One _kernel_form call, so E is never formed; berezin on the dense block
+    is the independent oracle.
     """
-    a = _check_defect_args(alpha, n, "phi")
-    _check_berezin_work(np.size(points), n, np.count_nonzero(symbol.coeffs[:n]))
-    points = _check_base_points(points)
-    sq = np.sqrt(basis_weights(a, n - 1))
-    c = _kernel_coeffs(a.alpha, points, sq)
-    return np.real(_defect_form(symbol, n, "phi", c, c, sq))
-
-
-def _check_berezin_work(count: int, n: int, diagonals: int) -> None:
-    """Refuse berezin_values work over WORK_BUDGET: count points x n x (diagonals + 32)."""
-    passes = diagonals + 32
-    if count * n * passes > WORK_BUDGET:
-        raise ValueError(
-            f"berezin at size {n}: {count} point(s) x {n} x {passes} passes exceed the "
-            f"work budget {WORK_BUDGET:g}; lower the size or split the points"
-        )
+    return np.real(_kernel_form(symbol, alpha, n, "phi", points, points, True))
 
 
 def _check_base_points(a) -> np.ndarray:
@@ -257,17 +281,20 @@ def _check_base_points(a) -> np.ndarray:
     return a
 
 
-def _kernel_coeffs(alpha: float, a: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """normalized_kernel_coeffs at checked points, truncated to len(sq), with sq = sqrt(w)."""
-    scale = (1.0 - np.abs(a) ** 2) ** ((2.0 + alpha) / 2.0)
-    return scale[..., None] * sq * _powers(np.conj(a), len(sq))
+def _kernel_vectors(alpha: float, a: np.ndarray, sq: np.ndarray, unit: bool) -> np.ndarray:
+    """sqrt(w_m) conj(a)^m, m < len(sq) with sq = sqrt(w), along a new last axis at checked
+    points; times (1 - |a|^2)^((2 + alpha)/2), the normalized kernel, when unit."""
+    p = _powers(np.conj(a), len(sq))
+    if unit:
+        sq = ((1.0 - np.abs(a) ** 2) ** ((2.0 + alpha) / 2.0))[..., None] * sq
+    return sq * p
 
 
 def normalized_kernel_coeffs(alpha: WeightParameter | float, a, n: int) -> np.ndarray:
     """Basis coefficients, truncated to n, of the normalized kernel at a (along a new last axis)."""
     al = as_weight(alpha).alpha
     a = _check_base_points(a)
-    return _kernel_coeffs(al, a, np.sqrt(basis_weights(al, n - 1)))
+    return _kernel_vectors(al, a, np.sqrt(basis_weights(al, n - 1)), True)
 
 
 def berezin(defect: OperatorMatrix, a: complex) -> float:

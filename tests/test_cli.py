@@ -140,7 +140,7 @@ def test_kernel_eval_conj_sub_over_the_work_budget_exits_2(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("defect_form ran for a request over the budget")
 
-    monkeypatch.setattr(kernels, "_defect_form", refuse)
+    monkeypatch.setattr(operators, "_defect_form", refuse)
     rc = main(
         [
             "kernel",
@@ -179,7 +179,7 @@ def test_kernel_eval_conj_sub_empty_batch(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("defect_form ran for an empty batch")
 
-    monkeypatch.setattr(kernels, "_defect_form", refuse)
+    monkeypatch.setattr(operators, "_defect_form", refuse)
     points = tmp_path / "points.csv"
     points.write_text("z_re,z_im,w_re,w_im\n")
     out = tmp_path / "values.csv"
@@ -287,6 +287,17 @@ def test_cnp_test_bad_symbol_exits_2(capsys):
     rc = main(["cnp", "test", "--alpha", "0", "--symbol", "mobius a=1.5", "--out", "x.json"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cnp_test_monomial_past_the_degree_cap_exits_2_before_building(monkeypatch, capsys):
+    # at degree 10^6 the series build and the scan did not finish in 20 s
+    def refuse(*args):
+        raise AssertionError("no series may be built past MONOMIAL_DEGREE_MAX")
+
+    monkeypatch.setattr(cli, "bind_symbol", refuse)
+    rc = main(["cnp", "test", "--alpha", "-1.5", "--symbol", "monomial n=1000000"])
+    assert rc == 2
+    assert "monomial degree must be in [1, 10000]" in capsys.readouterr().err
 
 
 def test_cnp_test_over_the_scan_budget_exits_2_before_sampling(monkeypatch, capsys):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subbergman
-from subbergman import kernels
+from subbergman import kernels, operators
 from subbergman.kernels import (
     CONJ_SUB_VALUE_TOL,
     KINDS,
@@ -31,7 +31,7 @@ from subbergman.kernels import (
 )
 from subbergman.cnp import build_pick
 from subbergman.harness import boundary_ratio_check
-from subbergman.operators import _defect_form, _defect_rows, _fast_length, defect_form, normalized_kernel_coeffs
+from subbergman.operators import _band_route, _defect_form, _defect_rows, defect_form, normalized_kernel_coeffs
 from subbergman.scalars import _powers, as_weight, basis_weights
 from subbergman.symbols import (
     BlaschkeSpec,
@@ -181,7 +181,7 @@ def test_fft_band_apply_matches_a_long_double_band_loop(text, r_out, alpha):
     sq = np.sqrt(basis_weights(a, _defect_rows(series, n, "conj") - 1))
     x = sq[:n] * _powers(np.conj(z), n)
     y = sq[:n] * _powers(np.conj(w), n)
-    assert np.count_nonzero(series.coeffs) > np.log2(_fast_length(len(sq)))  # the FFT route
+    assert _band_route(series, n, "conj")[2]  # the FFT route
     got = _defect_form(series, n, "conj", x, y, sq)
     ld = sq.astype(np.longdouble)
 
@@ -257,7 +257,7 @@ def test_conj_sub_makes_one_defect_form_call(monkeypatch):
         calls.append(args[1])
         return _defect_form(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "_defect_form", counted)
+    monkeypatch.setattr(operators, "_defect_form", counted)
     spec = KernelSpec("conj_sub", 0.0, to_series(BlaschkeSpec(zeros=(0.5, -0.5)), 64))
     z, w = _pairs(np.random.default_rng(8), 6, 0.95)
     k = eval_kernel(spec, z, w)
@@ -265,18 +265,20 @@ def test_conj_sub_makes_one_defect_form_call(monkeypatch):
     # each call at the basis size the truncation helper picks for it
     n = [_conj_sub_truncation(spec.symbol, spec.alpha, *pair)[0] for pair in ((z, w), (0.98, 0.1j))]
     assert calls == n
-    np.testing.assert_array_equal(k, _conj_sub_at(spec.symbol, 0.0, n[0], z, w))
     # an empty batch needs no basis at all
     assert eval_kernel(spec, np.zeros(0), np.zeros(0)).shape == (0,)
     assert eval_kernel(spec, np.zeros((0, 3)), 0.5).shape == (0, 3)
     assert len(calls) == 2
+    # the oracle, through the public defect_form, after the count
+    np.testing.assert_array_equal(k, _conj_sub_at(spec.symbol, 0.0, n[0], z, w))
 
 
 def test_conj_sub_work_budget_refuses_before_compute(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("defect_form ran for a request over the budget")
+        raise AssertionError("the weights or defect_form ran for a request over the budget")
 
-    monkeypatch.setattr(kernels, "_defect_form", refuse)
+    monkeypatch.setattr(operators, "_defect_form", refuse)
+    monkeypatch.setattr(operators, "basis_weights", refuse)
     spec = KernelSpec("conj_sub", 0.0, SHIFT)
     # the shift needs n = 33639 at 0.999, so 1000 pairs cost 1000 x n x 33 > 5e7
     with pytest.raises(ValueError, match="work budget") as info:
@@ -284,6 +286,39 @@ def test_conj_sub_work_budget_refuses_before_compute(monkeypatch):
     assert "radius 0.999 " in str(info.value)
     with pytest.raises(ValueError, match="work budget"):
         eval_kernel(spec, 1 - 1e-12, 0.0)
+    # the price is exact integer arithmetic: 10^4 pairs x n = 4.8e13 x 33 passes
+    # and n past 2^63 at the last float below 1 are refused, not wrapped
+    for r in (1 - 1e-12, np.nextafter(1.0, 0.0)):
+        with pytest.raises(ValueError, match="work budget"):
+            eval_kernel(spec, np.full(10**4, r), 0.5)
+
+
+def test_conj_sub_band_route_price_edge():
+    # the shift has one diagonal, so it runs on the band loop at 1 + 32 passes:
+    # at |z| = 0.999, w = 0.5 it needs n = 26912, so 56 pairs cost 4.97e7 and 57 exceed 5e7
+    spec = KernelSpec("conj_sub", 0.0, SHIFT)
+    z = np.full(57, 0.999 + 0j)
+    assert _conj_sub_truncation(SHIFT, spec.alpha, z, 0.5)[0] == 26912
+    k = eval_kernel(spec, z[:56], 0.5)
+    assert np.all(k == k[0]) and abs(k[0] - eval_kernel(spec, 0.999, 0.5)) <= 1e-12 * abs(k[0])
+    with pytest.raises(ValueError, match="work budget") as info:
+        eval_kernel(spec, z, 0.5)
+    assert "57 pair(s) x n x 33 passes" in str(info.value) and "n = 26912" in str(info.value)
+
+
+def test_conj_sub_long_band_is_priced_by_its_fft():
+    # singular c=1 at radius 0.9 settles at n = 270 on the FFT route (N = 960):
+    # ceil(960 / 270) x 10 + 32 = 72 passes, so 2572 pairs fit the budget where
+    # the price of one pass per nonzero diagonal (599 + 32) refused every batch past 293
+    _, series = bind_symbol(SingularInnerSpec(c=1.0), 0.0)
+    spec = KernelSpec("conj_sub", 0.0, series)
+    z = 0.9 * np.exp(2j * np.pi * np.random.default_rng(6).uniform(size=2572))
+    w = z[::-1].copy()
+    assert _conj_sub_truncation(series, spec.alpha, z, w)[0] == 270
+    k = eval_kernel(spec, z, w)
+    np.testing.assert_allclose(k, np.conj(k[::-1]), rtol=0, atol=1e-10 * np.max(np.abs(k)))
+    with pytest.raises(ValueError, match="2573 pair"):
+        eval_kernel(spec, np.append(z, 0.9), np.append(w, 0.9))
 
 
 def test_conj_sub_rejects_nonintegrable_alpha():

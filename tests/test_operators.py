@@ -15,6 +15,9 @@ from subbergman import operators
 from subbergman.cnp import build_pick
 from subbergman.operators import (
     DENSE_SIZE_MAX,
+    WORK_BUDGET,
+    _check_work,
+    _defect_rows,
     berezin,
     berezin_values,
     defect_form,
@@ -306,6 +309,42 @@ def test_berezin_values_apply_the_band_once(monkeypatch):
     twice = defect_form(series, 0.0, n, "phi", c, c.copy())
     assert inverses == [16, 4] * 3
     np.testing.assert_array_equal(vals, np.real(twice))
+
+
+def test_berezin_values_hand_one_array_to_both_sides(monkeypatch):
+    # the form is read at the same kernel vectors on both sides, for a list of points too
+    sides = []
+    form = operators._defect_form
+
+    def spy(symbol, n, which, x, y, sq):
+        sides.append(x is y)
+        return form(symbol, n, which, x, y, sq)
+
+    monkeypatch.setattr(operators, "_defect_form", spy)
+    series = to_series(MobiusSpec(a=0.5), 64)
+    berezin_values(series, 0.0, 50, [0.3, 0.5j])
+    berezin_values(series, 0.0, 50, np.array([[0.3, 0.5j], [-0.2, 0.7]]))
+    assert sides == [True, True]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    which=st.sampled_from(["phi", "conj"]),
+    n=st.integers(1, 64) | st.integers(1, 3000),
+    length=st.integers(1, 1200),
+    nonzero=st.integers(1, 1200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_route_price_never_exceeds_the_band_price(which, n, length, nonzero, seed):
+    # every batch that nonzero diagonals + 32 passes admit is admitted by the
+    # price of the route that runs, on the band loop and on the FFT alike
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(length, dtype=complex)
+    coeffs[rng.choice(length, min(nonzero, length), replace=False)] = rng.uniform(0.1, 1.0)
+    series = PowerSeriesSymbol(coeffs / np.sum(np.abs(coeffs)))
+    nnz = np.count_nonzero(series.coeffs[: _defect_rows(series, n, which)])
+    z = np.broadcast_to(0.5 + 0j, (int(WORK_BUDGET // (n * (nnz + 32))),))
+    _check_work(series, 0.0, n, which, z, z)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -83,7 +83,7 @@ def test_powers_match_the_complex_power(n):
     assert _powers(0.3j, 0).shape == (0,)
 
 
-@pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 2.5, 3.0, 1.3, 2.7])
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 2.5, 3.0, 8.5, 1.3, 2.7])
 def test_neg_power_matches_the_complex_power(s):
     # u = 1 - z conj(w) over |z|, |w| up to 0.999, the diagonal z = w included,
     # where |u| falls to 0.002; integers and half-integers go through products
@@ -109,6 +109,15 @@ def test_neg_power_matches_the_complex_power(s):
     assert np.sum((a * b).real < 0) > 3 and np.max(np.abs(np.angle(a * b))) > 3.0
     want = a**-s * b**-s
     assert np.max(np.abs(_neg_power(a * b, s) - want) / np.abs(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("s", [9.0, 9.5, 1e6, 1e300])
+def test_neg_power_past_eight_products_is_the_complex_power(s):
+    # products stop at floor(s) = 8, so the cost does not grow with s: at 1e300
+    # they would never end, and the complex power overflows to inf at once
+    u = 1.0 - 0.1 * np.conj(np.array([0.2, 0.5j, -0.9]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(_neg_power(u, s), u**-s, equal_nan=True)
 
 
 def test_weight_parameter_validation():

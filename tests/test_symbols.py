@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from subbergman.symbols import (
+    MONOMIAL_DEGREE_MAX,
     SERIES_TAIL_TOL,
     BlaschkeSpec,
     MobiusSpec,
@@ -390,6 +391,8 @@ def test_parse_symbol_errors():
         parse_symbol("mobius a=1.5")
     with pytest.raises(ValueError):
         parse_symbol("blaschke zeros=")
+    with pytest.raises(ValueError, match="monomial degree"):
+        parse_symbol("monomial n=1000000")
 
 
 def test_spec_validation():
@@ -399,6 +402,9 @@ def test_spec_validation():
         BlaschkeSpec(zeros=())
     with pytest.raises(ValueError):
         MonomialSpec(n=0)
+    assert MonomialSpec(n=MONOMIAL_DEGREE_MAX).n == MONOMIAL_DEGREE_MAX
+    with pytest.raises(ValueError, match="monomial degree"):
+        MonomialSpec(n=MONOMIAL_DEGREE_MAX + 1)
     with pytest.raises(ValueError):
         SingularInnerSpec(c=0.0)
     with pytest.raises(ValueError):
