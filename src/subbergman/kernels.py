@@ -61,19 +61,24 @@ def eval_kernel(spec: KernelSpec, z, w):
     The principal branch of the complex power is unambiguous here because
     Re(1 - z conj(w)) > 0 on the disk. Points that are not finite or not
     strictly inside the disk raise ValueError. conj_sub is truncated within
-    CONJ_SUB_VALUE_TOL and refused over WORK_BUDGET before any compute.
+    CONJ_SUB_VALUE_TOL and refused over WORK_BUDGET before any compute. A
+    value that overflows (the Bergman factor at large alpha) raises
+    ValueError instead of returning inf or nan.
     """
     _check_disk(z, w)
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if spec.kind == "bergman":
-        out = _bergman(spec.alpha.alpha, z, w)
-    elif spec.kind == "sub":
-        pz = spec.symbol.eval(z)
-        pw = spec.symbol.eval(w)
-        out = (1.0 - pz * np.conj(pw)) * _bergman(spec.alpha.alpha, z, w)
-    else:
-        out = _conj_sub(spec.symbol, spec.alpha, z, w)
+    with np.errstate(all="ignore"):
+        if spec.kind == "bergman":
+            out = _bergman(spec.alpha.alpha, z, w)
+        elif spec.kind == "sub":
+            pz = spec.symbol.eval(z)
+            pw = spec.symbol.eval(w)
+            out = (1.0 - pz * np.conj(pw)) * _bergman(spec.alpha.alpha, z, w)
+        else:
+            out = _conj_sub(spec.symbol, spec.alpha, z, w)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{spec.kind} kernel at alpha {spec.alpha.alpha:g} overflows at these points")
     return complex(out) if out.ndim == 0 else out
 
 

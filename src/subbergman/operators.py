@@ -23,7 +23,11 @@ HERMITIAN_TOL = 1e-10
 DENSE_SIZE_MAX = 4096
 # most work of one matrix-free request, in passes over its vectors x basis size
 WORK_BUDGET = 5e7
-_FFT_BLOCK = 16  # vectors in one block of the FFT band apply, 16 x N entries per transform
+# _defect_form takes max(_FFT_BLOCK, _BLOCK_ENTRIES // rows) vectors at a time: 16 x N
+# entries per transform at least, and short vectors by 2^15 entries (0.5 MB per temporary),
+# so the per-block overhead stays small
+_FFT_BLOCK = 16
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -215,11 +219,15 @@ def _defect_form(symbol: PowerSeriesSymbol, n: int, which: str, x, y, sq: np.nda
     sq = sqrt(basis_weights(alpha, _defect_rows(symbol, n, which) - 1)); a
     caller that already holds these weights for its own vectors passes them
     down, so each request runs the weight recurrence once. T is applied by
-    the route _band_route picks, the FFT over blocks of _FFT_BLOCK vectors,
-    so no temporary grows with the batch.
+    the route _band_route picks, and the apply and both sums run over
+    blocks of max(_FFT_BLOCK, _BLOCK_ENTRIES // rows) vectors, so no
+    temporary grows with the batch.
     """
     x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    same = y is x
+    x, y = np.broadcast_arrays(x, np.asarray(y, dtype=complex))
+    shape = x.shape[:-1]
+    x, y = x.reshape(-1, n), y.reshape(-1, n)
     rows = len(sq)
     c, size, fft = _band_route(symbol, n, which)
     # conj: S u is the full convolution of u and c, of length rows; phi: T_n* u
@@ -230,23 +238,26 @@ def _defect_form(symbol: PowerSeriesSymbol, n: int, which: str, x, y, sq: np.nda
     def apply(v):
         # conj: (Sv)_m = sum_j c_j sqrt(w_{m-j}) v_{m-j} / sqrt(w_m), m < rows
         # phi: (T_n* v)_k = sqrt(w_k) sum_j conj(c_j) v_{k+j} / sqrt(w_{k+j}), k < n
-        u = (v * sq[:n] if which == "conj" else v / sq).reshape(-1, n)
-        out = np.zeros((len(u), rows), dtype=complex)
+        u = v * sq[:n] if which == "conj" else v / sq
         if spectrum is not None:
-            for i in range(0, len(u), _FFT_BLOCK):
-                f = np.fft.fft(u[i : i + _FFT_BLOCK], size)
-                f *= spectrum
-                out[i : i + _FFT_BLOCK] = np.fft.ifft(f)[:, start : start + rows]
+            f = np.fft.fft(u, size)
+            f *= spectrum
+            out = np.fft.ifft(f)[:, start : start + rows]
         else:
+            out = np.zeros((len(u), rows), dtype=complex)
             for i in np.flatnonzero(kernel):  # kernel[i] u[:, k] lands in column k + i - start
                 lo = i - start
                 out[:, max(lo, 0) : lo + n] += kernel[i] * u[:, max(-lo, 0) :]
-        out = out.reshape(v.shape[:-1] + (rows,))
         return np.divide(out, sq, out=out) if which == "conj" else np.multiply(out, sq, out=out)
 
-    tx = apply(x)
-    ty = tx if y is x else apply(y)
-    return np.sum(np.conj(x) * y, axis=-1) - np.sum(np.conj(tx) * ty, axis=-1)
+    form = np.empty(len(x), dtype=complex)
+    block = max(_FFT_BLOCK, _BLOCK_ENTRIES // rows)
+    for i in range(0, len(x), block):
+        xb, yb = x[i : i + block], y[i : i + block]
+        tx = apply(xb)
+        ty = tx if same else apply(yb)
+        form[i : i + block] = np.sum(np.conj(xb) * yb, axis=-1) - np.sum(np.conj(tx) * ty, axis=-1)
+    return form.reshape(shape)[()]
 
 
 def _kernel_form(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w, unit: bool):

@@ -393,9 +393,10 @@ def admissibility_check(
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     if grid < 16:
         raise ValueError("admissibility grid must have at least 16 points per axis")
-    radii = 1.0 - np.geomspace(1.0, 1e-3, grid)
+    # the first radius is exactly 0, so its ring is the one point 0, sampled once
+    radii = 1.0 - np.geomspace(1.0, 1e-3, grid)[1:]
     angles = np.exp(2j * np.pi * np.arange(grid) / grid)
-    pts = np.unique((radii[:, None] * angles[None, :]).ravel())
+    pts = np.concatenate([[0j], (radii[:, None] * angles[None, :]).ravel()])
     vals = symbol.eval(pts)
     sup = float(np.max(np.abs(vals)))
     admissible = sup <= 1.0 + tolerance

@@ -3,7 +3,11 @@
 import csv
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,16 @@ def test_kernel_eval_non_finite_point_exits_2(kind, value, which, capsys):
     )
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args", [["--kind", "bergman", "--alpha", "1e300"], ["--kind", "sub", "--alpha", "1e6", "--symbol", "series 0,1"]]
+)
+def test_kernel_eval_overflowing_value_exits_2(args, capsys):
+    rc = main(["kernel", "eval", *args, "--z", "0.1", "--w", "0.2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "overflows" in captured.err and "RuntimeWarning" not in captured.err
 
 
 def test_kernel_eval_conj_sub_empty_batch(tmp_path, capsys, monkeypatch):
@@ -634,3 +648,32 @@ def test_verify_error_cells_exit_3(monkeypatch, tmp_path, capsys):
     assert "0 passed, 2 failed, 0 skipped, 1 errors" in out
     cells = json.loads((tmp_path / "boundary_ratio.json").read_text())["checks"]
     assert sorted(c["status"] for c in cells) == ["error", "fail", "fail"]
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["verify", "all"], ["numpy.random", "numpy.ma"]),
+        (["cnp", "test", "--alpha", "-1.5", "--symbol", "monomial n=2"], ["numpy.ma"]),
+    ],
+    ids=["verify-all", "cnp-test"],
+)
+def test_fresh_interpreter_leaves_numpy_submodules_unloaded(argv, absent, tmp_path):
+    # verify samples its points on a fixed spiral and finds distinct sizes without
+    # np.unique, which imports numpy.ma; only cnp's seeded sampler needs numpy.random
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from subbergman import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.main({argv + ['--out', str(tmp_path / 'out')]!r})\n"
+        f"print(json.dumps([rc, [m for m in {absent!r} if m in sys.modules]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]

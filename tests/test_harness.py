@@ -237,6 +237,21 @@ def test_blaschke_decay_skips_unsettled_sections_and_never_fails(size):
             assert m["range_min_phi"] > 0 and m["range_min_conj"] > 0
 
 
+@pytest.mark.parametrize(
+    "count, r_max, reach",
+    [(harness.BEREZIN_POINTS, harness.BEREZIN_RADIUS, 0.784), (harness.RESCALING_POINTS, 0.9, 0.747)],
+)
+def test_spiral_points_cover_the_disk_the_seeded_sets_did(count, r_max, reach):
+    # reach: the largest |a| of the seeded sets these spirals replaced
+    pts = harness._spiral_points(count, r_max)
+    assert pts.shape == (count,)
+    assert np.all(np.abs(pts) < r_max)
+    gaps = np.abs(pts[:, None] - pts[None, :]) + np.eye(count)
+    assert gaps.min() > 0.05
+    assert np.abs(pts).max() >= reach
+    np.testing.assert_array_equal(pts, harness._spiral_points(count, r_max))
+
+
 @pytest.mark.parametrize("size", [3, 20, 33, 34, 72, 80, 400])
 def test_berezin_identity_skips_truncated_kernel_vectors_and_never_fails(size):
     # up to size 33 the cells used to fail: the kernel vectors were cut too early

@@ -7,9 +7,11 @@ shift, and the rescaling identity against direct evaluation on both sides.
 """
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +202,7 @@ def test_fft_band_apply_matches_a_long_double_band_loop(text, r_out, alpha):
 
 def test_conj_sub_long_band_batch_memory():
     # 60 pairs of the 600-term singular c=1 series at radius 0.95 settle at
-    # n = 582 with 1181 rows of S; the FFT runs over blocks of 16 vectors, so
+    # n = 582 with 1181 rows of S; the FFT runs over blocks of 27 vectors, so
     # the peak stays below the 150 bytes per pair and basis element that one
     # np.convolve per vector took
     _, series = bind_symbol(SingularInnerSpec(c=1.0), 0.0)
@@ -218,6 +220,45 @@ def test_conj_sub_long_band_batch_memory():
     assert n == 582
     assert peak <= 150 * z.size * n
     np.testing.assert_allclose(k, np.conj(k[::-1]), rtol=0, atol=1e-10 * np.max(np.abs(k)))
+
+
+def test_conj_sub_sparse_long_band_batch_memory():
+    # 300 pairs of z/2 + z^2000/2 at |z| = 0.1 settle at n = 9 on the band
+    # loop, but S has 2008 rows; the apply and both sums run 16 vectors at a
+    # time, so the peak does not grow with the batch (29 MB when they ran
+    # over all 300 at once)
+    c = np.zeros(2001, dtype=complex)
+    c[1] = c[2000] = 0.5
+    spec = KernelSpec("conj_sub", 0.0, PowerSeriesSymbol(c))
+    z = 0.1 * np.exp(2j * np.pi * np.arange(300) / 300)
+    w = z[::-1].copy()
+    n, _ = _conj_sub_truncation(spec.symbol, spec.alpha, z, w)
+    assert n == 9 and not _band_route(spec.symbol, n, "conj")[2]
+    tracemalloc.start()
+    try:
+        k = eval_kernel(spec, z, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    np.testing.assert_array_equal(k[:16], eval_kernel(spec, z[:16], w[:16]))
+    np.testing.assert_allclose(k, np.conj(k[::-1]), rtol=0, atol=1e-12 * np.max(np.abs(k)))
+
+
+@pytest.mark.parametrize(
+    "kind, alpha, symbol", [("bergman", 1e300, None), ("sub", 1e6, PowerSeriesSymbol(np.array([0.0, 1.0])))]
+)
+def test_overflowing_kernel_value_is_refused(kind, alpha, symbol):
+    # (1 - z conj w)^-(2 + alpha) overflows at these alphas; the value is refused,
+    # not returned as inf or nan, and numpy's overflow warnings stay silent
+    spec = KernelSpec(kind, alpha, symbol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{kind} kernel at alpha {alpha:g} overflows")):
+            eval_kernel(spec, 0.1, 0.2)
+        with pytest.raises(ValueError, match="overflows"):
+            eval_kernel(spec, [0.0, 0.1], [0.0, 0.2])
+    assert np.isfinite(eval_kernel(spec, 0.0, 0.2))  # 1^-(2 + alpha) is finite
 
 
 def _conj_sub_at(symbol, alpha, n, z, w):
