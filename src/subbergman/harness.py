@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -120,7 +120,7 @@ class RunReport:
         return any(r.status in ("fail", "error") for r in self.checks)
 
     def to_dict(self) -> dict:
-        return _plain(asdict(self))
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
@@ -145,7 +145,15 @@ def _from_fields(cls, data: dict):
 
 
 def _plain(value):
-    """Recursively convert numpy scalars and arrays into JSON-friendly values."""
+    """Recursively convert dataclasses, numpy scalars and arrays into JSON-friendly values.
+
+    A dataclass becomes the dict of its fields, as dataclasses.asdict gives,
+    in the same walk, so no deep copy is made first.
+    """
+    if type(value) in (str, float, int, bool, type(None)):  # most leaves: nothing to convert
+        return value
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -166,15 +174,16 @@ def emit_report(report: RunReport, path, format: str = "json") -> None:
         if format == "json":
             path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         elif format == "csv":
+            cells = report.to_dict()["checks"]
             columns = [f.name for f in fields(CheckResult) if f.name != "metrics"]
-            keys = sorted({k for r in report.checks for k in r.metrics})
+            keys = sorted({k for c in cells for k in c["metrics"]})
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow([*columns, *keys])
-                for r in report.checks:
-                    row = [getattr(r, c) for c in columns]
+                for c in cells:
+                    row = [c[name] for name in columns]
                     for k in keys:
-                        v = _plain(r.metrics.get(k, ""))
+                        v = c["metrics"].get(k, "")
                         row.append(json.dumps(v) if isinstance(v, list) else v)
                     writer.writerow(row)
         else:
@@ -294,7 +303,7 @@ def _range_section(series: PowerSeriesSymbol, alpha: float, n: int, which: str) 
     for idx, blocks in classes:
         members = np.sum(idx < n // 2, axis=1)  # len(range(rho, n // 2, m)), unequal within a size
         for k in set(members.tolist()) - {0}:  # at most two sizes; np.unique would load numpy.ma
-            half_max = max(half_max, _block_eigenvalues(blocks[members == k, :k, :k]).max())
+            half_max = max(half_max, _block_eigenvalues(blocks[:, :k, :k][members == k]).max())
     return float(ev.min()), float(ev.max()), float(np.log2(ev.max() / half_max))
 
 

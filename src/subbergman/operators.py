@@ -142,6 +142,9 @@ def _defect_classes(symbol: PowerSeriesSymbol, alpha, n: int, which: str, scale:
         return [(np.arange(n)[:, None], (scale**2 * d)[:, None, None])]
     t = _toeplitz_entries(symbol, a, rows, n)
     t, r = (t, support[0]) if which == "phi" else (t.conj().T, -support[0])
+    if m == 1:
+        # one class reads all of T: scale the fresh T in place instead of copying it
+        np.multiply(scale[:, None], t, out=t)
     q, extra = divmod(n, m)
     out = []
     for size, first, last in ((q + 1, 0, extra), (q, extra, m)):
@@ -149,7 +152,7 @@ def _defect_classes(symbol: PowerSeriesSymbol, alpha, n: int, which: str, scale:
             idx = np.arange(first, last)[:, None] + m * np.arange(size)
             blocks = np.empty((last - first, size, size), dtype=t.dtype)
             for b, rho in zip(blocks, range(first, last)):
-                u = scale[rho::m, None] * t[rho::m, (rho - r) % m :: m]
+                u = t if m == 1 else scale[rho::m, None] * t[rho::m, (rho - r) % m :: m]
                 np.matmul(u, u.conj().T, out=b)
             np.negative(blocks, out=blocks)
             blocks[:, np.arange(size), np.arange(size)] += scale[idx] ** 2

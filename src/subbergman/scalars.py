@@ -9,6 +9,7 @@ built from these weights and from the Taylor coefficients of (1-x)^s.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,24 +40,48 @@ def as_weight(alpha: WeightParameter | float) -> WeightParameter:
     return WeightParameter(float(alpha))
 
 
+# basis_weights keeps the longest prefix built for each of its last _WEIGHT_ALPHAS
+# alphas, at most _WEIGHT_LENGTH weights each, so the cache holds at most 4 MB
+_WEIGHT_ALPHAS = 8
+_WEIGHT_LENGTH = 1 << 16
+_weights: dict[float, np.ndarray] = {}
+_weights_lock = threading.Lock()
+
+
 def basis_weights(alpha: WeightParameter | float, n_max: int) -> np.ndarray:
     """Weights w_n = Gamma(n+2+alpha)/(n! Gamma(2+alpha)) for n = 0..n_max, read-only.
 
     Computed by the ratio recurrence w_{n+1} = w_n (n+2+alpha)/(n+1); direct
-    Gamma evaluation overflows past n ~ 170 in double precision.
+    Gamma evaluation overflows past n ~ 170 in double precision. The longest
+    prefix built for an alpha is kept (up to _WEIGHT_LENGTH weights, for the
+    last _WEIGHT_ALPHAS alphas) and a longer request continues the same
+    recurrence from its last weight, so every result is bitwise the one a
+    fresh run gives; shorter requests get a view of the kept prefix.
     """
     al = as_weight(alpha).alpha
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    last, out = 1.0, [1.0]
-    # the recurrence in order on Python floats: each step rounds once, as
-    # float64 does; np.cumprod would regroup the products and their rounding
-    for n in range(n_max):
-        last = last * (n + 2 + al) / (n + 1)
-        out.append(last)
-    w = np.array(out)
-    w.setflags(write=False)
-    return w
+    with _weights_lock:  # the pop, the fill and the put-back act on one shared dict
+        kept = _weights.pop(al, None)  # put back below: the dict stays in order of last use
+        if kept is not None and len(kept) > n_max:
+            full = kept
+        else:
+            head = np.ones(1) if kept is None else kept
+            last, out = float(head[-1]), []
+            # the recurrence in order on Python floats: each step rounds once, as
+            # float64 does; np.cumprod would regroup the products and their rounding
+            for n in range(len(head) - 1, n_max):
+                last = last * (n + 2 + al) / (n + 1)
+                out.append(last)
+            full = np.concatenate([head, out])
+            full.setflags(write=False)
+            if len(full) <= _WEIGHT_LENGTH:
+                kept = full
+        if kept is not None:
+            _weights[al] = kept
+            if len(_weights) > _WEIGHT_ALPHAS:
+                del _weights[next(iter(_weights))]
+    return full[: n_max + 1]
 
 
 def _powers(base, n: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import csv
 import inspect
+import io
 import json
 
 import numpy as np
@@ -365,6 +366,34 @@ def test_range_sections_interlace(spec, alpha):
         tol = 1e-12 * max(1.0, hi)
         assert hi_half <= hi + tol and lo_half >= lo - tol
         assert abs(growth - np.log2(hi / hi_half)) < 1e-12
+
+
+@pytest.mark.parametrize("which", ["phi", "conj"])
+def test_range_section_scales_in_place_and_slices_before_masking(which):
+    # mobius a=0.5 has one rotation class, so the whole scaled T feeds one Gram
+    # product; the reference scales a copy of T and masks the class stack before
+    # slicing, as the builder once did, and must agree bitwise
+    import tracemalloc
+
+    n, alpha = 400, 0.0
+    _, series = bind_symbol(MobiusSpec(a=0.5), alpha, n)
+    scale = 1.0 / np.sqrt(inclusion_eigenvalues(alpha, alpha - 1.0, n - 1))
+    t = operators._toeplitz_entries(series, alpha, operators._defect_rows(series, n, which), n)
+    u = scale[:, None] * (t if which == "phi" else t.conj().T)
+    r = -(u @ u.conj().T)
+    r[np.arange(n), np.arange(n)] += scale**2
+    ev = np.linalg.eigvalsh(r)
+    half = np.linalg.eigvalsh(r[: n // 2, : n // 2].copy())
+    want = (float(ev.min()), float(ev.max()), float(np.log2(ev.max() / half.max())))
+    assert _range_section(series, alpha, n, which) == want
+    tracemalloc.start()
+    try:
+        _range_section(series, alpha, n, which)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 3.73 MB (phi) and 4.12 MB (conj) with a scaled copy of T and a masked copy of the stack
+    assert peak <= 2.8 * 2**20, peak
 
 
 def _class_series(m, r, length, complex_symbol, seed):
@@ -753,6 +782,41 @@ def test_csv_row_count_matches_cells(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) - 1 == len(report.checks) == 8
     assert rows[0][:5] == ["check", "alpha", "symbol", "status", "reason"]
+
+
+def _two_walk_bytes(report: RunReport) -> tuple[str, str]:
+    """Reference writer: dataclasses.asdict, then _plain over the copy and over every CSV cell."""
+    from dataclasses import asdict, fields
+
+    text = json.dumps(harness._plain(asdict(report)), indent=2, sort_keys=True) + "\n"
+    columns = [f.name for f in fields(harness.CheckResult) if f.name != "metrics"]
+    keys = sorted({k for r in report.checks for k in r.metrics})
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([*columns, *keys])
+    for r in report.checks:
+        row = [getattr(r, c) for c in columns]
+        for k in keys:
+            v = harness._plain(r.metrics.get(k, ""))
+            row.append(json.dumps(v) if isinstance(v, list) else v)
+        writer.writerow(row)
+    return text, buf.getvalue()
+
+
+def test_reports_are_written_as_the_two_walk_writer_wrote_them(tmp_path):
+    # every cell kind of verify all (lists, bools, ints, floats, absent keys), plus
+    # metrics that are not yet plain: numpy scalars, an array and a tuple
+    scenarios = builtin_scenarios()
+    names = ("boundary_ratio", "cnp_nonmoebius_fail", "hardy_degenerate", "inclusion_asymptote")
+    checks = [c for name in names for c in run_scenario(scenarios[name], _FAST).checks]
+    raw = {"f": np.float64(0.1), "i": np.int64(3), "b": np.bool_(True), "a": np.arange(3), "t": (1, 2.5)}
+    checks.append(harness.CheckResult("raw", 0.0, "series 0,1", "pass", "", raw))
+    report = RunReport(scenario="mixed", config={"matrix_size": _FAST}, checks=checks, started="s", finished="f")
+    emit_report(report, tmp_path / "r.json", "json")
+    emit_report(report, tmp_path / "r.csv", "csv")
+    text, table = _two_walk_bytes(report)
+    assert (tmp_path / "r.json").read_bytes() == text.encode()
+    assert (tmp_path / "r.csv").read_bytes() == table.encode()
 
 
 def test_emit_report_bad_format_and_path(tmp_path):

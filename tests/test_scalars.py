@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from subbergman import scalars
 from subbergman.scalars import (
     WeightParameter,
     _hermitian_gram,
@@ -274,3 +275,65 @@ def test_psd_within_leaves_its_input_unchanged():
     assert _psd_within(entries, 1e-9)
     assert np.array_equal(entries, np.eye(3))
     assert not _psd_within(-entries, 1e-9)
+
+
+def _plain_weights(alpha: float, n_max: int) -> np.ndarray:
+    """Oracle: the ratio recurrence run from w_0 = 1, with no cache."""
+    last, out = 1.0, [1.0]
+    for n in range(n_max):
+        last = last * (n + 2 + alpha) / (n + 1)
+        out.append(last)
+    return np.array(out)
+
+
+def test_weight_cache_is_bitwise_the_recurrence_and_bounded(monkeypatch):
+    monkeypatch.setattr(scalars, "_weights", {})
+    # growing, shrinking, a new alpha, a revisited one, and more alphas than the cache keeps
+    requests = [(0.5, 10), (0.5, 300), (0.5, 7), (-0.5, 50), (0.5, 1000), (-0.5, 0), (1.7, 2000)]
+    requests += [(a, 64) for a in (-1.5, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0)] + [(0.5, 1500), (1.7, 100)]
+    for alpha, n in requests:
+        w = basis_weights(alpha, n)
+        assert not w.flags.writeable
+        assert w.dtype == np.float64 and w.tobytes() == _plain_weights(alpha, n).tobytes(), (alpha, n)
+        assert len(scalars._weights) <= scalars._WEIGHT_ALPHAS
+        assert all(len(kept) <= scalars._WEIGHT_LENGTH for kept in scalars._weights.values())
+    # a request past the length bound extends the kept prefix without storing the extension
+    n = scalars._WEIGHT_LENGTH + 100
+    w = basis_weights(0.5, n)
+    assert w.tobytes() == _plain_weights(0.5, n).tobytes() and not w.flags.writeable
+    assert len(scalars._weights[0.5]) == 1501
+
+
+def test_weight_cache_under_threads(monkeypatch):
+    # more threads than cores, switching every microsecond, over more alphas than the
+    # cache keeps: every result stays bitwise the recurrence's and the bound holds
+    import sys
+    import threading
+
+    monkeypatch.setattr(scalars, "_weights", {})
+    alphas = [0.25 * k for k in range(12)]
+    errors = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(600):
+                alpha, n = alphas[rng.integers(len(alphas))], int(rng.integers(0, 400))
+                if basis_weights(alpha, n).tobytes() != _plain_weights(alpha, n).tobytes():
+                    errors.append((alpha, n))
+        except Exception as exc:  # a lost update surfaces as KeyError or RuntimeError here
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(scalars._weights) <= scalars._WEIGHT_ALPHAS

@@ -6,6 +6,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from subbergman import symbols
 from subbergman.symbols import (
     MONOMIAL_DEGREE_MAX,
     SERIES_TAIL_TOL,
@@ -455,3 +456,60 @@ def test_series_eval_rejects_boundary_points():
     series = PowerSeriesSymbol(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         series.eval(1.0)
+
+
+def _disk_points(rng, shape, r_max=0.999):
+    r = r_max * np.sqrt(rng.uniform(size=shape))
+    return r * np.exp(2j * np.pi * rng.uniform(size=shape))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here")
+@pytest.mark.parametrize("length", [1, 2, 3, 8, 64, 600, 1024])
+@pytest.mark.parametrize("shape", [(), (1,), (10,), (241,), (4096,), (10, 1), (1, 10)])
+def test_series_eval_is_within_the_horner_bound(length, shape):
+    # the baby-step giant-step evaluator against Horner in long double, held to
+    # Horner's own a-priori bound 2 L eps sum |c_k| |z|^k; the points reach |z| = 0.999
+    rng = np.random.default_rng([length, len(shape), int(np.prod(shape))])
+    c = rng.normal(size=length) + 1j * rng.normal(size=length)
+    z = _disk_points(rng, shape)
+    got = PowerSeriesSymbol(c).eval(z)
+    assert np.shape(got) == shape and isinstance(got, complex) == (shape == ())
+    ref = np.zeros(shape, dtype=np.clongdouble)
+    zl = np.asarray(z, dtype=np.clongdouble)
+    for ck in c[::-1].astype(np.clongdouble):
+        ref = ref * zl + ck
+    bound = 2 * length * np.finfo(float).eps * np.polyval(np.abs(c)[::-1], np.abs(z))
+    err = np.abs(np.asarray(got, dtype=np.clongdouble) - ref)
+    assert np.all(err <= bound), float(np.max(err / bound))
+
+
+def test_series_eval_memory_does_not_grow_with_points_times_length():
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    series = PowerSeriesSymbol(rng.normal(size=1025) + 1j * rng.normal(size=1025))
+    z = _disk_points(rng, 10**5)
+    tracemalloc.start()
+    try:
+        series.eval(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 1.6 MB result and the 0.8 MB |z| check, plus one block's temporaries
+    assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("size", [0, 400, 600, 800])
+def test_bind_symbol_builds_a_singular_series_once(monkeypatch, size):
+    spec = SingularInnerSpec(c=1.0)
+    want = to_series(spec, max(600, size))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return to_series(*args)
+
+    monkeypatch.setattr(symbols, "to_series", counting)
+    _, series = bind_symbol(spec, 0.0, size)
+    assert len(calls) == 1
+    assert series.coeffs.tobytes() == want.coeffs.tobytes() and series.tail_bound == want.tail_bound
