@@ -32,6 +32,7 @@ from .kernels import KINDS, KernelSpec, _conj_sub_truncation, eval_kernel
 from .operators import (
     _check_dense_size,
     _check_work,
+    _fit_window,
     berezin_values,
     defect_matrix,
     spectrum,
@@ -176,6 +177,7 @@ def _cmd_toeplitz_build(args) -> int:
 def _cmd_defect_spectrum(args) -> int:
     alpha = as_weight(args.alpha)
     _check_dense_size(args.size)
+    _fit_window(args.size, args.window)
     spec, series = _resolve(args.symbol, float(alpha), args.size)
     e = defect_matrix(series, alpha, args.size, args.which)
     rep = spectrum(e, args.window)

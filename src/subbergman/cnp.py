@@ -15,6 +15,7 @@ import numpy as np
 
 from .operators import _check_hermitian
 from .scalars import WeightParameter, _hermitian_gram, _psd_within, as_weight, binomial_coeffs
+from .scalars import _check_disk, _check_tolerance
 from .symbols import PowerSeriesSymbol, admissibility_check, normalize
 
 DIVISION_HAZARD_TOL = 1e-12
@@ -29,31 +30,23 @@ class DivisionHazard(ValueError):
     """|K| fell below DIVISION_HAZARD_TOL at some point pair, so 1 - 1/K is unreliable."""
 
 
-def sample_points(
-    n: int,
-    rng: np.random.Generator,
-    alpha: WeightParameter | float = 0.0,
-    r_max: float = 1.0,
-    min_sep: float = MIN_SEPARATION,
-) -> np.ndarray:
+def sample_points(n: int, rng: np.random.Generator, alpha: WeightParameter | float = 0.0) -> np.ndarray:
     """Pseudo-random disk points spread toward the boundary.
 
     Radii are drawn area-uniform (r = sqrt(u)) and pushed outward by
     r -> r^(1/(2+alpha_+)), alpha_+ = max(alpha, 0); CNP failures of
     non-Moebius symbols concentrate near the boundary, and larger alpha
-    flattens the kernel there. A minimum pairwise separation is enforced by
-    resampling, so the stream of draws (and thus the sample) is a
-    deterministic function of the generator state.
+    flattens the kernel there. A minimum pairwise separation of
+    MIN_SEPARATION, read at call time, is enforced by resampling, so the
+    stream of draws (and thus the sample) is a deterministic function of
+    the generator state.
 
     Each round draws the uniforms of the candidates still missing in one
     block, radius then angle per candidate, and accepts them in order; so
     the points and the generator state afterwards are those of drawing one
-    candidate at a time. An r_max outside (0, 1] or a negative or non-finite
-    min_sep raises ValueError before anything is drawn, and so does a
-    sample that cannot keep its separation within 10000 n draws.
+    candidate at a time. A sample that cannot keep its separation within
+    10000 n draws raises ValueError.
     """
-    if not (0.0 < r_max <= 1.0 and 0.0 <= min_sep < np.inf):
-        raise ValueError(f"need r_max in (0, 1] and a finite min_sep >= 0, got {r_max}, {min_sep}")
     expo = 1.0 / (2.0 + max(as_weight(alpha).alpha, 0.0))
     pts = np.empty(n, dtype=complex)
     have = 0
@@ -61,21 +54,20 @@ def sample_points(
     while have < n:
         if attempts > 10000 * n:
             raise ValueError(
-                f"point sampler failed to keep {n} points {min_sep:g} apart within radius {r_max:g}; "
-                "use fewer points or a smaller min_sep"
+                f"point sampler failed to keep {n} points {MIN_SEPARATION:g} apart; use fewer points"
             )
         k = n - have
         attempts += k
         u = rng.uniform(size=2 * k)
         # scalar powers: numpy's array ** can differ from them by an ulp
-        r = np.array([x**expo for x in np.sqrt(u[0::2]).tolist()]) * r_max
+        r = np.array([x**expo for x in np.sqrt(u[0::2]).tolist()])
         cand = r * np.exp(2j * np.pi * u[1::2])
-        crowded = np.triu(np.abs(cand[:, None] - cand[None, :]) < min_sep, 1).any()
-        if not crowded and not np.any(np.abs(cand[:, None] - pts[:have]) < min_sep):
+        crowded = np.triu(np.abs(cand[:, None] - cand[None, :]) < MIN_SEPARATION, 1).any()
+        if not crowded and not np.any(np.abs(cand[:, None] - pts[:have]) < MIN_SEPARATION):
             pts[have:] = cand
             break
         for z in cand:
-            if have and float(np.min(np.abs(pts[:have] - z))) < min_sep:
+            if have and float(np.min(np.abs(pts[:have] - z))) < MIN_SEPARATION:
                 continue
             pts[have] = z
             have += 1
@@ -177,11 +169,9 @@ def build_pick(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points
     1e-12 is a division hazard and raises DivisionHazard.
     """
     a = as_weight(alpha)
-    pts = np.asarray(points, dtype=complex)
+    pts = _check_disk(points, "Pick point").astype(complex, copy=False)
     if pts.ndim != 1 or len(pts) < 1:
         raise ValueError("need a nonempty 1-d point list")
-    if not np.all(np.abs(pts) < 1):
-        raise ValueError("all points must be finite and lie inside the disk")
     if len(pts) > 1:
         diff = np.abs(pts[:, None] - pts[None, :])
         if float(np.min(diff[~np.eye(len(pts), dtype=bool)])) == 0.0:
@@ -274,8 +264,7 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
     entry, is not Hermitian within operators.HERMITIAN_TOL, or has a
     different number of points raises ValueError before any solve.
     """
-    if not 0.0 < tolerance < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    _check_tolerance(tolerance)
     _check_hermitian(matrix.entries)
     if matrix.points.shape != matrix.entries.shape[:1]:
         n = len(matrix.entries)
@@ -330,8 +319,7 @@ def cnp_scan(
         raise ValueError("need at least 3 points per trial")
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    if not 0.0 < tolerance < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    _check_tolerance(tolerance)
     if n_trials * float(n_points) ** 3 > SCAN_WORK_MAX:
         raise ValueError(
             f"{n_trials} trial(s) x {n_points}^3 points exceed the scan budget "

@@ -27,6 +27,7 @@ from .operators import (
     DENSE_SIZE_MAX,
     _decay_slope,
     _defect_classes,
+    _fit_window,
     berezin_values,
     inclusion_eigenvalues,
     jacobi_eigenvalues,
@@ -502,7 +503,7 @@ def _check_inclusion_asymptote(alpha, spec, series, n):
     tail = product[32:]
     # vals strictly decrease for gamma < alpha, so they are their own
     # descending spectrum; the fit window is spectrum's default at n + 1
-    slope = _decay_slope(vals, max(1, (n + 1) // 40), 3 * (n + 1) // 4)
+    slope = _decay_slope(vals, *_fit_window(n + 1))
     metrics = {
         "gamma": gamma,
         "product_min": float(tail.min()),

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import WORK_BUDGET, _kernel_form
-from .scalars import WeightParameter, _neg_power, as_weight
+from .scalars import WeightParameter, _check_disk, _neg_power, as_weight
 from .symbols import PowerSeriesSymbol, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
@@ -45,12 +45,6 @@ class KernelSpec:
             raise ValueError("conj_sub kernels require alpha > -1")
 
 
-def _check_disk(*points) -> None:
-    for p in points:
-        if not np.all(np.abs(np.asarray(p)) < 1):  # nan fails the test too
-            raise ValueError("kernel arguments must be finite with |z| < 1")
-
-
 def _bergman(alpha: float, z, w):
     return _neg_power(1.0 - z * np.conj(w), 2.0 + alpha)
 
@@ -65,9 +59,8 @@ def eval_kernel(spec: KernelSpec, z, w):
     value that overflows (the Bergman factor at large alpha) raises
     ValueError instead of returning inf or nan.
     """
-    _check_disk(z, w)
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    z = _check_disk(z, "kernel argument").astype(complex, copy=False)
+    w = _check_disk(w, "kernel argument").astype(complex, copy=False)
     with np.errstate(all="ignore"):
         if spec.kind == "bergman":
             out = _bergman(spec.alpha.alpha, z, w)
@@ -109,7 +102,7 @@ def _conj_sub_truncation(symbol: PowerSeriesSymbol, alpha: WeightParameter, z, w
     for alpha > -1. A batch is bounded at its largest |z| and |w|. n is
     found by doubling and bisection on this closed form; its price is
     _kernel_form's. The bound is on truncation only: the two sums of
-    defect_form round at about eps ||x|| ||y||.
+    _defect_form round at about eps ||x|| ||y||.
     """
     a = alpha.alpha
     tz = float(np.max(np.abs(z))) ** 2
@@ -198,8 +191,8 @@ def conj_sub_quadrature(
     a = as_weight(alpha)
     if not a.integrable:
         raise ValueError("conj_sub kernels require alpha > -1")
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    z = _check_disk(z, "kernel argument").astype(complex, copy=False)
+    w = _check_disk(w, "kernel argument").astype(complex, copy=False)
     n_radial, n_angular = 128, 256
     pairs = np.broadcast(z, w).size
     if pairs * n_radial * n_angular > WORK_BUDGET:
@@ -207,7 +200,6 @@ def conj_sub_quadrature(
             f"conj_sub_quadrature: {pairs} pair(s) x {n_radial * n_angular} grid nodes exceed "
             f"the work budget {WORK_BUDGET:g}; split the batch"
         )
-    _check_disk(z, w)
     z, w = np.broadcast_arrays(z, w)
     if z.size == 0:
         return np.zeros(z.shape, dtype=complex)
@@ -249,7 +241,7 @@ def rescaling_check(
     independently for every ordered pair.
     """
     a = as_weight(alpha)
-    pts = np.asarray(points, dtype=complex)
+    pts = _check_disk(points).astype(complex, copy=False)
     if pts.ndim != 1 or len(pts) < 2:
         raise ValueError("rescaling check needs at least two points")
     norm = normalize(symbol)

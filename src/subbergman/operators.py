@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import WeightParameter, _powers, as_weight, basis_weights
+from .scalars import WeightParameter, _check_disk, _powers, as_weight, basis_weights
 from .symbols import PowerSeriesSymbol
 
 SCHATTEN_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
@@ -160,28 +160,6 @@ def _defect_classes(symbol: PowerSeriesSymbol, alpha, n: int, which: str, scale:
     return out
 
 
-def defect_form(
-    symbol: PowerSeriesSymbol,
-    alpha: WeightParameter | float,
-    n: int,
-    which: str,
-    x: np.ndarray,
-    y: np.ndarray,
-):
-    """The quadratic form x* E y of the block E = defect_matrix(symbol, alpha, n, which).
-
-    E is never formed. With S as in defect_matrix, x* E y = x*y - (Sx)*(Sy)
-    for "conj" and x*y - (T_n* x)*(T_n* y) for "phi"; T is applied as in
-    _defect_form, once when y is x. x and y have length n in their last
-    axis and broadcast over the leading axes.
-    """
-    a = _check_defect_args(alpha, n, which)
-    if np.shape(x)[-1:] != (n,) or np.shape(y)[-1:] != (n,):
-        raise ValueError(f"vectors must have length {n} in their last axis")
-    sq = np.sqrt(basis_weights(a, _defect_rows(symbol, n, which) - 1))
-    return _defect_form(symbol, n, which, x, y, sq)
-
-
 def _band_route(symbol: PowerSeriesSymbol, n: int, which: str) -> tuple[np.ndarray, int, bool]:
     """The band c the n x n block reads, an FFT length N (the least k 2^e >= n + len(c) - 1 with
     k in 1, 3, 5, 9, 15, so within 25%), and whether T is applied by FFT: when more than
@@ -217,14 +195,16 @@ def _check_work(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w) -> W
 
 
 def _defect_form(symbol: PowerSeriesSymbol, n: int, which: str, x, y, sq: np.ndarray):
-    """defect_form on checked arguments, with sq the square roots of the weights of its rows.
+    """x* E y for E = defect_matrix(symbol, alpha, n, which), never formed, on checked arguments.
 
-    sq = sqrt(basis_weights(alpha, _defect_rows(symbol, n, which) - 1)); a
-    caller that already holds these weights for its own vectors passes them
-    down, so each request runs the weight recurrence once. T is applied by
-    the route _band_route picks, and the apply and both sums run over
-    blocks of max(_FFT_BLOCK, _BLOCK_ENTRIES // rows) vectors, so no
-    temporary grows with the batch.
+    x* E y = x*y - (Sx)*(Sy) for "conj", S as in defect_matrix, and x*y -
+    (T_n* x)*(T_n* y) for "phi", T applied once when y is x; x and y have
+    length n in their last axis and broadcast over the leading axes. sq =
+    sqrt(basis_weights(alpha, _defect_rows(symbol, n, which) - 1)): the
+    caller holds these weights for its own vectors, so each request runs
+    the weight recurrence once. T is applied by the route _band_route
+    picks, over blocks of max(_FFT_BLOCK, _BLOCK_ENTRIES // rows) vectors,
+    so no temporary grows with the batch.
     """
     x = np.asarray(x, dtype=complex)
     same = y is x
@@ -270,8 +250,8 @@ def _kernel_form(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w, uni
     once, over the rows E reads; T is applied once when w is z.
     """
     same = w is z
-    z = _check_base_points(z)
-    w = z if same else _check_base_points(w)
+    z = _check_disk(z)
+    w = z if same else _check_disk(w)
     a = _check_work(symbol, alpha, n, which, z, w)
     sq = np.sqrt(basis_weights(a, _defect_rows(symbol, n, which) - 1))
     x = _kernel_vectors(a.alpha, z, sq[:n], unit)
@@ -288,13 +268,6 @@ def berezin_values(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, n:
     return np.real(_kernel_form(symbol, alpha, n, "phi", points, points, True))
 
 
-def _check_base_points(a) -> np.ndarray:
-    a = np.asarray(a)
-    if not np.all(np.abs(a) < 1):
-        raise ValueError("base point must be finite with |a| < 1")
-    return a
-
-
 def _kernel_vectors(alpha: float, a: np.ndarray, sq: np.ndarray, unit: bool) -> np.ndarray:
     """sqrt(w_m) conj(a)^m, m < len(sq) with sq = sqrt(w), along a new last axis at checked
     points; times (1 - |a|^2)^((2 + alpha)/2), the normalized kernel, when unit."""
@@ -307,7 +280,7 @@ def _kernel_vectors(alpha: float, a: np.ndarray, sq: np.ndarray, unit: bool) -> 
 def normalized_kernel_coeffs(alpha: WeightParameter | float, a, n: int) -> np.ndarray:
     """Basis coefficients, truncated to n, of the normalized kernel at a (along a new last axis)."""
     al = as_weight(alpha).alpha
-    a = _check_base_points(a)
+    a = _check_disk(a, "base point")
     return _kernel_vectors(al, a, np.sqrt(basis_weights(al, n - 1)), True)
 
 
@@ -371,30 +344,40 @@ def _decay_slope(eigenvalues: np.ndarray, lo: int, hi: int) -> float:
     return float(sol[0])
 
 
-def spectrum(op: OperatorMatrix, fit_window: tuple[int, int] | None = None) -> SpectrumReport:
-    """Eigendecomposition with decay-exponent fit and Schatten partial sums.
+def _fit_window(n: int, window=None) -> tuple[int, int]:
+    """The decay-fit window (lo, hi) of an n x n section, 1-based eigenvalue ranks.
 
-    decay_exponent is the least-squares slope of log lambda_n against
-    log(n+1), n the 1-based index into the descending eigenvalues. The last
-    quarter of the spectrum is truncation-polluted and never enters the fit
-    or the Schatten sums.
+    The last quarter of the spectrum is truncation-polluted, so a window is
+    two integers with 1 <= lo < hi <= 3n/4, and n must be >= 3; the default
+    is (max(1, n // 40), 3n // 4). Anything else raises ValueError.
     """
-    _check_hermitian(op.entries)
-    n = op.basis_size
     usable = 3 * n // 4
     if usable < 2:
         raise ValueError(
             f"matrix size {n} is too small for a decay fit: the first 3n/4 eigenvalues "
             "must hold at least 2, so the size must be >= 3"
         )
-    if fit_window is None:
-        fit_window = (max(1, n // 40), usable)
-    lo, hi = int(fit_window[0]), int(fit_window[1])
-    if not (1 <= lo < hi <= usable):
-        raise ValueError(f"fit window {fit_window} must lie within [1, {usable}]")
+    if window is None:
+        return max(1, n // 40), usable
+    lo, hi = window if np.shape(window) == (2,) else (None, None)
+    if not (all(isinstance(k, int | np.integer) for k in (lo, hi)) and 1 <= lo < hi <= usable):
+        raise ValueError(f"fit window {window!r} must be two integers lo < hi within [1, {usable}]")
+    return int(lo), int(hi)
+
+
+def spectrum(op: OperatorMatrix, fit_window: tuple[int, int] | None = None) -> SpectrumReport:
+    """Eigendecomposition with decay-exponent fit and Schatten partial sums.
+
+    decay_exponent is the least-squares slope of log lambda_n against
+    log(n+1), n the 1-based index into the descending eigenvalues, over the
+    window _fit_window checks. The last quarter of the spectrum is
+    truncation-polluted and never enters the fit or the Schatten sums.
+    """
+    _check_hermitian(op.entries)
+    lo, hi = _fit_window(op.basis_size, fit_window)
     ev = np.linalg.eigvalsh(op.entries)[::-1].copy()
     slope = _decay_slope(ev, lo, hi)
-    clipped = np.clip(ev[:usable], 0.0, None)
+    clipped = np.clip(ev[: 3 * op.basis_size // 4], 0.0, None)
     schatten: dict[float, SchattenEstimate] = {}
     for p in SCHATTEN_EXPONENTS:
         powers = clipped**p

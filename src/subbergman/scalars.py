@@ -40,6 +40,24 @@ def as_weight(alpha: WeightParameter | float) -> WeightParameter:
     return WeightParameter(float(alpha))
 
 
+def _check_disk(z, what: str = "point") -> np.ndarray:
+    """z as an array, unconverted, when every entry is finite with |z| < 1; else ValueError.
+
+    The test is written "not < 1", so nan fails it as well as +-inf.
+    """
+    z = np.asarray(z)
+    inside = np.abs(z) < 1
+    if not np.all(inside):
+        raise ValueError(f"{what} must be finite with |z| < 1, got {z[~inside].flat[0]}")
+    return z
+
+
+def _check_tolerance(tol) -> None:
+    """Refuse a tolerance outside (0, inf) with ValueError; nan fails the test too."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 # basis_weights keeps the longest prefix built for each of its last _WEIGHT_ALPHAS
 # alphas, at most _WEIGHT_LENGTH weights each, so the cache holds at most 4 MB
 _WEIGHT_ALPHAS = 8

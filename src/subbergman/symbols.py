@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalars import WeightParameter, _hermitian_gram, _psd_within, as_weight, binomial_coeffs
+from .scalars import _check_disk, _check_tolerance
 
 # the tail bound a default-length series aims for; bind_symbol extends one that misses it
 SERIES_TAIL_TOL = 1e-14
@@ -45,8 +46,7 @@ class MobiusSpec:
     zeta: complex = 1.0
 
     def __post_init__(self) -> None:
-        if not abs(self.a) < 1:
-            raise ValueError(f"Moebius base point must be finite with |a| < 1, got {self.a}")
+        _check_disk(self.a, "Moebius base point")
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "zeta", _unimodular(complex(self.zeta)))
 
@@ -70,8 +70,7 @@ class BlaschkeSpec:
         zeros = tuple(complex(z) for z in self.zeros)
         if len(zeros) < 1:
             raise ValueError("Blaschke product needs at least one zero")
-        if not all(abs(z) < 1 for z in zeros):
-            raise ValueError("every Blaschke zero must lie inside the disk")
+        _check_disk(zeros, "Blaschke zero")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "zeta", _unimodular(complex(self.zeta)))
 
@@ -151,9 +150,7 @@ class PowerSeriesSymbol:
         in blocks of about _EVAL_BLOCK_ENTRIES / (b + L/b), so no temporary
         grows with the number of points times sqrt(L).
         """
-        z = np.asarray(z, dtype=complex)
-        if not np.all(np.abs(z) < 1):
-            raise ValueError("evaluation point must be finite with |z| < 1")
+        z = _check_disk(z, "evaluation point").astype(complex, copy=False)
         length = len(self.coeffs)
         b = math.isqrt(length)
         g = -(-length // b)
@@ -274,9 +271,7 @@ def default_series_length(spec: SymbolSpec | PowerSeriesSymbol) -> int:
 
 def eval_exact(spec: SymbolSpec | PowerSeriesSymbol, z):
     """Closed-form evaluation, the oracle the series representation is tested against."""
-    z = np.asarray(z, dtype=complex)
-    if not np.all(np.abs(z) < 1):
-        raise ValueError("evaluation point must be finite with |z| < 1")
+    z = _check_disk(z, "evaluation point").astype(complex, copy=False)
     if isinstance(spec, PowerSeriesSymbol):
         return spec.eval(z)
     if isinstance(spec, MobiusSpec | BlaschkeSpec):
@@ -428,8 +423,7 @@ def admissibility_check(
     evaluation.
     """
     a = as_weight(alpha)
-    if not 0.0 < tolerance < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+    _check_tolerance(tolerance)
     if grid < 16:
         raise ValueError("admissibility grid must have at least 16 points per axis")
     # the first radius is exactly 0, so its ring is the one point 0, sampled once

@@ -430,6 +430,25 @@ def test_defect_spectrum_too_small_for_a_fit_exits_2(capsys):
     assert "too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "size, window, message",
+    [("4096", "5:4", "window"), ("4096", "1:4000", "window"), ("2", None, "too small")],
+)
+def test_defect_spectrum_refuses_its_window_before_building(
+    monkeypatch, tmp_path, capsys, size, window, message
+):
+    # the window is checked against the size before the symbol is bound or the dense block built
+    monkeypatch.setattr(cli, "_resolve", _no_dense_build)
+    monkeypatch.setattr(cli, "defect_matrix", _no_dense_build)
+    monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
+    out = tmp_path / "spec.json"
+    argv = ["defect", "spectrum", "--which", "conj", "--alpha", "0", "--symbol", "singular c=1"]
+    rc = main(argv + ["--size", size, "--out", str(out)] + (["--window", window] if window else []))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_defect_spectrum_builds_the_section_from_size_coefficients(tmp_path):
     # the singular series has 600 terms by default; the 800 section needs 800,
     # and without the last 200 its phi block is indefinite (least eigenvalue -4.85e-4)

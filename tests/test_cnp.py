@@ -45,20 +45,20 @@ def test_sampler_is_deterministic():
 
 
 def test_sampler_respects_geometry():
-    pts = sample_points(60, np.random.default_rng(5), alpha=1.0, r_max=0.95)
+    pts = sample_points(60, np.random.default_rng(5), alpha=1.0)
     assert len(pts) == 60
-    assert np.max(np.abs(pts)) < 0.95
+    assert np.max(np.abs(pts)) < 1
     diff = np.abs(pts[:, None] - pts[None, :])
     np.fill_diagonal(diff, np.inf)
-    assert diff.min() >= 1e-3
+    assert diff.min() >= cnp.MIN_SEPARATION == 1e-3
 
 
-def _scalar_sample(n, rng, alpha=0.0, r_max=1.0, min_sep=1e-3):
+def _scalar_sample(n, rng, alpha, min_sep):
     # reference: one candidate per pair of scalar draws, rejected in order
     expo = 1.0 / (2.0 + max(alpha, 0.0))
     pts = []
     while len(pts) < n:
-        r = np.sqrt(rng.uniform()) ** expo * r_max
+        r = np.sqrt(rng.uniform()) ** expo
         z = r * np.exp(2j * np.pi * rng.uniform())
         if pts and float(np.min(np.abs(np.array(pts) - z))) < min_sep:
             continue
@@ -67,36 +67,26 @@ def _scalar_sample(n, rng, alpha=0.0, r_max=1.0, min_sep=1e-3):
 
 
 @pytest.mark.parametrize(
-    "n, alpha, r_max, min_sep",
-    [(3, 0.0, 1.0, 1e-3), (30, -0.5, 1.0, 1e-3), (120, 1.0, 1.0, 1e-3), (400, 0.0, 1.0, 1e-3)]
-    + [(12, 0.5, 0.9, 0.2), (25, 0.0, 1.0, 0.2)],  # separations that force rejections
+    "n, alpha, min_sep",
+    [(3, 0.0, 1e-3), (30, -0.5, 1e-3), (120, 1.0, 1e-3), (400, 0.0, 1e-3)]
+    + [(12, 0.5, 0.2), (25, 0.0, 0.2)],  # separations that force rejections
 )
-def test_block_sampler_is_bit_identical_to_scalar_draws(n, alpha, r_max, min_sep):
+def test_block_sampler_is_bit_identical_to_scalar_draws(monkeypatch, n, alpha, min_sep):
+    # the sampler reads MIN_SEPARATION when called
+    monkeypatch.setattr(cnp, "MIN_SEPARATION", min_sep)
     for seed in range(10):
         rng, ref_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
-        pts = sample_points(n, rng, alpha, r_max, min_sep)
-        assert np.array_equal(pts, _scalar_sample(n, ref_rng, alpha, r_max, min_sep))
+        pts = sample_points(n, rng, alpha)
+        assert np.array_equal(pts, _scalar_sample(n, ref_rng, alpha, min_sep))
         # the generator is left where the scalar draws leave it
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize(
-    "r_max, min_sep",
-    [(1.5, 1e-3), (0.0, 1e-3), (-0.5, 1e-3), (np.nan, 1e-3), (np.inf, 1e-3)]
-    + [(0.9, -1e-3), (0.9, np.nan), (0.9, np.inf)],
-)
-def test_sampler_refuses_bad_radius_and_separation_before_drawing(r_max, min_sep):
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="r_max"):
-        sample_points(5, rng, r_max=r_max, min_sep=min_sep)
-    assert rng.bit_generator.state == state
-
-
-def test_sampler_that_cannot_keep_its_separation_raises_value_error():
+def test_sampler_that_cannot_keep_its_separation_raises_value_error(monkeypatch):
     # no two points of the disk are 2.5 apart
+    monkeypatch.setattr(cnp, "MIN_SEPARATION", 2.5)
     with pytest.raises(ValueError, match="failed to keep 3 points 2.5 apart"):
-        sample_points(3, np.random.default_rng(0), min_sep=2.5)
+        sample_points(3, np.random.default_rng(0))
 
 
 def test_sampler_pushes_mass_outward_for_large_alpha():
@@ -113,7 +103,7 @@ def test_sampler_pushes_mass_outward_for_large_alpha():
 
 def test_shift_pick_matrix_is_rank_one():
     # K = 1/(1-z conj(w)) at alpha = 0, so M_ij = z_i conj(z_j)
-    pts = sample_points(12, np.random.default_rng(1), r_max=0.9)
+    pts = 0.9 * sample_points(12, np.random.default_rng(1))
     pick = build_pick(SHIFT, 0.0, pts)
     expected = pts[:, None] * np.conj(pts)[None, :]
     np.testing.assert_allclose(pick.entries, expected, atol=1e-12)

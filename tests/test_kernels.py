@@ -33,7 +33,7 @@ from subbergman.kernels import (
 )
 from subbergman.cnp import build_pick
 from subbergman.harness import boundary_ratio_check
-from subbergman.operators import _band_route, _defect_form, _defect_rows, defect_form, normalized_kernel_coeffs
+from subbergman.operators import _band_route, _defect_form, _defect_rows, normalized_kernel_coeffs
 from subbergman.scalars import _powers, as_weight, basis_weights
 from subbergman.symbols import (
     BlaschkeSpec,
@@ -263,10 +263,10 @@ def test_overflowing_kernel_value_is_refused(kind, alpha, symbol):
 
 def _conj_sub_at(symbol, alpha, n, z, w):
     """x* E y at basis size n, E the n x n block of I - T*T, x and y the kernel vectors."""
-    sq = np.sqrt(basis_weights(alpha, n - 1))
-    x = sq * _powers(np.conj(np.asarray(z, dtype=complex)), n)
-    y = sq * _powers(np.conj(np.asarray(w, dtype=complex)), n)
-    return defect_form(symbol, alpha, n, "conj", x, y)
+    sq = np.sqrt(basis_weights(alpha, _defect_rows(symbol, n, "conj") - 1))
+    x = sq[:n] * _powers(np.conj(np.asarray(z, dtype=complex)), n)
+    y = sq[:n] * _powers(np.conj(np.asarray(w, dtype=complex)), n)
+    return _defect_form(symbol, n, "conj", x, y, sq)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
@@ -310,13 +310,13 @@ def test_conj_sub_makes_one_defect_form_call(monkeypatch):
     assert eval_kernel(spec, np.zeros(0), np.zeros(0)).shape == (0,)
     assert eval_kernel(spec, np.zeros((0, 3)), 0.5).shape == (0, 3)
     assert len(calls) == 2
-    # the oracle, through the public defect_form, after the count
+    # the oracle, through _defect_form, after the count
     np.testing.assert_array_equal(k, _conj_sub_at(spec.symbol, 0.0, n[0], z, w))
 
 
 def test_conj_sub_work_budget_refuses_before_compute(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the weights or defect_form ran for a request over the budget")
+        raise AssertionError("the weights or _defect_form ran for a request over the budget")
 
     monkeypatch.setattr(operators, "_defect_form", refuse)
     monkeypatch.setattr(operators, "basis_weights", refuse)

@@ -17,10 +17,10 @@ from subbergman.operators import (
     DENSE_SIZE_MAX,
     WORK_BUDGET,
     _check_work,
+    _defect_form,
     _defect_rows,
     berezin,
     berezin_values,
-    defect_form,
     defect_matrix,
     inclusion_eigenvalues,
     jacobi_eigenvalues,
@@ -197,6 +197,12 @@ _FORM_SYMBOLS = (
 )
 
 
+def _form(series, alpha, n, which, x, y):
+    """x* E y by _defect_form, with the weights of the rows E reads."""
+    sq = np.sqrt(basis_weights(alpha, _defect_rows(series, n, which) - 1))
+    return _defect_form(series, n, which, x, y, sq)
+
+
 @pytest.mark.parametrize("alpha", [-1.5, -1.0, -0.5, 0.0, 1.0])
 @pytest.mark.parametrize("which", ["phi", "conj"])
 def test_defect_form_matches_dense_block(alpha, which):
@@ -207,11 +213,11 @@ def test_defect_form_matches_dense_block(alpha, which):
         e = defect_matrix(series, alpha, n, which).entries
         x = rng.standard_normal((3, 1, n)) + 1j * rng.standard_normal((3, 1, n))
         y = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-        got = defect_form(series, alpha, n, which, x, y)
+        got = _form(series, alpha, n, which, x, y)
         want = np.einsum("...m,mk,...k->...", x.conj(), e, y)
         assert got.shape == (3, 4)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-        scalar = defect_form(series, alpha, n, which, x[0, 0], y[0])
+        scalar = _form(series, alpha, n, which, x[0, 0], y[0])
         assert np.ndim(scalar) == 0
         assert abs(scalar - x[0, 0].conj() @ e @ y[0]) < 1e-13
 
@@ -249,7 +255,7 @@ def test_defect_form_matches_the_dense_block_on_any_batch(
     x = rng.standard_normal(shapes[0] + (n,)) + 1j * rng.standard_normal(shapes[0] + (n,))
     y = rng.standard_normal(shapes[1] + (n,)) + 1j * rng.standard_normal(shapes[1] + (n,))
     e = defect_matrix(series, alpha, n, which).entries
-    got = defect_form(series, alpha, n, which, x, y)
+    got = _form(series, alpha, n, which, x, y)
     want = np.einsum("...m,mk,...k->...", x.conj(), e, y)
     assert np.shape(got) == np.broadcast_shapes(shapes[0], shapes[1])
     # |x* E y| <= ||E|| ||x|| ||y||, the scale of the rounding in both routes
@@ -281,7 +287,7 @@ def test_defect_form_chooses_the_fft_by_the_number_of_diagonals(monkeypatch, whi
     n = 40
     rng = np.random.default_rng(31)
     x = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
-    got = defect_form(series, 0.5, n, which, x, x[::-1])
+    got = _form(series, 0.5, n, which, x, x[::-1])
     # the band's transform, then one per block for each side; the 20 vectors
     # of at most 55 rows of T x make one block of _defect_form
     assert len(transforms) == (3 if fft else 0)
@@ -308,7 +314,7 @@ def test_berezin_values_apply_the_band_once(monkeypatch):
     vals = berezin_values(series, 0.0, n, pts)
     assert inverses == [20]
     c = normalized_kernel_coeffs(0.0, pts, n)
-    twice = defect_form(series, 0.0, n, "phi", c, c.copy())
+    twice = _form(series, 0.0, n, "phi", c, c.copy())
     assert inverses == [20] * 3
     np.testing.assert_array_equal(vals, np.real(twice))
 
@@ -389,11 +395,10 @@ def test_defect_block_matches_padded_product(which):
 
 
 def test_defect_form_rejects_bad_arguments():
-    x = np.ones(8)
-    with pytest.raises(ValueError):
-        defect_form(SHIFT, 0.0, 8, "both", x, x)
-    with pytest.raises(ValueError):
-        defect_form(SHIFT, 0.0, 9, "phi", x, x)
+    # the route in front of _defect_form checks `which` as defect_matrix does
+    # (test_defect_requires_valid_kind), before any weight is computed
+    with pytest.raises(ValueError, match="which"):
+        operators._kernel_form(SHIFT, 0.0, 8, "both", 0.5, 0.5, True)
 
 
 def test_defect_requires_valid_kind():
