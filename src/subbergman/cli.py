@@ -162,8 +162,7 @@ def _cmd_cnp_test(args) -> int:
 
 def _cmd_toeplitz_build(args) -> int:
     alpha = as_weight(args.alpha)
-    _check_dense_size(args.size)
-    _, series = _resolve(args.symbol, float(alpha), args.size)
+    _, series = _resolve(args.symbol, float(alpha), _check_dense_size(args.size))
     t = toeplitz_matrix(series, alpha, args.size)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -176,8 +175,7 @@ def _cmd_toeplitz_build(args) -> int:
 
 def _cmd_defect_spectrum(args) -> int:
     alpha = as_weight(args.alpha)
-    _check_dense_size(args.size)
-    _fit_window(args.size, args.window)
+    _fit_window(_check_dense_size(args.size), args.window)
     spec, series = _resolve(args.symbol, float(alpha), args.size)
     e = defect_matrix(series, alpha, args.size, args.which)
     rep = spectrum(e, args.window)

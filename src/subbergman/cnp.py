@@ -15,7 +15,7 @@ import numpy as np
 
 from .operators import _check_hermitian
 from .scalars import WeightParameter, _hermitian_gram, _psd_within, as_weight, binomial_coeffs
-from .scalars import _check_disk, _check_tolerance
+from .scalars import _check_count, _check_disk, _check_tolerance
 from .symbols import PowerSeriesSymbol, admissibility_check, normalize
 
 DIVISION_HAZARD_TOL = 1e-12
@@ -47,6 +47,7 @@ def sample_points(n: int, rng: np.random.Generator, alpha: WeightParameter | flo
     candidate at a time. A sample that cannot keep its separation within
     10000 n draws raises ValueError.
     """
+    n = _check_count(n, "sample size", 0)
     expo = 1.0 / (2.0 + max(as_weight(alpha).alpha, 0.0))
     pts = np.empty(n, dtype=complex)
     have = 0
@@ -315,10 +316,9 @@ def cnp_scan(
     trial hits a division hazard raises DivisionHazard, a ValueError.
     """
     a = as_weight(alpha)
-    if n_points < 3:
-        raise ValueError("need at least 3 points per trial")
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
+    n_points = _check_count(n_points, "points per trial", 3)
+    n_trials = _check_count(n_trials, "trial count", 1)
+    seed = _check_count(seed, "seed", 0)
     _check_tolerance(tolerance)
     if n_trials * float(n_points) ** 3 > SCAN_WORK_MAX:
         raise ValueError(

@@ -32,7 +32,7 @@ from .operators import (
     inclusion_eigenvalues,
     jacobi_eigenvalues,
 )
-from .scalars import as_weight
+from .scalars import _check_count, as_weight
 from .symbols import (
     SERIES_TAIL_TOL,
     BlaschkeSpec,
@@ -205,7 +205,10 @@ def boundary_ratio_check(symbol: PowerSeriesSymbol, radii, directions: int) -> t
     infinity along some radius, which shows up as divergence past any
     threshold as the grid radius approaches 1.
     """
+    directions = _check_count(directions, "directions", 1)
     radii = np.asarray(radii, dtype=float)
+    if radii.size == 0:
+        raise ValueError("boundary ratio needs at least one radius")
     if not np.all((radii > 0) & (radii < 1)):
         raise ValueError("radii must lie strictly between 0 and 1")
     angles = np.exp(2j * np.pi * np.arange(directions) / directions)
@@ -547,11 +550,7 @@ def run_scenario(scenario: Scenario, matrix_size: int = MATRIX_SIZE) -> RunRepor
     cell is recorded as an error row with its message, never raised. A size
     outside [3, DENSE_SIZE_MAX] raises ValueError before any cell runs.
     """
-    if not isinstance(matrix_size, int | np.integer) or not 3 <= matrix_size <= DENSE_SIZE_MAX:
-        raise ValueError(
-            f"the section size (--size) must be an integer in [3, {DENSE_SIZE_MAX}], got {matrix_size!r}"
-        )
-    n = int(matrix_size)
+    n = _check_count(matrix_size, "the section size (--size)", 3, DENSE_SIZE_MAX)
     started = datetime.now(timezone.utc).isoformat()
     results: list[CheckResult] = []
     for alpha in scenario.alpha_list:

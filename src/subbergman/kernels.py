@@ -188,9 +188,7 @@ def conj_sub_quadrature(
     WORK_BUDGET pairs x grid nodes (1525 pairs) raises ValueError before any
     compute.
     """
-    a = as_weight(alpha)
-    if not a.integrable:
-        raise ValueError("conj_sub kernels require alpha > -1")
+    a = KernelSpec("conj_sub", alpha, symbol).alpha  # the spec's rule: alpha > -1
     z = _check_disk(z, "kernel argument").astype(complex, copy=False)
     w = _check_disk(w, "kernel argument").astype(complex, copy=False)
     n_radial, n_angular = 128, 256

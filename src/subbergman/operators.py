@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import WeightParameter, _check_disk, _powers, as_weight, basis_weights
+from .scalars import WeightParameter, _check_count, _check_disk, _powers, as_weight, basis_weights
 from .symbols import PowerSeriesSymbol
 
 SCHATTEN_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
@@ -46,9 +46,8 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _check_dense_size(n: int) -> None:
-    if not 1 <= n <= DENSE_SIZE_MAX:
-        raise ValueError(f"matrix size {n} is outside [1, DENSE_SIZE_MAX = {DENSE_SIZE_MAX}]")
+def _check_dense_size(n: int) -> int:
+    return _check_count(n, "matrix size (DENSE_SIZE_MAX)", 1, DENSE_SIZE_MAX)
 
 
 def _toeplitz_entries(symbol: PowerSeriesSymbol, alpha, rows: int, cols: int) -> np.ndarray:
@@ -59,7 +58,7 @@ def _toeplitz_entries(symbol: PowerSeriesSymbol, alpha, rows: int, cols: int) ->
     real BLAS and LAPACK routines downstream. A column count outside
     [1, DENSE_SIZE_MAX] is refused before any work.
     """
-    _check_dense_size(cols)
+    cols = _check_dense_size(cols)
     sq = np.sqrt(basis_weights(alpha, rows - 1))
     c = symbol.coeffs
     if not np.any(c.imag):
@@ -87,12 +86,10 @@ def _defect_rows(symbol: PowerSeriesSymbol, n: int, which: str) -> int:
     return n if which == "phi" else n + len(symbol) - 1
 
 
-def _check_defect_args(alpha, n: int, which: str) -> WeightParameter:
+def _check_defect_args(alpha, n: int, which: str) -> tuple[WeightParameter, int]:
     if which not in ("phi", "conj"):
         raise ValueError(f'which must be "phi" or "conj", got {which!r}')
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
-    return as_weight(alpha)
+    return as_weight(alpha), _check_count(n, "matrix size", 1)
 
 
 def defect_matrix(
@@ -110,7 +107,7 @@ def defect_matrix(
     _toeplitz_entries) and complex otherwise; for a real T, t.conj() is t
     itself, so the product is a symmetric rank-k update.
     """
-    a = _check_defect_args(alpha, n, which)
+    a, n = _check_defect_args(alpha, n, which)
     t = _toeplitz_entries(symbol, a, _defect_rows(symbol, n, which), n)
     e = np.eye(n) - (t @ t.conj().T if which == "phi" else t.conj().T @ t)
     e = (e + e.conj().T) / 2.0  # exact Hermitian symmetry for downstream solvers
@@ -127,7 +124,7 @@ def _defect_classes(symbol: PowerSeriesSymbol, alpha, n: int, which: str, scale:
     weights; else block rho is diag(s^2) - U U*, U the rows rho of T
     ("phi", columns rho - r) or of T* ("conj", columns rho + r) times s.
     """
-    a = _check_defect_args(alpha, n, which)
+    a, n = _check_defect_args(alpha, n, which)
     rows = _defect_rows(symbol, n, which)
     c = symbol.coeffs[:rows]
     support = np.flatnonzero(c)
@@ -170,7 +167,7 @@ def _band_route(symbol: PowerSeriesSymbol, n: int, which: str) -> tuple[np.ndarr
     return c, size, np.count_nonzero(c) >= size.bit_length()
 
 
-def _check_work(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w) -> WeightParameter:
+def _check_work(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w) -> tuple[WeightParameter, int]:
     """Check the arguments of x* E y at the kernel vectors of z and w; refuse it over WORK_BUDGET.
 
     Work is pairs x n x passes, priced by the route _defect_form takes: one
@@ -179,7 +176,7 @@ def _check_work(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w) -> W
     sums (their cost as complex powers, kept so that the budget refuses the
     same band requests). Nothing is built before the refusal.
     """
-    a = _check_defect_args(alpha, n, which)
+    a, n = _check_defect_args(alpha, n, which)
     c, size, fft = _band_route(symbol, n, which)
     nnz = int(np.count_nonzero(c))  # a Python int: n may pass int64's range near the boundary
     passes = (min(nnz, -(-size // n) * size.bit_length()) if fft else nnz) + 32
@@ -191,7 +188,7 @@ def _check_work(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w) -> W
             f"{name} at radius {radius:.10g} with n = {n}: {pairs} pair(s) x n x {passes} passes "
             f"exceed the work budget {WORK_BUDGET:g}; {hint} or split the batch"
         )
-    return a
+    return a, n
 
 
 def _defect_form(symbol: PowerSeriesSymbol, n: int, which: str, x, y, sq: np.ndarray):
@@ -252,7 +249,7 @@ def _kernel_form(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w, uni
     same = w is z
     z = _check_disk(z)
     w = z if same else _check_disk(w)
-    a = _check_work(symbol, alpha, n, which, z, w)
+    a, n = _check_work(symbol, alpha, n, which, z, w)
     sq = np.sqrt(basis_weights(a, _defect_rows(symbol, n, which) - 1))
     x = _kernel_vectors(a.alpha, z, sq[:n], unit)
     y = x if same else _kernel_vectors(a.alpha, w, sq[:n], unit)
@@ -280,6 +277,7 @@ def _kernel_vectors(alpha: float, a: np.ndarray, sq: np.ndarray, unit: bool) -> 
 def normalized_kernel_coeffs(alpha: WeightParameter | float, a, n: int) -> np.ndarray:
     """Basis coefficients, truncated to n, of the normalized kernel at a (along a new last axis)."""
     al = as_weight(alpha).alpha
+    n = _check_count(n, "basis size", 1)
     a = _check_disk(a, "base point")
     return _kernel_vectors(al, a, np.sqrt(basis_weights(al, n - 1)), True)
 
@@ -322,7 +320,9 @@ def _check_hermitian(entries: np.ndarray) -> None:
         raise ValueError(f"matrix must be square and nonempty, got shape {entries.shape}")
     if not np.all(np.isfinite(entries)):
         raise ValueError("matrix entries must be finite")
-    asym = float(np.max(np.abs(entries - entries.conj().T)))
+    step = max(1, _BLOCK_ENTRIES // len(entries))  # rows per block: temporaries near 0.5 MB at any size
+    blocks = (entries[i : i + step] - entries[:, i : i + step].conj().T for i in range(0, len(entries), step))
+    asym = max(float(np.max(np.abs(b))) for b in blocks)
     if asym > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
 
@@ -359,7 +359,10 @@ def _fit_window(n: int, window=None) -> tuple[int, int]:
         )
     if window is None:
         return max(1, n // 40), usable
-    lo, hi = window if np.shape(window) == (2,) else (None, None)
+    try:
+        lo, hi = window if np.shape(window) == (2,) else (None, None)
+    except ValueError:  # np.shape of a ragged sequence
+        lo = hi = None
     if not (all(isinstance(k, int | np.integer) for k in (lo, hi)) and 1 <= lo < hi <= usable):
         raise ValueError(f"fit window {window!r} must be two integers lo < hi within [1, {usable}]")
     return int(lo), int(hi)

@@ -22,8 +22,8 @@ class WeightParameter:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.alpha) or self.alpha <= -2:
-            raise ValueError(f"weight parameter requires alpha > -2, got {self.alpha}")
+        _check_tolerance(self.alpha, "weight parameter alpha", -2.0)
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     def __float__(self) -> float:
         return float(self.alpha)
@@ -37,7 +37,7 @@ class WeightParameter:
 def as_weight(alpha: WeightParameter | float) -> WeightParameter:
     if isinstance(alpha, WeightParameter):
         return alpha
-    return WeightParameter(float(alpha))
+    return WeightParameter(alpha)
 
 
 def _check_disk(z, what: str = "point") -> np.ndarray:
@@ -52,10 +52,19 @@ def _check_disk(z, what: str = "point") -> np.ndarray:
     return z
 
 
-def _check_tolerance(tol) -> None:
-    """Refuse a tolerance outside (0, inf) with ValueError; nan fails the test too."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+def _check_tolerance(x, what: str = "tolerance", lo: float = 0.0) -> None:
+    """Refuse with ValueError naming what anything but a real number, not a bool, in (lo, inf); nan too."""
+    if type(x) is bool or not isinstance(x, int | float | np.integer | np.floating) or not lo < x < math.inf:
+        raise ValueError(f"{what} must be a finite number > {lo:g}, got {x!r}")
+
+
+def _check_count(n, what: str, lo: int, hi: int | None = None) -> int:
+    """int(n) for a Python or numpy integer in [lo, hi] (no cap when hi is None); else ValueError
+    naming what, for a bool and any float (400.0 too) as for an integer out of bounds."""
+    if isinstance(n, bool) or not isinstance(n, int | np.integer) or n < lo or (hi is not None and n > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{what} must be an integer {bounds}, got {n!r}")
+    return int(n)
 
 
 # basis_weights keeps the longest prefix built for each of its last _WEIGHT_ALPHAS
@@ -77,8 +86,7 @@ def basis_weights(alpha: WeightParameter | float, n_max: int) -> np.ndarray:
     fresh run gives; shorter requests get a view of the kept prefix.
     """
     al = as_weight(alpha).alpha
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = _check_count(n_max, "n_max", 0)
     with _weights_lock:  # the pop, the fill and the put-back act on one shared dict
         kept = _weights.pop(al, None)  # put back below: the dict stays in order of last use
         if kept is not None and len(kept) > n_max:
@@ -194,8 +202,7 @@ def binomial_coeffs(s: float, n_max: int) -> np.ndarray:
     have settled to one sign (n > s), partial sums at x in [0,1) approach
     (1-x)^s monotonically and the first omitted term bounds the error.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = _check_count(n_max, "n_max", 0)
     c = np.empty(n_max + 1)
     c[0] = 1.0
     with np.errstate(over="ignore"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalars import WeightParameter, _hermitian_gram, _psd_within, as_weight, binomial_coeffs
-from .scalars import _check_disk, _check_tolerance
+from .scalars import _check_count, _check_disk, _check_tolerance
 
 # the tail bound a default-length series aims for; bind_symbol extends one that misses it
 SERIES_TAIL_TOL = 1e-14
@@ -28,7 +28,7 @@ _EVAL_BLOCK_ENTRIES = 1 << 15
 
 def _unimodular(zeta: complex) -> complex:
     m = abs(zeta)
-    if abs(m - 1.0) > 1e-12:
+    if not abs(m - 1.0) <= 1e-12:  # nan fails it too
         raise ValueError(f"zeta must be unimodular, got |zeta| = {m}")
     # renormalize exactly so inner-function invariants stay exact
     return zeta / m
@@ -68,8 +68,7 @@ class BlaschkeSpec:
 
     def __post_init__(self) -> None:
         zeros = tuple(complex(z) for z in self.zeros)
-        if len(zeros) < 1:
-            raise ValueError("Blaschke product needs at least one zero")
+        _check_count(len(zeros), "Blaschke degree (number of zeros)", 1)
         _check_disk(zeros, "Blaschke zero")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "zeta", _unimodular(complex(self.zeta)))
@@ -92,11 +91,10 @@ class MonomialSpec:
     c: complex | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MONOMIAL_DEGREE_MAX:
-            raise ValueError(f"monomial degree must be in [1, {MONOMIAL_DEGREE_MAX}], got {self.n}")
+        object.__setattr__(self, "n", _check_count(self.n, "monomial degree", 1, MONOMIAL_DEGREE_MAX))
         if self.c is not None:
             c = complex(self.c)
-            if abs(c) > 1 + 1e-12:
+            if not abs(c) <= 1 + 1e-12:  # nan fails it too
                 raise ValueError(f"monomial scale must satisfy |c| <= 1, got {c}")
             object.__setattr__(self, "c", c)
 
@@ -108,8 +106,7 @@ class SingularInnerSpec:
     c: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError("singular inner mass must be positive")
+        _check_tolerance(self.c, "singular inner mass c")
 
 
 @dataclass(frozen=True)
@@ -210,8 +207,7 @@ def to_series(spec: SymbolSpec | PowerSeriesSymbol, length: int) -> PowerSeriesS
     truncated to `length`; the discarded convolution mass and the factors'
     geometric tails are accumulated into tail_bound.
     """
-    if length < 1:
-        raise ValueError("series length must be >= 1")
+    length = _check_count(length, "series length", 1)
     if isinstance(spec, PowerSeriesSymbol):
         if length >= len(spec):
             c = np.zeros(length, dtype=complex)
@@ -299,8 +295,7 @@ def monomial_cnp_scale(n: int, alpha: WeightParameter | float) -> float:
     a = as_weight(alpha).alpha
     if not -2 < a < -1:
         raise ValueError(f"the scaled-monomial construction needs -2 < alpha < -1, got {a}")
-    if not 1 <= n <= MONOMIAL_DEGREE_MAX:
-        raise ValueError(f"monomial degree must be in [1, {MONOMIAL_DEGREE_MAX}], got {n}")
+    n = MonomialSpec(n).n  # the degree rule is the spec's
     return float(np.sqrt(-binomial_coeffs(a + 2.0, n)[n]))
 
 
@@ -424,8 +419,7 @@ def admissibility_check(
     """
     a = as_weight(alpha)
     _check_tolerance(tolerance)
-    if grid < 16:
-        raise ValueError("admissibility grid must have at least 16 points per axis")
+    grid = _check_count(grid, "admissibility grid (points per axis)", 16)
     # the first radius is exactly 0, so its ring is the one point 0, sampled once
     radii = 1.0 - np.geomspace(1.0, 1e-3, grid)[1:]
     angles = np.exp(2j * np.pi * np.arange(grid) / grid)

@@ -311,7 +311,7 @@ def test_cnp_test_monomial_past_the_degree_cap_exits_2_before_building(monkeypat
     monkeypatch.setattr(cli, "bind_symbol", refuse)
     rc = main(["cnp", "test", "--alpha", "-1.5", "--symbol", "monomial n=1000000"])
     assert rc == 2
-    assert "monomial degree must be in [1, 10000]" in capsys.readouterr().err
+    assert "monomial degree must be an integer in [1, 10000]" in capsys.readouterr().err
 
 
 def test_cnp_test_over_the_scan_budget_exits_2_before_sampling(monkeypatch, capsys):
@@ -575,7 +575,7 @@ def test_verify_scenario_writes_reports(tmp_path, capsys):
     assert "3 passed, 0 failed, 0 skipped" in text
 
 
-def test_verify_set_override_can_force_failure(monkeypatch, tmp_path, capsys):
+def test_verify_exits_1_when_a_cell_fails(monkeypatch, tmp_path, capsys):
     # a threshold singular c=1 cannot reach fails its boundary_ratio cell, and the run exits 1
     monkeypatch.setattr(harness, "RATIO_THRESHOLD", 1e9)
     rc = main(["verify", "boundary_ratio", "--out", str(tmp_path / "reports")])

@@ -54,8 +54,8 @@ SHIFT = PowerSeriesSymbol(np.array([0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
-# section size: the one value a run can set. The test names below date from the
-# configuration file verify once read; each removed key is now a harness constant.
+# section size: the one value a run can set. Each key of the configuration file
+# verify once read is now a harness constant, and its flag a usage error.
 
 
 def _not_a_parameter(key, value):
@@ -66,7 +66,7 @@ def _not_a_parameter(key, value):
     assert exc.value.code == 2
 
 
-def test_merge_defaults_and_overrides():
+def test_run_scenario_records_its_section_size():
     # a run is at MATRIX_SIZE unless given another size, and its report records the size
     scenario = builtin_scenarios()["inclusion_asymptote"]
     assert MATRIX_SIZE == 400
@@ -76,18 +76,12 @@ def test_merge_defaults_and_overrides():
     assert config == {"matrix_size": 120} and type(config["matrix_size"]) is int
 
 
-def test_merge_rejects_unknown_and_badly_typed_keys():
+def test_run_scenario_refuses_a_size_that_is_not_an_integer():
     _not_a_parameter("matrix_sise", 100)
     scenario = builtin_scenarios()["inclusion_asymptote"]
-    for size in ("many", "120", 120.0, None):
+    for size in ("many", "120", 120.0, None, True):
         with pytest.raises(ValueError, match="--size"):
             run_scenario(scenario, size)
-
-
-@pytest.mark.parametrize("key, value", [("series_length", 200), ("singular_series_length", 600)])
-def test_series_lengths_are_not_config_keys(key, value):
-    # every symbol is truncated by bind_symbol, in verify and the CLI alike
-    _not_a_parameter(key, value)
 
 
 @pytest.mark.parametrize(

@@ -1,36 +1,52 @@
-"""Bad points, tolerances and fit windows are refused with ValueError by every entry point.
+"""Bad points, tolerances, fit windows, sizes, counts and symbol parameters are refused
+with ValueError by every entry point.
 
 Each rule has one checker: scalars._check_disk for points (finite with
-|z| < 1), scalars._check_tolerance for tolerances (finite and positive)
-and operators._fit_window for decay-fit windows (two integers with
-1 <= lo < hi <= 3n/4). The cases are drawn by hypothesis; the module
-imports numpy, hypothesis and subbergman only, so it runs on an install
+|z| < 1), scalars._check_tolerance for tolerances and the other real
+parameters (finite and above a bound), operators._fit_window for
+decay-fit windows (two integers with 1 <= lo < hi <= 3n/4) and
+scalars._check_count for sizes and counts (a Python or numpy integer
+within bounds). The cases are drawn by hypothesis; the module imports
+numpy, pytest, hypothesis and subbergman only, so it runs on an install
 without scipy.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subbergman.cnp import PickMatrix, build_pick, cnp_scan, psd_test
+from subbergman.cli import main
+from subbergman.cnp import PickMatrix, build_pick, cnp_scan, psd_test, sample_points
+from subbergman.harness import Scenario, boundary_ratio_check, run_scenario
 from subbergman.kernels import KernelSpec, conj_sub_quadrature, eval_kernel, rescaling_check
 from subbergman.operators import (
+    DENSE_SIZE_MAX,
     berezin,
     berezin_values,
     defect_matrix,
+    inclusion_eigenvalues,
     normalized_kernel_coeffs,
     spectrum,
+    toeplitz_matrix,
 )
+from subbergman.scalars import WeightParameter, as_weight, basis_weights, binomial_coeffs
 from subbergman.symbols import (
+    MONOMIAL_DEGREE_MAX,
     BlaschkeSpec,
     MobiusSpec,
+    MonomialSpec,
     PowerSeriesSymbol,
+    SingularInnerSpec,
     admissibility_check,
     eval_exact,
+    monomial_cnp_scale,
     to_series,
 )
 
@@ -119,8 +135,8 @@ def test_tolerances_outside_zero_to_infinity_are_refused(tolerance):
     _all_refuse(entries, tolerance)
 
 
-# of the wrong shape, not integers, empty, from rank 0, and ("past") one rank past 3n/4
-_BAD_WINDOWS = [(1,), 5, (1.5, 20), (5, 4), (0, 10), "past"]
+# of the wrong shape, ragged, not integers, empty, from rank 0, and ("past") one rank past 3n/4
+_BAD_WINDOWS = [(1,), 5, ((1, 2), 3), (1.5, 20), (5, 4), (0, 10), "past"]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -129,4 +145,131 @@ def test_fit_windows_that_are_not_two_ranks_in_range_are_refused(n, window):
     if window == "past":
         window = (1, 3 * n // 4 + 1)
     op = defect_matrix(SHIFT, 0.0, n, "conj")
-    _all_refuse({"spectrum": lambda: spectrum(op, window)}, window)
+    with pytest.raises(ValueError, match="fit window .* must be two integers"):
+        spectrum(op, window)
+
+
+# ---------------------------------------------------------------------------
+# sizes and counts: scalars._check_count
+
+
+def _same(x, y) -> bool:
+    """Equal values of equal types, through dataclasses (report times aside), dicts, sequences."""
+    if type(x) is not type(y):
+        return False
+    if is_dataclass(x):
+        names = [f.name for f in fields(x) if f.name not in ("started", "finished")]
+        return all(_same(getattr(x, k), getattr(y, k)) for k in names)
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same(x[k], y[k]) for k in x)
+    if isinstance(x, list | tuple):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+    return x == y or (x != x and y != y)
+
+
+# cells whose reports depend on the section size: a truncation skip and a range section
+_SIZED = Scenario("sized", (0.0,), (SHIFT,), ("berezin_identity", "blaschke_decay"))
+
+# every public size or count parameter: a call taking it alone, its least value and its cap
+_COUNTS = {
+    "toeplitz_matrix n": (lambda n: toeplitz_matrix(SERIES, 0.0, n), 1, DENSE_SIZE_MAX),
+    "defect_matrix n": (lambda n: defect_matrix(SERIES, 0.0, n, "conj"), 1, DENSE_SIZE_MAX),
+    "berezin_values n": (lambda n: berezin_values(SERIES, 0.0, n, 0.3), 1, None),
+    "normalized_kernel_coeffs n": (lambda n: normalized_kernel_coeffs(0.0, 0.3, n), 1, None),
+    "inclusion_eigenvalues n": (lambda n: inclusion_eigenvalues(0.0, -1.0, n), 0, None),
+    "basis_weights n_max": (lambda n: basis_weights(0.5, n), 0, None),
+    "binomial_coeffs n_max": (lambda n: binomial_coeffs(1.5, n), 0, None),
+    "to_series length": (lambda n: to_series(MOBIUS, n), 1, None),
+    "MonomialSpec n": (lambda n: MonomialSpec(n=n, c=0.5), 1, MONOMIAL_DEGREE_MAX),
+    "monomial_cnp_scale n": (lambda n: monomial_cnp_scale(n, -1.5), 1, MONOMIAL_DEGREE_MAX),
+    "admissibility_check grid": (lambda n: admissibility_check(SERIES, 0.0, grid=n), 16, None),
+    "sample_points n": (lambda n: sample_points(n, np.random.default_rng(3)), 0, None),
+    "cnp_scan n_points": (lambda n: cnp_scan(SERIES, 0.0, n_points=n, n_trials=1), 3, None),
+    "cnp_scan n_trials": (lambda n: cnp_scan(SERIES, 0.0, n_points=3, n_trials=n), 1, None),
+    "cnp_scan seed": (lambda n: cnp_scan(SERIES, 0.0, n_points=3, n_trials=1, seed=n), 0, None),
+    "boundary_ratio_check directions": (lambda n: boundary_ratio_check(SERIES, (0.5, 0.9), n), 1, None),
+    "run_scenario matrix_size": (lambda n: run_scenario(_SIZED, n), 3, DENSE_SIZE_MAX),
+}
+
+
+def _bad_counts(lo: int, hi: int | None) -> list:
+    """One strategy per kind of value a count in [lo, hi] must refuse."""
+    outside = st.integers(-(2**63), lo - 1)
+    if hi is not None:
+        outside |= st.integers(hi + 1, 2**63 - 1)
+    return [
+        st.booleans() | st.builds(np.bool_, st.booleans()),
+        st.integers(lo, lo + 64).map(float),  # integral floats, in range
+        st.floats() | st.floats(lo, lo + 64).map(np.float64),  # nan and +-inf too
+        st.sampled_from([None, "5", 5 + 0j, [5]]),
+        outside,
+        outside.map(np.int64),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sizes_and_counts_that_are_not_integers_in_range_are_refused(name, data):
+    call, lo, hi = _COUNTS[name]
+    for bad in _bad_counts(lo, hi):
+        n = data.draw(bad)
+        _all_refuse({name: lambda: call(n)}, n)
+
+
+_NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint64)
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(offset=st.integers(0, 3), kind=st.sampled_from(_NUMPY_INTS))
+def test_a_numpy_integer_count_gives_the_python_int_result(name, offset, kind):
+    call, lo, _ = _COUNTS[name]
+    assert _same(call(kind(lo + offset)), call(lo + offset))
+
+
+# ---------------------------------------------------------------------------
+# symbol and weight parameters: refused when the spec or weight is built
+
+_NAN = st.sampled_from([math.nan, complex(math.nan, 0.0), complex(1.0, math.nan)])
+_NOT_A_NUMBER = st.sampled_from([True, False, np.bool_(True), None, "1", "x", 1j])
+_NOT_UNIMODULAR = st.floats(0.0, 0.999) | st.floats(1.001, 1e6) | st.sampled_from([math.inf, -math.inf])
+_BAD_ALPHA = _NOT_A_NUMBER | st.floats(max_value=-2.0) | st.sampled_from([math.nan, math.inf])
+_PARAMETERS = {
+    # weight alpha: a finite real number > -2
+    "as_weight": (lambda v: as_weight(v), _BAD_ALPHA),
+    "WeightParameter": (lambda v: WeightParameter(v), _BAD_ALPHA),
+    # zeta: unimodular within 1e-12
+    "MobiusSpec zeta": (lambda v: MobiusSpec(a=0.5, zeta=v), _NAN | _NOT_UNIMODULAR),
+    "BlaschkeSpec zeta": (lambda v: BlaschkeSpec(zeros=(0.5, -0.5), zeta=v), _NAN | _NOT_UNIMODULAR),
+    # monomial scale: |c| <= 1 within 1e-12
+    "MonomialSpec c": (lambda v: MonomialSpec(n=2, c=v), _NAN | st.floats(1.001, 1e6) | st.just(math.inf)),
+    # singular inner mass: a finite real number > 0
+    "SingularInnerSpec c": (
+        lambda v: SingularInnerSpec(c=v),
+        _NOT_A_NUMBER | st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARAMETERS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_symbol_and_weight_parameters_are_refused_when_built(name, data):
+    build, bad = _PARAMETERS[name]
+    value = data.draw(bad)
+    _all_refuse({name: lambda: build(value)}, value)
+
+
+@pytest.mark.parametrize(
+    "symbol, named",
+    [("mobius a=0.5 zeta=nan", "zeta"), ("singular c=inf", "singular inner mass"), ("singular c=nan", "mass")],
+)
+def test_cli_refuses_a_bad_symbol_parameter_by_name_without_warnings(symbol, named, capsys):
+    argv = ["kernel", "eval", "--kind", "sub", "--alpha", "0", "--symbol", symbol, "--z", "0.1", "--w", "0.2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise instead of exiting 2
+        assert main(argv) == 2
+    assert named in capsys.readouterr().err

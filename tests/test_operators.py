@@ -528,6 +528,36 @@ def test_spectrum_rejects_non_hermitian():
         spectrum(bad)
 
 
+@pytest.mark.parametrize("n", [2, 120, 300, 1000])
+def test_hermitian_check_reports_the_full_asymmetry_by_row_blocks(n):
+    # one block up to _BLOCK_ENTRIES // n >= n rows, several past that; the largest
+    # asymmetry sits in the last block and must be the one reported
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    herm = (a + a.conj().T) / 2.0
+    operators._check_hermitian(herm)
+    herm[:, 0] += rng.uniform(0.0, 1e-3, n)
+    herm[-1, 0] += 2e-3
+    want = float(np.max(np.abs(herm - herm.conj().T)))
+    with pytest.raises(ValueError, match=f"max asymmetry {want:.3e}"):
+        operators._check_hermitian(herm)
+
+
+def test_hermitian_check_holds_a_fraction_of_the_block():
+    # a complex 2048 x 2048 block takes 64 MB; comparing it with its adjoint in full took two
+    import tracemalloc
+
+    entries = np.eye(2048, dtype=complex)
+    entries[0, 1], entries[1, 0] = 0.5j, -0.5j
+    tracemalloc.start()
+    try:
+        operators._check_hermitian(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < entries.nbytes / 4
+
+
 def test_spectrum_window_validation():
     e = defect_matrix(SHIFT, 0.0, 40, "conj")
     with pytest.raises(ValueError):
