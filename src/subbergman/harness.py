@@ -40,7 +40,7 @@ from .symbols import (
     MonomialSpec,
     PowerSeriesSymbol,
     SingularInnerSpec,
-    SymbolSpec,
+    _check_symbols,
     bind_symbol,
     eval_exact,
     monomial_cnp_scale,
@@ -91,9 +91,7 @@ class Scenario:
             raise ValueError(f"unknown check identifiers {unknown}; known: {list(CHECK_IDS)}")
         for a in self.alpha_list:
             as_weight(a)
-        bad = [s for s in self.symbols if not isinstance(s, SymbolSpec | PowerSeriesSymbol)]
-        if bad:
-            raise ValueError(f"not symbols: {bad!r}; use a spec or a PowerSeriesSymbol")
+        _check_symbols(*self.symbols)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalars import WeightParameter, _check_count, _check_disk, _powers, as_weight, basis_weights
+from .scalars import _BLOCK_ENTRIES
 from .symbols import PowerSeriesSymbol
 
 SCHATTEN_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
@@ -27,7 +28,6 @@ WORK_BUDGET = 5e7
 # entries per transform at least, and short vectors by 2^15 entries (0.5 MB per temporary),
 # so the per-block overhead stays small
 _FFT_BLOCK = 16
-_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,7 @@ def toeplitz_matrix(
 ) -> OperatorMatrix:
     """n x n section of the multiplication operator by the symbol."""
     a = as_weight(alpha)
+    n = _check_dense_size(n)  # a numpy uint64 n would make the slice bounds floats
     t = _toeplitz_entries(symbol, a, n, n)
     return OperatorMatrix(entries=t, alpha=a, kind="toeplitz")
 

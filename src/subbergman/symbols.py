@@ -16,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalars import WeightParameter, _hermitian_gram, _psd_within, as_weight, binomial_coeffs
-from .scalars import _check_count, _check_disk, _check_tolerance
+from .scalars import _BLOCK_ENTRIES, _check_complex, _check_count, _check_disk, _check_tolerance, _numeric
 
 # the tail bound a default-length series aims for; bind_symbol extends one that misses it
 SERIES_TAIL_TOL = 1e-14
 # largest monomial degree: at 10^4 a kernel eval takes 0.25 s and a CNP test 0.85 s
 MONOMIAL_DEGREE_MAX = 10_000
-# PowerSeriesSymbol.eval takes about this many entries per temporary (0.5 MB complex)
-_EVAL_BLOCK_ENTRIES = 1 << 15
 
 
 def _unimodular(zeta: complex) -> complex:
@@ -46,9 +44,10 @@ class MobiusSpec:
     zeta: complex = 1.0
 
     def __post_init__(self) -> None:
-        _check_disk(self.a, "Moebius base point")
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "zeta", _unimodular(complex(self.zeta)))
+        a = _check_complex(self.a, "Moebius base point")
+        _check_disk(a, "Moebius base point")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "zeta", _unimodular(_check_complex(self.zeta, "zeta")))
 
     @property
     def zeros(self) -> tuple[complex]:
@@ -67,11 +66,12 @@ class BlaschkeSpec:
     zeta: complex = 1.0
 
     def __post_init__(self) -> None:
-        zeros = tuple(complex(z) for z in self.zeros)
+        zeros = _check_disk(self.zeros, "Blaschke zero")
+        if zeros.ndim != 1:
+            raise ValueError(f"Blaschke zeros must be a sequence of points, got {self.zeros!r}")
         _check_count(len(zeros), "Blaschke degree (number of zeros)", 1)
-        _check_disk(zeros, "Blaschke zero")
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "zeta", _unimodular(complex(self.zeta)))
+        object.__setattr__(self, "zeros", tuple(complex(z) for z in zeros))
+        object.__setattr__(self, "zeta", _unimodular(_check_complex(self.zeta, "zeta")))
 
     @property
     def degree(self) -> int:
@@ -93,7 +93,7 @@ class MonomialSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_count(self.n, "monomial degree", 1, MONOMIAL_DEGREE_MAX))
         if self.c is not None:
-            c = complex(self.c)
+            c = _check_complex(self.c, "monomial scale")
             if not abs(c) <= 1 + 1e-12:  # nan fails it too
                 raise ValueError(f"monomial scale must satisfy |c| <= 1, got {c}")
             object.__setattr__(self, "c", c)
@@ -125,11 +125,12 @@ class PowerSeriesSymbol:
     tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.asarray(_numeric(self.coeffs, "coefficients"), dtype=complex)
         if c.ndim != 1 or len(c) == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(c)) or not np.isfinite(self.tail_bound) or self.tail_bound < 0:
-            raise ValueError("coefficients and tail bound must be finite, tail bound >= 0")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
+        _check_tolerance(self.tail_bound, "tail bound", 0.0, closed=True)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "tail_bound", float(self.tail_bound))
@@ -144,7 +145,7 @@ class PowerSeriesSymbol:
         polynomials of b terms each. One matrix product evaluates all of them
         from z^0..z^(b-1), and Horner in z^b combines them, so a call takes
         O(sqrt(L)) numpy operations where plain Horner takes 2L. The points go
-        in blocks of about _EVAL_BLOCK_ENTRIES / (b + L/b), so no temporary
+        in blocks of about scalars._BLOCK_ENTRIES / (b + L/b), so no temporary
         grows with the number of points times sqrt(L).
         """
         z = _check_disk(z, "evaluation point").astype(complex, copy=False)
@@ -155,7 +156,7 @@ class PowerSeriesSymbol:
         inner.flat[:length] = self.coeffs  # row k holds c_(kb)..c_(kb+b-1)
         flat = z.reshape(-1)
         out = np.empty_like(flat)
-        step = max(1, _EVAL_BLOCK_ENTRIES // (b + g))
+        step = max(1, _BLOCK_ENTRIES // (b + g))
         for i in range(0, len(flat), step):
             zi = flat[i : i + step]
             # row j is z^j, by the doubling of scalars._powers and bitwise its values;
@@ -179,6 +180,13 @@ class PowerSeriesSymbol:
 
 
 SymbolSpec = MobiusSpec | BlaschkeSpec | MonomialSpec | SingularInnerSpec
+
+
+def _check_symbols(*specs) -> None:
+    """Refuse with ValueError every value that is not a symbol spec or a PowerSeriesSymbol."""
+    bad = [s for s in specs if not isinstance(s, SymbolSpec | PowerSeriesSymbol)]
+    if bad:
+        raise ValueError(f"not symbols: {bad!r}; use a spec or a PowerSeriesSymbol")
 
 
 def _mobius_factor_coeffs(a: complex, length: int) -> np.ndarray:
@@ -207,6 +215,7 @@ def to_series(spec: SymbolSpec | PowerSeriesSymbol, length: int) -> PowerSeriesS
     truncated to `length`; the discarded convolution mass and the factors'
     geometric tails are accumulated into tail_bound.
     """
+    _check_symbols(spec)
     length = _check_count(length, "series length", 1)
     if isinstance(spec, PowerSeriesSymbol):
         if length >= len(spec):
@@ -235,14 +244,13 @@ def to_series(spec: SymbolSpec | PowerSeriesSymbol, length: int) -> PowerSeriesS
             c[spec.n] = spec.c
             return PowerSeriesSymbol(c, 0.0)
         return PowerSeriesSymbol(c, abs(spec.c))
-    if isinstance(spec, SingularInnerSpec):
-        # exp(c (z+1)/(z-1)) = e^{-c} sum_n L_n^(-1)(2c) z^n; Laguerre recurrence, DLMF 18.9.1
-        x = 2.0 * spec.c
-        h = [1.0, -x]
-        for n in range(1, length - 1):
-            h.append(((2 * n - x) * h[n] - (n - 1) * h[n - 1]) / (n + 1))
-        return PowerSeriesSymbol(np.exp(-spec.c) * np.array(h[:length], dtype=complex), 1.0)
-    raise TypeError(f"unsupported symbol spec {type(spec).__name__}")
+    # a SingularInnerSpec: exp(c (z+1)/(z-1)) = e^{-c} sum_n L_n^(-1)(2c) z^n by the
+    # Laguerre recurrence, DLMF 18.9.1
+    x = 2.0 * spec.c
+    h = [1.0, -x]
+    for n in range(1, length - 1):
+        h.append(((2 * n - x) * h[n] - (n - 1) * h[n - 1]) / (n + 1))
+    return PowerSeriesSymbol(np.exp(-spec.c) * np.array(h[:length], dtype=complex), 1.0)
 
 
 def default_series_length(spec: SymbolSpec | PowerSeriesSymbol) -> int:
@@ -252,6 +260,7 @@ def default_series_length(spec: SymbolSpec | PowerSeriesSymbol) -> int:
     terms; singular inner coefficients decay slowly, so those symbols get a
     long fixed length and tail bound 1. bind_symbol extends what misses the aim.
     """
+    _check_symbols(spec)
     if isinstance(spec, PowerSeriesSymbol):
         return len(spec)
     if isinstance(spec, MonomialSpec):
@@ -267,6 +276,7 @@ def default_series_length(spec: SymbolSpec | PowerSeriesSymbol) -> int:
 
 def eval_exact(spec: SymbolSpec | PowerSeriesSymbol, z):
     """Closed-form evaluation, the oracle the series representation is tested against."""
+    _check_symbols(spec)
     z = _check_disk(z, "evaluation point").astype(complex, copy=False)
     if isinstance(spec, PowerSeriesSymbol):
         return spec.eval(z)
@@ -278,10 +288,8 @@ def eval_exact(spec: SymbolSpec | PowerSeriesSymbol, z):
         if spec.c is None:
             raise ValueError("monomial scale is unresolved; call resolve_monomial first")
         out = spec.c * z**spec.n
-    elif isinstance(spec, SingularInnerSpec):
+    else:  # a SingularInnerSpec
         out = np.exp(spec.c * (z + 1.0) / (z - 1.0))
-    else:
-        raise TypeError(f"unsupported symbol spec {type(spec).__name__}")
     return complex(out) if out.ndim == 0 else out
 
 
@@ -299,9 +307,13 @@ def monomial_cnp_scale(n: int, alpha: WeightParameter | float) -> float:
     return float(np.sqrt(-binomial_coeffs(a + 2.0, n)[n]))
 
 
-def resolve_monomial(spec: MonomialSpec, alpha: WeightParameter | float) -> MonomialSpec:
-    """Fill in a deferred monomial scale for the given weight parameter."""
-    if spec.c is not None:
+def resolve_monomial(spec: SymbolSpec | PowerSeriesSymbol, alpha: WeightParameter | float):
+    """Fill in a deferred monomial scale for the given weight parameter.
+
+    Any other symbol, and a monomial with its scale set, is returned as it is.
+    """
+    _check_symbols(spec)
+    if not isinstance(spec, MonomialSpec) or spec.c is not None:
         return spec
     a = as_weight(alpha).alpha
     c = monomial_cnp_scale(spec.n, a) if -2 < a < -1 else 1.0
@@ -316,10 +328,11 @@ def bind_symbol(spec: SymbolSpec | PowerSeriesSymbol, alpha: WeightParameter | f
     tail_bound exceeds SERIES_TAIL_TOL, so a size-n section then reads the
     symbol's n true leading coefficients; a series within tolerance is
     never padded. A singular inner series has tail bound 1 at every length,
-    so it is built once, at the longer of the two lengths.
+    so it is built once, at the longer of the two lengths. A size that is
+    not an integer >= 0 raises ValueError.
     """
-    if isinstance(spec, MonomialSpec):
-        spec = resolve_monomial(spec, alpha)
+    size = _check_count(size, "size to bind the series at", 0)
+    spec = resolve_monomial(spec, alpha)
     length = default_series_length(spec)
     if isinstance(spec, SingularInnerSpec):
         length = max(length, size)
@@ -445,6 +458,8 @@ def parse_symbol(text: str) -> SymbolSpec | PowerSeriesSymbol:
     `monomial n=2` (optional c=...), `singular c=1`, and `series 0,1` with
     comma-separated coefficients in re+imi format.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"symbol text must be a str, got {type(text).__name__}")
     parts = text.replace("−", "-").split()
     if not parts:
         raise ValueError("empty symbol text")
@@ -494,6 +509,7 @@ def _fmt_complex(z: complex) -> str:
 
 def symbol_text(spec: SymbolSpec | PowerSeriesSymbol) -> str:
     """Canonical text form, the inverse of parse_symbol (used in reports)."""
+    _check_symbols(spec)
     if isinstance(spec, MobiusSpec):
         return f"mobius a={_fmt_complex(spec.a)} zeta={_fmt_complex(spec.zeta)}"
     if isinstance(spec, BlaschkeSpec):
@@ -503,6 +519,4 @@ def symbol_text(spec: SymbolSpec | PowerSeriesSymbol) -> str:
         return f"monomial n={spec.n}" + ("" if spec.c is None else f" c={_fmt_complex(spec.c)}")
     if isinstance(spec, SingularInnerSpec):
         return f"singular c={spec.c:g}"
-    if isinstance(spec, PowerSeriesSymbol):
-        return "series " + ",".join(_fmt_complex(c) for c in spec.coeffs)
-    raise TypeError(f"unsupported symbol spec {type(spec).__name__}")
+    return "series " + ",".join(_fmt_complex(c) for c in spec.coeffs)

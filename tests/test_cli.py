@@ -15,6 +15,7 @@ import pytest
 from subbergman import cli, cnp, harness, kernels, operators
 from subbergman.cli import main
 from subbergman.harness import Scenario, run_scenario
+from subbergman.kernels import CONJ_SUB_VALUE_TOL, conj_sub_quadrature
 from subbergman.symbols import bind_symbol, parse_symbol
 
 
@@ -138,6 +139,15 @@ def test_kernel_eval_conj_sub_near_the_boundary_settles(capsys):
     assert 0 < float(kzw["bound"]) <= 1e-8
     k = complex(float(kzw["re"]), float(kzw["im"]))
     assert abs(k - complex(float(kwz["re"]), -float(kwz["im"]))) <= 1e-10 * max(1.0, abs(k))
+
+
+def test_kernel_eval_conj_sub_single_point_matches_the_quadrature(capsys):
+    argv = ["kernel", "eval", "--kind", "conj_sub", "--alpha", "0", "--symbol", "mobius a=0.5"]
+    assert main([*argv, "--z", "0.3", "--w", "0.2+0.1i"]) == 0
+    fields = _kernel_fields(capsys.readouterr().out)
+    _, series = bind_symbol(parse_symbol("mobius a=0.5"), 0.0)
+    want = conj_sub_quadrature(series, 0.0, 0.3, 0.2 + 0.1j)
+    assert abs(complex(float(fields["re"]), float(fields["im"])) - want) <= CONJ_SUB_VALUE_TOL
 
 
 def test_kernel_eval_conj_sub_over_the_work_budget_exits_2(capsys, monkeypatch):
@@ -430,19 +440,28 @@ def test_defect_spectrum_too_small_for_a_fit_exits_2(capsys):
     assert "too small" in capsys.readouterr().err
 
 
+_SINGULAR_CONJ = ["--which", "conj", "--symbol", "singular c=1"]
+
+
 @pytest.mark.parametrize(
-    "size, window, message",
-    [("4096", "5:4", "window"), ("4096", "1:4000", "window"), ("2", None, "too small")],
+    "size, window, message, symbol",
+    [
+        ("4096", "5:4", "window", _SINGULAR_CONJ),
+        ("4096", "1:4000", "window", _SINGULAR_CONJ),
+        ("2", None, "too small", _SINGULAR_CONJ),
+        ("4096", "5:4", "window", ["--symbol", "mobius a=0.5"]),
+    ],
+    ids=["4096-5:4-window", "4096-1:4000-window", "2-None-too small", "mobius-4096-5:4-window"],
 )
 def test_defect_spectrum_refuses_its_window_before_building(
-    monkeypatch, tmp_path, capsys, size, window, message
+    monkeypatch, tmp_path, capsys, size, window, message, symbol
 ):
     # the window is checked against the size before the symbol is bound or the dense block built
     monkeypatch.setattr(cli, "_resolve", _no_dense_build)
     monkeypatch.setattr(cli, "defect_matrix", _no_dense_build)
     monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
     out = tmp_path / "spec.json"
-    argv = ["defect", "spectrum", "--which", "conj", "--alpha", "0", "--symbol", "singular c=1"]
+    argv = ["defect", "spectrum", "--alpha", "0", *symbol]
     rc = main(argv + ["--size", size, "--out", str(out)] + (["--window", window] if window else []))
     assert rc == 2
     assert message in capsys.readouterr().err
@@ -581,6 +600,34 @@ def test_verify_exits_1_when_a_cell_fails(monkeypatch, tmp_path, capsys):
     rc = main(["verify", "boundary_ratio", "--out", str(tmp_path / "reports")])
     assert rc == 1
     assert "1 failed" in capsys.readouterr().out
+
+
+_PINNED_CELLS = Path(__file__).resolve().parents[1] / "perfbench" / "verify_all_cells.json"
+
+
+def _cell_differences(report: Path) -> list[str]:
+    """Pinned (check, alpha, symbol, status) rows a verify-all report lacks, then rows it adds."""
+    row = lambda check, alpha, symbol, status: (check, float(alpha), symbol, status)
+    want = {row(*cell) for cell in json.loads(_PINNED_CELLS.read_text())}
+    cells = json.loads(report.read_text())["checks"]
+    got = {row(c["check"], c["alpha"], c["symbol"], c["status"]) for c in cells}
+    return [f"expected {r}" for r in sorted(want - got)] + [f"got {r}" for r in sorted(got - want)]
+
+
+def test_verify_all_statuses_match_the_pinned_cells(tmp_path, capsys):
+    # exit 0 also holds when a pass turns into a skip, so every row is compared
+    assert main(["verify", "all", "--out", str(tmp_path)]) == 0
+    differences = _cell_differences(tmp_path / "verify-all.json")
+    assert not differences, "\n".join(differences)
+
+
+def test_pinned_cells_name_a_changed_status(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(harness, "RATIO_THRESHOLD", 1e9)
+    assert main(["verify", "all", "--out", str(tmp_path)]) == 1
+    assert _cell_differences(tmp_path / "verify-all.json") == [
+        "expected ('boundary_ratio', 0.0, 'singular c=1', 'pass')",
+        "got ('boundary_ratio', 0.0, 'singular c=1', 'fail')",
+    ]
 
 
 def test_verify_unknown_scenario_exits_2(capsys):

@@ -303,6 +303,14 @@ def test_range_section_binds_the_section_size():
     assert cell.metrics["range_min_phi"] > 0
 
 
+def test_singular_noncompact_reads_the_section_the_size_asks_for():
+    # past the 600-term default the singular series is extended to --size terms:
+    # the cell reads the 800-term section (range_min_phi 0.50000192; 0.176 from 600 terms)
+    (cell,) = run_scenario(builtin_scenarios()["singular_noncompact"], matrix_size=800).checks
+    want = _range_section(to_series(SingularInnerSpec(c=1.0), 800), 0.0, 800, "phi")[0]
+    assert cell.status == "pass" and cell.metrics["range_min_phi"] == want
+
+
 def test_run_scenario_binds_each_symbol_once_per_alpha(monkeypatch):
     calls = []
 
@@ -437,6 +445,37 @@ def test_class_split_matches_the_dense_solve(m, offset, n, length, complex_symbo
         classes = _defect_classes(series, a, n, "phi", np.ones(n))
         got = np.sort(np.concatenate([harness._block_eigenvalues(b) for _, b in classes]))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+
+def test_blaschke_decay_at_an_odd_size_matches_dense_sections():
+    # at n = 401 the rotation classes are uneven (201 and 200 for z^2 and z f(z^2),
+    # 401 singletons for the shift): every range end and growth is that of a dense
+    # eigvalsh of the whole R
+    n = 401
+    for cell in run_scenario(builtin_scenarios()["blaschke_decay"], matrix_size=n).checks:
+        _, series = bind_symbol(parse_symbol(cell.symbol), cell.alpha, n)
+        for which in ("phi", "conj"):
+            r = _dense_r(series, cell.alpha, n, which)
+            ev = np.linalg.eigvalsh(r)
+            for key, want in ((f"range_min_{which}", ev[0]), (f"range_max_{which}", ev[-1])):
+                assert abs(cell.metrics[key] - want) <= 1e-12 * abs(want), (cell.symbol, cell.alpha, key)
+            growth = np.log2(ev[-1] / np.linalg.eigvalsh(r[: n // 2, : n // 2])[-1])
+            assert abs(cell.metrics[f"growth_{which}"] - growth) <= 1e-12, (cell.symbol, cell.alpha, which)
+
+
+def test_hardy_degenerate_at_an_odd_size_matches_dense_defects():
+    # the hardy cells read class blocks (the shift's in closed form): the rank, the
+    # top eigenvalues and the conj defect are those of dense defect_matrix builds
+    n = 401
+    for cell in run_scenario(builtin_scenarios()["hardy_degenerate"], matrix_size=n).checks:
+        m = cell.metrics
+        _, series = bind_symbol(parse_symbol(cell.symbol), cell.alpha, n)
+        ev = np.linalg.eigvalsh(defect_matrix(series, cell.alpha, n, "phi").entries)[::-1]
+        econj = np.max(np.abs(defect_matrix(series, cell.alpha, n, "conj").entries))
+        assert cell.status == "pass"
+        assert m["rank_count"] == np.sum(ev > 1e-10)
+        assert abs(m["top_eigenvalue_dev"] - np.max(np.abs(ev[: m["expected_rank"]] - 1.0))) <= 1e-12
+        assert abs(m["econj_max_entry"] - econj) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 1.0])
@@ -617,6 +656,27 @@ def test_cnp_cells_read_the_normalized_series(symbol, alpha, status, witness):
     else:
         assert cell.metrics["witness_indices"] == witness
         assert cell.metrics["witness_min_jacobi"] < -WITNESS_TOL
+
+
+@pytest.mark.parametrize(
+    "scenario, passing",
+    [
+        (builtin_scenarios()["cnp_nonmoebius_fail"], 5),
+        (Scenario("singular", (-0.5, 0.0), (SingularInnerSpec(c=1.0),), ("cnp_nonmoebius_fail",)), 2),
+    ],
+    ids=["bundled", "singular"],
+)
+def test_passing_cnp_witnesses_are_failing_principal_minors(scenario, passing):
+    # a witness names distinct monomial indices below the section order, Jacobi
+    # re-verifies it, and by interlacing its least eigenvalue is no lower than B's
+    cells = [cell for cell in run_scenario(scenario).checks if cell.status == "pass"]
+    assert len(cells) == passing
+    for cell in cells:
+        m = cell.metrics
+        idx = m["witness_indices"]
+        assert len(idx) >= 2 and idx == sorted(set(idx)) and 0 <= idx[0] and idx[-1] < m["section"]
+        assert m["witness_min_jacobi"] < -WITNESS_TOL
+        assert m["min_eigenvalue"] <= m["witness_min_jacobi"] + 1e-12
 
 
 def test_bundled_cnp_cells_run_no_admissibility_check(monkeypatch):

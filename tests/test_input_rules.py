@@ -1,14 +1,16 @@
-"""Bad points, tolerances, fit windows, sizes, counts and symbol parameters are refused
-with ValueError by every entry point.
+"""Bad points, tolerances, fit windows, sizes, counts, symbol parameters and values of
+the wrong type are refused with ValueError by every entry point.
 
-Each rule has one checker: scalars._check_disk for points (finite with
-|z| < 1), scalars._check_tolerance for tolerances and the other real
-parameters (finite and above a bound), operators._fit_window for
-decay-fit windows (two integers with 1 <= lo < hi <= 3n/4) and
-scalars._check_count for sizes and counts (a Python or numpy integer
-within bounds). The cases are drawn by hypothesis; the module imports
-numpy, pytest, hypothesis and subbergman only, so it runs on an install
-without scipy.
+Each rule has one checker: scalars._check_disk for points (numeric,
+finite with |z| < 1), scalars._check_tolerance for tolerances and the
+other real parameters (finite and above a bound), scalars._check_complex
+for the other complex parameters (one Python or numpy number),
+operators._fit_window for decay-fit windows (two integers with
+1 <= lo < hi <= 3n/4), scalars._check_count for sizes and counts (a
+Python or numpy integer within bounds) and symbols._check_symbols for
+symbols (a spec or a PowerSeriesSymbol). The cases are drawn by
+hypothesis; the module imports numpy, pytest, hypothesis and subbergman
+only, so it runs on an install without scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subbergman.cli import main
@@ -45,8 +47,13 @@ from subbergman.symbols import (
     PowerSeriesSymbol,
     SingularInnerSpec,
     admissibility_check,
+    bind_symbol,
+    default_series_length,
     eval_exact,
     monomial_cnp_scale,
+    parse_symbol,
+    resolve_monomial,
+    symbol_text,
     to_series,
 )
 
@@ -182,6 +189,7 @@ _COUNTS = {
     "basis_weights n_max": (lambda n: basis_weights(0.5, n), 0, None),
     "binomial_coeffs n_max": (lambda n: binomial_coeffs(1.5, n), 0, None),
     "to_series length": (lambda n: to_series(MOBIUS, n), 1, None),
+    "bind_symbol size": (lambda n: bind_symbol(SingularInnerSpec(c=1.0), 0.0, n), 0, None),
     "MonomialSpec n": (lambda n: MonomialSpec(n=n, c=0.5), 1, MONOMIAL_DEGREE_MAX),
     "monomial_cnp_scale n": (lambda n: monomial_cnp_scale(n, -1.5), 1, MONOMIAL_DEGREE_MAX),
     "admissibility_check grid": (lambda n: admissibility_check(SERIES, 0.0, grid=n), 16, None),
@@ -225,6 +233,7 @@ _NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.ui
 @pytest.mark.parametrize("name", sorted(_COUNTS))
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(offset=st.integers(0, 3), kind=st.sampled_from(_NUMPY_INTS))
+@example(offset=1, kind=np.uint64)  # uint64 minus int64 is a float64, which no slice takes
 def test_a_numpy_integer_count_gives_the_python_int_result(name, offset, kind):
     call, lo, _ = _COUNTS[name]
     assert _same(call(kind(lo + offset)), call(lo + offset))
@@ -273,3 +282,56 @@ def test_cli_refuses_a_bad_symbol_parameter_by_name_without_warnings(symbol, nam
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise instead of exiting 2
         assert main(argv) == 2
     assert named in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# values of the wrong type: numbers by scalars._numeric, symbols by symbols._check_symbols
+
+_NOT_NUMBERS = st.sampled_from([None, "0.5", "1", True, False, np.bool_(True), [0.5], (1.0,), object()])
+_NOT_SEQUENCES = _NOT_NUMBERS.filter(lambda v: not isinstance(v, list | tuple))
+_NOT_SYMBOLS = st.sampled_from([None, 3, 0.5, 1j, "mobius a=0.5", object(), SERIES.coeffs, (MOBIUS,)])
+_TYPES = {
+    "MobiusSpec a": (lambda v: MobiusSpec(a=v), _NOT_NUMBERS),
+    "MobiusSpec zeta": (lambda v: MobiusSpec(a=0.5, zeta=v), _NOT_NUMBERS),
+    "BlaschkeSpec zeros": (
+        lambda v: BlaschkeSpec(zeros=v),
+        _NOT_SEQUENCES | st.sampled_from([0.5, [[0.5, -0.5]], (0.5, None), ("0.5",), (True,)]),
+    ),
+    "BlaschkeSpec zeta": (lambda v: BlaschkeSpec(zeros=(0.5, -0.5), zeta=v), _NOT_NUMBERS),
+    # None defers the scale, so it is the one value of no numeric type that c may take
+    "MonomialSpec c": (lambda v: MonomialSpec(n=2, c=v), _NOT_NUMBERS.filter(lambda v: v is not None)),
+    "PowerSeriesSymbol coeffs": (
+        lambda v: PowerSeriesSymbol(v),
+        _NOT_SEQUENCES | st.sampled_from([[True, False], [None], ["1"]]),
+    ),
+    "PowerSeriesSymbol tail_bound": (
+        lambda v: PowerSeriesSymbol([1.0, 2.0], tail_bound=v),
+        _NOT_NUMBERS | st.just(1j),
+    ),
+    "to_series": (lambda v: to_series(v, 5), _NOT_SYMBOLS),
+    "default_series_length": (lambda v: default_series_length(v), _NOT_SYMBOLS),
+    "bind_symbol": (lambda v: bind_symbol(v, 0.0), _NOT_SYMBOLS),
+    "resolve_monomial": (lambda v: resolve_monomial(v, 0.0), _NOT_SYMBOLS),
+    "eval_exact": (lambda v: eval_exact(v, 0.1), _NOT_SYMBOLS),
+    "symbol_text": (lambda v: symbol_text(v), _NOT_SYMBOLS),
+    "Scenario symbols": (lambda v: Scenario("x", (0.0,), (MOBIUS, v), ("boundary_ratio",)), _NOT_SYMBOLS),
+    "parse_symbol": (lambda v: parse_symbol(v), _NOT_SYMBOLS.filter(lambda v: not isinstance(v, str))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TYPES))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_values_of_the_wrong_type_are_refused(name, data):
+    build, bad = _TYPES[name]
+    value = data.draw(bad)
+    _all_refuse({name: lambda: build(value)}, value)
+
+
+def test_numpy_numbers_build_the_symbols_python_numbers_build():
+    assert MobiusSpec(a=np.float64(0.5), zeta=np.complex64(1j)) == MobiusSpec(a=0.5, zeta=1j)
+    assert MobiusSpec(a=np.array(0.5 + 0.25j)) == MobiusSpec(a=0.5 + 0.25j)
+    assert BlaschkeSpec(zeros=np.array([0.5, -0.5j]), zeta=-1) == BlaschkeSpec(zeros=[0.5, -0.5j], zeta=-1.0)
+    assert MonomialSpec(n=np.int8(2), c=np.float32(0.5)) == MonomialSpec(n=2, c=0.5)
+    a, b = PowerSeriesSymbol(np.arange(3), np.float32(0.25)), PowerSeriesSymbol([0.0, 1.0, 2.0], 0.25)
+    assert _same(a, b) and type(a.tail_bound) is float

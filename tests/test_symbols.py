@@ -298,6 +298,11 @@ def test_admissibility_below_hardy_uses_pick_sample():
     # the monomial scaled for this alpha passes the Pick sample
     series = to_series(resolve_monomial(MonomialSpec(n=2), -1.5), 16)
     assert admissibility_check(series, -1.5).admissible
+    # the same verdicts on the 8-term series every command binds
+    _, bound = bind_symbol(MonomialSpec(n=2, c=1.0), -1.5)
+    assert len(bound) == 8 and not admissibility_check(bound, -1.5).admissible
+    _, bound = bind_symbol(MonomialSpec(n=2), -1.5)
+    assert len(bound) == 8 and admissibility_check(bound, -1.5).admissible
 
 
 def _grid_sup_reference(symbol, grid):
@@ -474,11 +479,26 @@ def test_series_eval_is_within_the_horner_bound(length, shape):
     z = _disk_points(rng, shape)
     got = PowerSeriesSymbol(c).eval(z)
     assert np.shape(got) == shape and isinstance(got, complex) == (shape == ())
-    ref = np.zeros(shape, dtype=np.clongdouble)
+    _assert_within_horner_bound(c, z, got)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here")
+@pytest.mark.parametrize("text", ["singular c=1", "mobius a=0.99"])
+def test_bound_series_eval_near_the_boundary_is_within_the_horner_bound(text):
+    # the two longest default series: 600 terms with tail bound 1, and the 1024-term cap
+    _, series = bind_symbol(parse_symbol(text), 0.0)
+    z = _disk_points(np.random.default_rng(0), 4096)
+    z[0] = 0.999
+    _assert_within_horner_bound(series.coeffs, z, series.eval(z))
+
+
+def _assert_within_horner_bound(c, z, got):
+    """got against Horner in long double, held to Horner's a-priori bound 2 L eps sum |c_k| |z|^k."""
+    ref = np.zeros(np.shape(z), dtype=np.clongdouble)
     zl = np.asarray(z, dtype=np.clongdouble)
     for ck in c[::-1].astype(np.clongdouble):
         ref = ref * zl + ck
-    bound = 2 * length * np.finfo(float).eps * np.polyval(np.abs(c)[::-1], np.abs(z))
+    bound = 2 * len(c) * np.finfo(float).eps * np.polyval(np.abs(c)[::-1], np.abs(z))
     err = np.abs(np.asarray(got, dtype=np.clongdouble) - ref)
     assert np.all(err <= bound), float(np.max(err / bound))
 
