@@ -32,10 +32,11 @@ from .kernels import KINDS, KernelSpec, _conj_sub_truncation, eval_kernel
 from .operators import (
     _check_dense_size,
     _check_work,
+    _class_eigenvalues,
+    _defect_classes,
     _fit_window,
+    _spectrum_report,
     berezin_values,
-    defect_matrix,
-    spectrum,
     toeplitz_matrix,
 )
 from .scalars import as_weight
@@ -175,10 +176,11 @@ def _cmd_toeplitz_build(args) -> int:
 
 def _cmd_defect_spectrum(args) -> int:
     alpha = as_weight(args.alpha)
-    _fit_window(_check_dense_size(args.size), args.window)
+    window = _fit_window(_check_dense_size(args.size), args.window)
     spec, series = _resolve(args.symbol, float(alpha), args.size)
-    e = defect_matrix(series, alpha, args.size, args.which)
-    rep = spectrum(e, args.window)
+    # solved one rotation class at a time, as verify's sections are; no dense block is formed
+    classes = _defect_classes(series, alpha, args.size, args.which, np.ones(args.size))
+    rep = _spectrum_report(_class_eigenvalues(classes), window)
     schatten = {
         format(p, "g"): {"value": est.value, "tail_converged": est.tail_converged}
         for p, est in rep.schatten_estimates.items()

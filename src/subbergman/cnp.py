@@ -16,7 +16,7 @@ import numpy as np
 from .operators import _check_hermitian
 from .scalars import WeightParameter, _hermitian_gram, _psd_within, as_weight, binomial_coeffs
 from .scalars import _check_count, _check_disk, _check_tolerance
-from .symbols import PowerSeriesSymbol, admissibility_check, normalize
+from .symbols import PowerSeriesSymbol, _check_series, admissibility_check, normalize
 
 DIVISION_HAZARD_TOL = 1e-12
 DEFAULT_PSD_TOL = 1e-9
@@ -45,7 +45,8 @@ def sample_points(n: int, rng: np.random.Generator, alpha: WeightParameter | flo
     block, radius then angle per candidate, and accepts them in order; so
     the points and the generator state afterwards are those of drawing one
     candidate at a time. A sample that cannot keep its separation within
-    10000 n draws raises ValueError.
+    10000 n draws, or a radius that rounds to 1 (alpha from about 1e14),
+    raises ValueError.
     """
     n = _check_count(n, "sample size", 0)
     expo = 1.0 / (2.0 + max(as_weight(alpha).alpha, 0.0))
@@ -62,6 +63,8 @@ def sample_points(n: int, rng: np.random.Generator, alpha: WeightParameter | flo
         u = rng.uniform(size=2 * k)
         # scalar powers: numpy's array ** can differ from them by an ulp
         r = np.array([x**expo for x in np.sqrt(u[0::2]).tolist()])
+        if np.any(r >= 1.0):
+            raise ValueError(f"alpha {float(alpha):g} pushes sampled radii to 1 in double precision")
         cand = r * np.exp(2j * np.pi * u[1::2])
         crowded = np.triu(np.abs(cand[:, None] - cand[None, :]) < MIN_SEPARATION, 1).any()
         if not crowded and not np.any(np.abs(cand[:, None] - pts[:have]) < MIN_SEPARATION):
@@ -129,7 +132,7 @@ class PickReport:
 
 def _admitted_psi(symbol: PowerSeriesSymbol, a: WeightParameter) -> PowerSeriesSymbol:
     """Per-symbol step: refuse constant or inadmissible symbols, then normalize."""
-    if not np.any(np.abs(symbol.coeffs[1:]) > 0):
+    if not np.any(np.abs(_check_series(symbol).coeffs[1:]) > 0):
         raise ValueError("constant symbols have no nondegenerate Pick matrix")
     verdict = admissibility_check(symbol, a, grid=16, tolerance=1e-6)
     if not verdict.admissible:
@@ -147,10 +150,14 @@ def _pick_on(psi: PowerSeriesSymbol, a: WeightParameter, pts: np.ndarray) -> Pic
     formed on the upper triangle i <= j only and mirrored by conjugation
     (scalars._hermitian_gram), so the entries are exactly Hermitian with a
     real diagonal and need no symmetrization. |K(z_j, z_i)| = |K(z_i, z_j)|,
-    so testing the triangle tests every pair for a division hazard.
+    so testing the triangle tests every pair for a division hazard, and for
+    a K that overflows at a large alpha (from about 70 on 30 points), which
+    raises ValueError.
     """
 
     def one_minus_reciprocal(k: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(k)):
+            raise ValueError(f"sub-Bergman kernel at alpha {a.alpha:g} overflows at these points")
         small = np.abs(k) < DIVISION_HAZARD_TOL
         if np.any(small):
             ii, jj = (idx[small] for idx in np.triu_indices(len(pts)))
@@ -158,7 +165,8 @@ def _pick_on(psi: PowerSeriesSymbol, a: WeightParameter, pts: np.ndarray) -> Pic
             raise DivisionHazard(f"division hazard: |K| < {DIVISION_HAZARD_TOL} at point pairs {pairs}")
         return 1.0 - 1.0 / k
 
-    entries = _hermitian_gram(psi.eval(pts), pts, 2.0 + a.alpha, one_minus_reciprocal)
+    with np.errstate(all="ignore"):  # an overflowing kernel is refused, not warned about
+        entries = _hermitian_gram(psi.eval(pts), pts, 2.0 + a.alpha, one_minus_reciprocal)
     return PickMatrix(points=pts, entries=entries)
 
 

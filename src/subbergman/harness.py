@@ -25,6 +25,8 @@ from .cnp import PickMatrix, PickReport, _coefficient_section, psd_test
 from .kernels import _log_tail, rescaling_check
 from .operators import (
     DENSE_SIZE_MAX,
+    _block_eigenvalues,
+    _class_eigenvalues,
     _decay_slope,
     _defect_classes,
     _fit_window,
@@ -40,6 +42,7 @@ from .symbols import (
     MonomialSpec,
     PowerSeriesSymbol,
     SingularInnerSpec,
+    _check_series,
     _check_symbols,
     bind_symbol,
     eval_exact,
@@ -204,6 +207,7 @@ def boundary_ratio_check(symbol: PowerSeriesSymbol, radii, directions: int) -> t
     threshold as the grid radius approaches 1.
     """
     directions = _check_count(directions, "directions", 1)
+    _check_series(symbol)
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValueError("boundary ratio needs at least one radius")
@@ -273,13 +277,6 @@ def _check_berezin_identity(alpha, spec, series, n):
     return status, "", {"max_error": worst, **metrics}
 
 
-def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a (g, q, q) stack of Hermitian blocks: read off at q = 1, else one eigvalsh call."""
-    if blocks.shape[1] == 1:
-        return blocks[:, 0, 0].real
-    return np.linalg.eigvalsh(blocks[0] if len(blocks) == 1 else blocks).ravel()
-
-
 def _range_section(series: PowerSeriesSymbol, alpha: float, n: int, which: str) -> tuple[float, float, float]:
     """range_min, range_max and growth of R_n = L^(-1/2) E_n L^(-1/2).
 
@@ -300,7 +297,7 @@ def _range_section(series: PowerSeriesSymbol, alpha: float, n: int, which: str) 
     """
     scale = 1.0 / np.sqrt(inclusion_eigenvalues(alpha, alpha - 1.0, n - 1))
     classes = _defect_classes(series, alpha, n, which, scale)
-    ev = np.concatenate([_block_eigenvalues(b) for _, b in classes])
+    ev = _class_eigenvalues(classes)
     half_max = -np.inf
     for idx, blocks in classes:
         members = np.sum(idx < n // 2, axis=1)  # len(range(rho, n // 2, m)), unequal within a size
@@ -454,7 +451,7 @@ def _check_hardy_degenerate(alpha, spec, series, n):
         return "skipped", reason, {"truncation_bound": tau, "size": n}
     conj, phi = (_defect_classes(series, alpha, n, which, np.ones(n)) for which in ("conj", "phi"))
     econj_max = max(float(np.max(np.abs(b))) for _, b in conj)  # every other entry is an exact zero
-    ev = np.sort(np.concatenate([_block_eigenvalues(b) for _, b in phi]))[::-1]
+    ev = _class_eigenvalues(phi)
     count = int(np.sum(ev > RANK_FLOOR))
     top_dev = float(np.max(np.abs(ev[:degree] - 1.0))) if degree <= len(ev) else float("inf")
     ok = econj_max < EXACT_TOL and count == degree and top_dev < EXACT_TOL
@@ -581,64 +578,21 @@ def run_scenario(scenario: Scenario, matrix_size: int = MATRIX_SIZE) -> RunRepor
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
-    """Bundled scenarios, one per check; together they cover every identifier."""
+    """Bundled scenarios, one per check and named after it; together they cover every identifier."""
     shift = PowerSeriesSymbol(np.array([0.0, 1.0], dtype=complex))
     mob_half = MobiusSpec(a=0.5)
     bl2 = BlaschkeSpec(zeros=(0.5, -0.5))
     bl3 = BlaschkeSpec(zeros=(0.5, -0.5, 0.0))
-    return {
-        "berezin_identity": Scenario(
-            "berezin_identity",
-            alpha_list=(-0.5, 0.0, 1.0),
-            symbols=(shift, mob_half, bl2),
-            checks=("berezin_identity",),
-        ),
-        "blaschke_decay": Scenario(
-            "blaschke_decay",
-            alpha_list=(-0.5, 0.0, 1.0),
-            symbols=(shift, mob_half, bl2, bl3),
-            checks=("blaschke_decay",),
-        ),
-        "singular_noncompact": Scenario(
-            "singular_noncompact",
-            alpha_list=(0.0,),
-            symbols=(SingularInnerSpec(c=1.0),),
-            checks=("singular_noncompact",),
-        ),
-        "rescaling_identity": Scenario(
-            "rescaling_identity",
-            alpha_list=(-0.5, 0.0, 1.0),
-            symbols=(mob_half, bl2, SingularInnerSpec(c=1.0)),
-            checks=("rescaling_identity",),
-        ),
-        "cnp_moebius_pass": Scenario(
-            "cnp_moebius_pass",
-            alpha_list=(-0.5, 0.0, -1.5),
-            symbols=(MobiusSpec(a=0.0), MobiusSpec(a=0.4), MobiusSpec(a=0.3j), MonomialSpec(n=2)),
-            checks=("cnp_moebius_pass",),
-        ),
-        "cnp_nonmoebius_fail": Scenario(
-            "cnp_nonmoebius_fail",
-            alpha_list=(-0.5, 0.0, 1.0),
-            symbols=(MonomialSpec(n=2, c=1.0), bl2, shift),
-            checks=("cnp_nonmoebius_fail",),
-        ),
-        "hardy_degenerate": Scenario(
-            "hardy_degenerate",
-            alpha_list=(-1.0,),
-            symbols=(shift, bl2),
-            checks=("hardy_degenerate",),
-        ),
-        "boundary_ratio": Scenario(
-            "boundary_ratio",
-            alpha_list=(0.0,),
-            symbols=(mob_half, SingularInnerSpec(c=1.0), shift),
-            checks=("boundary_ratio",),
-        ),
-        "inclusion_asymptote": Scenario(
-            "inclusion_asymptote",
-            alpha_list=(0.0, 0.5),
-            symbols=(shift,),
-            checks=("inclusion_asymptote",),
-        ),
+    cnp_pass = (MobiusSpec(a=0.0), MobiusSpec(a=0.4), MobiusSpec(a=0.3j), MonomialSpec(n=2))
+    cells = {  # check: (alpha_list, symbols)
+        "berezin_identity": ((-0.5, 0.0, 1.0), (shift, mob_half, bl2)),
+        "blaschke_decay": ((-0.5, 0.0, 1.0), (shift, mob_half, bl2, bl3)),
+        "singular_noncompact": ((0.0,), (SingularInnerSpec(c=1.0),)),
+        "rescaling_identity": ((-0.5, 0.0, 1.0), (mob_half, bl2, SingularInnerSpec(c=1.0))),
+        "cnp_moebius_pass": ((-0.5, 0.0, -1.5), cnp_pass),
+        "cnp_nonmoebius_fail": ((-0.5, 0.0, 1.0), (MonomialSpec(n=2, c=1.0), bl2, shift)),
+        "hardy_degenerate": ((-1.0,), (shift, bl2)),
+        "boundary_ratio": ((0.0,), (mob_half, SingularInnerSpec(c=1.0), shift)),
+        "inclusion_asymptote": ((0.0, 0.5), (shift,)),
     }
+    return {name: Scenario(name, alphas, symbols, (name,)) for name, (alphas, symbols) in cells.items()}

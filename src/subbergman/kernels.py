@@ -17,7 +17,7 @@ import numpy as np
 
 from .operators import WORK_BUDGET, _kernel_form
 from .scalars import WeightParameter, _check_disk, _neg_power, as_weight
-from .symbols import PowerSeriesSymbol, normalize
+from .symbols import PowerSeriesSymbol, _check_series, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
 CONJ_SUB_VALUE_TOL = 1e-8
@@ -39,6 +39,8 @@ class KernelSpec:
         object.__setattr__(self, "alpha", as_weight(self.alpha))
         if self.kind in ("sub", "conj_sub") and self.symbol is None:
             raise ValueError(f"kernel kind {self.kind!r} requires a symbol")
+        if self.symbol is not None:
+            _check_series(self.symbol)
         if self.kind == "conj_sub" and not self.alpha.integrable:
             # the defining integral uses the normalized measure dA_alpha,
             # which is infinite for alpha <= -1
@@ -188,7 +190,7 @@ def conj_sub_quadrature(
     WORK_BUDGET pairs x grid nodes (1525 pairs) raises ValueError before any
     compute.
     """
-    a = KernelSpec("conj_sub", alpha, symbol).alpha  # the spec's rule: alpha > -1
+    a = KernelSpec("conj_sub", alpha, symbol).alpha  # the spec's rules: a series, alpha > -1
     z = _check_disk(z, "kernel argument").astype(complex, copy=False)
     w = _check_disk(w, "kernel argument").astype(complex, copy=False)
     n_radial, n_angular = 128, 256

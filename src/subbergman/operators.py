@@ -16,7 +16,7 @@ import numpy as np
 
 from .scalars import WeightParameter, _check_count, _check_disk, _powers, as_weight, basis_weights
 from .scalars import _BLOCK_ENTRIES
-from .symbols import PowerSeriesSymbol
+from .symbols import PowerSeriesSymbol, _check_series
 
 SCHATTEN_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 HERMITIAN_TOL = 1e-10
@@ -58,9 +58,9 @@ def _toeplitz_entries(symbol: PowerSeriesSymbol, alpha, rows: int, cols: int) ->
     real BLAS and LAPACK routines downstream. A column count outside
     [1, DENSE_SIZE_MAX] is refused before any work.
     """
+    c = _check_series(symbol).coeffs
     cols = _check_dense_size(cols)
     sq = np.sqrt(basis_weights(alpha, rows - 1))
-    c = symbol.coeffs
     if not np.any(c.imag):
         c = c.real
     t = np.zeros((rows, cols), dtype=c.dtype)
@@ -87,7 +87,8 @@ def _defect_rows(symbol: PowerSeriesSymbol, n: int, which: str) -> int:
     return n if which == "phi" else n + len(symbol) - 1
 
 
-def _check_defect_args(alpha, n: int, which: str) -> tuple[WeightParameter, int]:
+def _check_defect_args(symbol, alpha, n: int, which: str) -> tuple[WeightParameter, int]:
+    _check_series(symbol)
     if which not in ("phi", "conj"):
         raise ValueError(f'which must be "phi" or "conj", got {which!r}')
     return as_weight(alpha), _check_count(n, "matrix size", 1)
@@ -108,7 +109,7 @@ def defect_matrix(
     _toeplitz_entries) and complex otherwise; for a real T, t.conj() is t
     itself, so the product is a symmetric rank-k update.
     """
-    a, n = _check_defect_args(alpha, n, which)
+    a, n = _check_defect_args(symbol, alpha, n, which)
     t = _toeplitz_entries(symbol, a, _defect_rows(symbol, n, which), n)
     e = np.eye(n) - (t @ t.conj().T if which == "phi" else t.conj().T @ t)
     e = (e + e.conj().T) / 2.0  # exact Hermitian symmetry for downstream solvers
@@ -125,7 +126,7 @@ def _defect_classes(symbol: PowerSeriesSymbol, alpha, n: int, which: str, scale:
     weights; else block rho is diag(s^2) - U U*, U the rows rho of T
     ("phi", columns rho - r) or of T* ("conj", columns rho + r) times s.
     """
-    a, n = _check_defect_args(alpha, n, which)
+    a, n = _check_defect_args(symbol, alpha, n, which)
     rows = _defect_rows(symbol, n, which)
     c = symbol.coeffs[:rows]
     support = np.flatnonzero(c)
@@ -158,6 +159,18 @@ def _defect_classes(symbol: PowerSeriesSymbol, alpha, n: int, which: str, scale:
     return out
 
 
+def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a (g, q, q) stack of Hermitian blocks: read off at q = 1, else one eigvalsh call."""
+    if blocks.shape[1] == 1:
+        return blocks[:, 0, 0].real
+    return np.linalg.eigvalsh(blocks[0] if len(blocks) == 1 else blocks).ravel()
+
+
+def _class_eigenvalues(classes: list) -> np.ndarray:
+    """Eigenvalues of the whole section from its _defect_classes, sorted descending."""
+    return np.sort(np.concatenate([_block_eigenvalues(b) for _, b in classes]))[::-1]
+
+
 def _band_route(symbol: PowerSeriesSymbol, n: int, which: str) -> tuple[np.ndarray, int, bool]:
     """The band c the n x n block reads, an FFT length N (the least k 2^e >= n + len(c) - 1 with
     k in 1, 3, 5, 9, 15, so within 25%), and whether T is applied by FFT: when more than
@@ -177,7 +190,7 @@ def _check_work(symbol: PowerSeriesSymbol, alpha, n: int, which: str, z, w) -> t
     sums (their cost as complex powers, kept so that the budget refuses the
     same band requests). Nothing is built before the refusal.
     """
-    a, n = _check_defect_args(alpha, n, which)
+    a, n = _check_defect_args(symbol, alpha, n, which)
     c, size, fft = _band_route(symbol, n, which)
     nnz = int(np.count_nonzero(c))  # a Python int: n may pass int64's range near the boundary
     passes = (min(nnz, -(-size // n) * size.bit_length()) if fft else nnz) + 32
@@ -369,19 +382,10 @@ def _fit_window(n: int, window=None) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def spectrum(op: OperatorMatrix, fit_window: tuple[int, int] | None = None) -> SpectrumReport:
-    """Eigendecomposition with decay-exponent fit and Schatten partial sums.
-
-    decay_exponent is the least-squares slope of log lambda_n against
-    log(n+1), n the 1-based index into the descending eigenvalues, over the
-    window _fit_window checks. The last quarter of the spectrum is
-    truncation-polluted and never enters the fit or the Schatten sums.
-    """
-    _check_hermitian(op.entries)
-    lo, hi = _fit_window(op.basis_size, fit_window)
-    ev = np.linalg.eigvalsh(op.entries)[::-1].copy()
-    slope = _decay_slope(ev, lo, hi)
-    clipped = np.clip(ev[: 3 * op.basis_size // 4], 0.0, None)
+def _spectrum_report(ev: np.ndarray, window: tuple[int, int]) -> SpectrumReport:
+    """Decay fit and Schatten partial sums of descending eigenvalues over a checked window."""
+    slope = _decay_slope(ev, *window)
+    clipped = np.clip(ev[: 3 * len(ev) // 4], 0.0, None)
     schatten: dict[float, SchattenEstimate] = {}
     for p in SCHATTEN_EXPONENTS:
         powers = clipped**p
@@ -391,9 +395,20 @@ def spectrum(op: OperatorMatrix, fit_window: tuple[int, int] | None = None) -> S
             value=total ** (1.0 / p) if total > 0 else 0.0,
             tail_converged=bool(total > 0 and last <= 0.01 * total),
         )
-    return SpectrumReport(
-        eigenvalues=ev, decay_exponent=slope, fit_window=(lo, hi), schatten_estimates=schatten
-    )
+    return SpectrumReport(eigenvalues=ev, decay_exponent=slope, fit_window=window, schatten_estimates=schatten)
+
+
+def spectrum(op: OperatorMatrix, fit_window: tuple[int, int] | None = None) -> SpectrumReport:
+    """Eigendecomposition with decay-exponent fit and Schatten partial sums.
+
+    decay_exponent is the least-squares slope of log lambda_n against
+    log(n+1), n the 1-based index into the descending eigenvalues, over the
+    window _fit_window checks. The last quarter of the spectrum is
+    truncation-polluted and never enters the fit or the Schatten sums.
+    """
+    _check_hermitian(op.entries)
+    window = _fit_window(op.basis_size, fit_window)
+    return _spectrum_report(np.linalg.eigvalsh(op.entries)[::-1].copy(), window)
 
 
 def inclusion_eigenvalues(

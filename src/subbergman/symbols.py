@@ -189,6 +189,13 @@ def _check_symbols(*specs) -> None:
         raise ValueError(f"not symbols: {bad!r}; use a spec or a PowerSeriesSymbol")
 
 
+def _check_series(symbol) -> PowerSeriesSymbol:
+    """The symbol when it is a PowerSeriesSymbol; else ValueError, for a spec as for any other value."""
+    if not isinstance(symbol, PowerSeriesSymbol):
+        raise ValueError(f"expected a PowerSeriesSymbol, got {symbol!r}; bind a spec with bind_symbol")
+    return symbol
+
+
 def _mobius_factor_coeffs(a: complex, length: int) -> np.ndarray:
     # (a-z)/(1-conj(a) z) = a + sum_{k>=1} conj(a)^(k-1) (|a|^2-1) z^k
     c = np.zeros(length, dtype=complex)
@@ -386,7 +393,7 @@ def normalize(symbol: PowerSeriesSymbol) -> Normalization:
     built from the symbol is invariant under the sign flip), which makes
     normalization idempotent.
     """
-    a = symbol.coeffs[0]
+    a = _check_series(symbol).coeffs[0]
     if abs(a) >= 1:
         raise ValueError(f"cannot normalize a symbol with |phi(0)| >= 1, got phi(0) = {a}")
     if abs(a) < 1e-15:
@@ -430,6 +437,7 @@ def admissibility_check(
     proof. A tolerance outside (0, inf) raises ValueError before any
     evaluation.
     """
+    _check_series(symbol)
     a = as_weight(alpha)
     _check_tolerance(tolerance)
     grid = _check_count(grid, "admissibility grid (points per axis)", 16)

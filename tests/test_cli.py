@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,18 @@ def test_cnp_test_fail_writes_witness(tmp_path, capsys):
     assert "witness written" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("alpha", ["1e3", "1e300"])
+def test_cnp_test_at_a_huge_alpha_exits_2_naming_alpha_without_warnings(tmp_path, capsys, alpha):
+    # at 1e3 the kernel overflows in the Pick build; at 1e300 every sampled radius rounds to 1
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise instead of exiting 2
+        assert main(["cnp", "test", "--alpha", alpha, "--symbol", "mobius a=0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"alpha {float(alpha):g}" in err and "evaluation point" not in err
+    assert not out.exists()
+
+
 def test_cnp_test_bad_symbol_exits_2(capsys):
     rc = main(["cnp", "test", "--alpha", "0", "--symbol", "mobius a=1.5", "--out", "x.json"])
     assert rc == 2
@@ -415,6 +428,46 @@ def test_defect_spectrum_json(tmp_path, capsys):
     assert "schatten p=1:" in text
 
 
+_SPECTRUM_SYMBOLS = ["series 0,1", "monomial n=3", "mobius a=0.5", "blaschke zeros=0.5,-0.5", "singular c=1"]
+
+
+@pytest.mark.parametrize("size", [120, 121])
+@pytest.mark.parametrize("which", ["phi", "conj"])
+@pytest.mark.parametrize("symbol", _SPECTRUM_SYMBOLS)
+def test_defect_spectrum_by_class_matches_the_dense_spectrum(tmp_path, capsys, symbol, which, size):
+    # the CLI solves one rotation class at a time; spectrum(defect_matrix(...)) is the oracle
+    out = tmp_path / "spec.json"
+    argv = ["defect", "spectrum", "--which", which, "--alpha", "0", "--symbol", symbol]
+    assert main(argv + ["--size", str(size), "--out", str(out)]) == 0
+    _, series = bind_symbol(parse_symbol(symbol), 0.0, size)
+    rep = operators.spectrum(operators.defect_matrix(series, 0.0, size, which))
+    got = json.loads(out.read_text())
+    np.testing.assert_allclose(got["eigenvalues"], rep.eigenvalues, rtol=0, atol=1e-14)
+    assert abs(got["decay_exponent"] - rep.decay_exponent) <= 1e-14
+    if symbol.startswith(("mobius", "singular")):  # one class: the same eigvalsh call on the same block
+        schatten = {format(p, "g"): vars(e) for p, e in rep.schatten_estimates.items()}
+        want = {
+            **got,
+            "eigenvalues": rep.eigenvalues.tolist(),
+            "decay_exponent": rep.decay_exponent,
+            "window": list(rep.fit_window),
+            "schatten": schatten,
+        }
+        assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def test_defect_spectrum_at_the_size_cap_builds_no_dense_block(monkeypatch, tmp_path):
+    # the shift's conj defect is diag(1/(k+2)) at alpha 0, read off without a dense build or solve
+    assert not hasattr(cli, "defect_matrix") and not hasattr(cli, "spectrum")
+    monkeypatch.setattr(operators, "defect_matrix", _no_dense_build)
+    monkeypatch.setattr(operators, "spectrum", _no_dense_build)
+    out = tmp_path / "spec.json"
+    argv = ["defect", "spectrum", "--which", "conj", "--alpha", "0", "--symbol", "series 0,1"]
+    assert main(argv + ["--size", "4096", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["eigenvalues"]
+    np.testing.assert_allclose(got, 1.0 / (np.arange(4096) + 2.0), rtol=0, atol=1e-12)
+
+
 def test_defect_spectrum_bad_window_exits_2(capsys):
     rc = main(
         [
@@ -456,9 +509,9 @@ _SINGULAR_CONJ = ["--which", "conj", "--symbol", "singular c=1"]
 def test_defect_spectrum_refuses_its_window_before_building(
     monkeypatch, tmp_path, capsys, size, window, message, symbol
 ):
-    # the window is checked against the size before the symbol is bound or the dense block built
+    # the window is checked against the size before the symbol is bound or any class block built
     monkeypatch.setattr(cli, "_resolve", _no_dense_build)
-    monkeypatch.setattr(cli, "defect_matrix", _no_dense_build)
+    monkeypatch.setattr(cli, "_defect_classes", _no_dense_build)
     monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
     out = tmp_path / "spec.json"
     argv = ["defect", "spectrum", "--alpha", "0", *symbol]
@@ -527,7 +580,7 @@ def test_berezin_builds_no_dense_block(monkeypatch, capsys):
     def dense(*args, **kwargs):
         raise AssertionError("berezin must not build the dense defect block")
 
-    monkeypatch.setattr(cli, "defect_matrix", dense)
+    monkeypatch.setattr(operators, "_toeplitz_entries", dense)  # every dense block starts here
     argv = ["berezin", "--alpha", "0", "--symbol", "mobius a=0.5", "--size", "200", "--point", "0.5"]
     rc = main(argv)
     assert rc == 0

@@ -7,8 +7,9 @@ other real parameters (finite and above a bound), scalars._check_complex
 for the other complex parameters (one Python or numpy number),
 operators._fit_window for decay-fit windows (two integers with
 1 <= lo < hi <= 3n/4), scalars._check_count for sizes and counts (a
-Python or numpy integer within bounds) and symbols._check_symbols for
-symbols (a spec or a PowerSeriesSymbol). The cases are drawn by
+Python or numpy integer within bounds), symbols._check_symbols for
+symbols (a spec or a PowerSeriesSymbol) and symbols._check_series where
+a series is expected (a spec is refused). The cases are drawn by
 hypothesis; the module imports numpy, pytest, hypothesis and subbergman
 only, so it runs on an install without scipy.
 """
@@ -51,6 +52,7 @@ from subbergman.symbols import (
     default_series_length,
     eval_exact,
     monomial_cnp_scale,
+    normalize,
     parse_symbol,
     resolve_monomial,
     symbol_text,
@@ -290,6 +292,8 @@ def test_cli_refuses_a_bad_symbol_parameter_by_name_without_warnings(symbol, nam
 _NOT_NUMBERS = st.sampled_from([None, "0.5", "1", True, False, np.bool_(True), [0.5], (1.0,), object()])
 _NOT_SEQUENCES = _NOT_NUMBERS.filter(lambda v: not isinstance(v, list | tuple))
 _NOT_SYMBOLS = st.sampled_from([None, 3, 0.5, 1j, "mobius a=0.5", object(), SERIES.coeffs, (MOBIUS,)])
+_SPECS = st.sampled_from([MOBIUS, BlaschkeSpec(zeros=(0.5, -0.5)), MonomialSpec(n=2, c=1.0), SingularInnerSpec(c=1.0)])
+_NOT_SERIES = _NOT_SYMBOLS | _SPECS
 _TYPES = {
     "MobiusSpec a": (lambda v: MobiusSpec(a=v), _NOT_NUMBERS),
     "MobiusSpec zeta": (lambda v: MobiusSpec(a=0.5, zeta=v), _NOT_NUMBERS),
@@ -316,6 +320,19 @@ _TYPES = {
     "symbol_text": (lambda v: symbol_text(v), _NOT_SYMBOLS),
     "Scenario symbols": (lambda v: Scenario("x", (0.0,), (MOBIUS, v), ("boundary_ratio",)), _NOT_SYMBOLS),
     "parse_symbol": (lambda v: parse_symbol(v), _NOT_SYMBOLS.filter(lambda v: not isinstance(v, str))),
+    # a spec too where a series is expected: symbols._check_series
+    "normalize": (lambda v: normalize(v), _NOT_SERIES),
+    "admissibility_check": (lambda v: admissibility_check(v, 0.0), _NOT_SERIES),
+    "toeplitz_matrix": (lambda v: toeplitz_matrix(v, 0.0, 4), _NOT_SERIES),
+    "defect_matrix": (lambda v: defect_matrix(v, 0.0, 4, "conj"), _NOT_SERIES),
+    "berezin_values": (lambda v: berezin_values(v, 0.0, 4, 0.1), _NOT_SERIES),
+    "cnp_scan": (lambda v: cnp_scan(v, 0.0, 3, 1), _NOT_SERIES),
+    "build_pick": (lambda v: build_pick(v, 0.0, [0.1, 0.2]), _NOT_SERIES),
+    "rescaling_check": (lambda v: rescaling_check(v, 0.0, [0.1, 0.2]), _NOT_SERIES),
+    "boundary_ratio_check": (lambda v: boundary_ratio_check(v, (0.5,), 4), _NOT_SERIES),
+    "KernelSpec symbol": (lambda v: KernelSpec("sub", 0.0, v), _NOT_SERIES),
+    "eval_kernel": (lambda v: eval_kernel(KernelSpec("conj_sub", 0.0, v), 0.1, 0.2), _NOT_SERIES),
+    "conj_sub_quadrature": (lambda v: conj_sub_quadrature(v, 0.0, 0.1, 0.2), _NOT_SERIES),
 }
 
 
