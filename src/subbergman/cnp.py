@@ -9,25 +9,20 @@ passing sections are evidence only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .operators import _check_hermitian
-from .scalars import WeightParameter, _hermitian_gram, _psd_within, as_weight, binomial_coeffs
+from .scalars import WeightParameter, _hermitian_gram, _min_eig_above, _power, _psd_within, as_weight, binomial_coeffs
 from .scalars import _check_count, _check_disk, _check_tolerance
 from .symbols import PowerSeriesSymbol, _check_series, admissibility_check, normalize
 
-DIVISION_HAZARD_TOL = 1e-12
 DEFAULT_PSD_TOL = 1e-9
 MIN_SEPARATION = 1e-3
-# most work of one scan, in trials x points^3: each trial solves a dense
-# points x points eigenproblem
+# most work of one scan, in trials x points^3: each trial factors its dense
+# points x points Pick matrix once or twice, and at worst solves it
 SCAN_WORK_MAX = 2e9
-
-
-class DivisionHazard(ValueError):
-    """|K| fell below DIVISION_HAZARD_TOL at some point pair, so 1 - 1/K is unreliable."""
 
 
 def sample_points(n: int, rng: np.random.Generator, alpha: WeightParameter | float = 0.0) -> np.ndarray:
@@ -145,28 +140,20 @@ def _admitted_psi(symbol: PowerSeriesSymbol, a: WeightParameter) -> PowerSeriesS
 def _pick_on(psi: PowerSeriesSymbol, a: WeightParameter, pts: np.ndarray) -> PickMatrix:
     """Per-point-set step: Pick matrix of the normalized kernel on checked points.
 
-    psi is evaluated once per point. K(z_i, z_j) = (1 - psi(z_i)
-    conj(psi(z_j))) (1 - z_i conj(z_j))^-(2+alpha) and then 1 - 1/K are
+    psi is evaluated once per point. The entries 1 - 1/K(z_i, z_j) are
+    1 - (1 - z_i conj(z_j))^(2+alpha) / (1 - psi(z_i) conj(psi(z_j))),
     formed on the upper triangle i <= j only and mirrored by conjugation
-    (scalars._hermitian_gram), so the entries are exactly Hermitian with a
-    real diagonal and need no symmetrization. |K(z_j, z_i)| = |K(z_i, z_j)|,
-    so testing the triangle tests every pair for a division hazard, and for
-    a K that overflows at a large alpha (from about 70 on 30 points), which
-    raises ValueError.
+    (scalars._hermitian_gram), so they are exactly Hermitian with a real
+    diagonal and need no symmetrization. K itself is never formed: the
+    divisor is at least 1 - |psi(z_i)| |psi(z_j)| > 0 for a contractive psi,
+    and |1 - z_i conj(z_j)| < 2, so the power overflows only past alpha
+    about 1022, which raises ValueError.
     """
-
-    def one_minus_reciprocal(k: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(k)):
-            raise ValueError(f"sub-Bergman kernel at alpha {a.alpha:g} overflows at these points")
-        small = np.abs(k) < DIVISION_HAZARD_TOL
-        if np.any(small):
-            ii, jj = (idx[small] for idx in np.triu_indices(len(pts)))
-            pairs = ", ".join(f"({i},{j})" for i, j in zip(ii[:5], jj[:5]))
-            raise DivisionHazard(f"division hazard: |K| < {DIVISION_HAZARD_TOL} at point pairs {pairs}")
-        return 1.0 - 1.0 / k
-
-    with np.errstate(all="ignore"):  # an overflowing kernel is refused, not warned about
-        entries = _hermitian_gram(psi.eval(pts), pts, 2.0 + a.alpha, one_minus_reciprocal)
+    s = 2.0 + a.alpha
+    with np.errstate(all="ignore"):  # an overflowing power is refused, not warned about
+        entries = _hermitian_gram(psi.eval(pts), pts, lambda dv, dz: 1.0 - _power(dz, s) / dv)
+    if not np.all(np.isfinite(entries)):
+        raise ValueError(f"sub-Bergman kernel at alpha {a.alpha:g} overflows at these points")
     return PickMatrix(points=pts, entries=entries)
 
 
@@ -174,8 +161,7 @@ def build_pick(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points
     """Pick matrix of the sub-Bergman kernel after base-point normalization.
 
     The symbol must be a non-constant admissible multiplier; points must be
-    distinct and inside the disk. Any point pair where |K| falls below
-    1e-12 is a division hazard and raises DivisionHazard.
+    distinct and inside the disk.
     """
     a = as_weight(alpha)
     pts = _check_disk(points, "Pick point").astype(complex, copy=False)
@@ -250,35 +236,8 @@ def _grow_then_shrink(entries: np.ndarray, vec: np.ndarray, tolerance: float) ->
     return keep
 
 
-def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickReport:
-    """PSD verdict with witness extraction.
-
-    Pass iff the minimal eigenvalue is >= -tolerance * max(1, trace). On
-    failure the witness is the pair whose 2x2 principal minor has the most
-    negative eigenvalue (closed form, all pairs at once), provided that
-    minor fails the same trace-scaled threshold. Otherwise the smallest
-    failing prefix (>= 2 points, by weight in the minimal eigenvector) is
-    pruned by one deletion pass, so the witness has 2 points or, by
-    interlacing, no single removal keeps the failure. The witness carries
-    the labels of its rows from matrix.points, of which psd_test reads only
-    the shape, so a coefficient section is tested like a sampled matrix.
-
-    The verdict and every reported eigenvalue (min_eigenvalue and the
-    witness's) come from eigenvalue-only solves; eigenvectors are computed
-    once, and only when no pair fails and the prefix search needs their
-    order. Each step of that search needs only a fail-or-pass answer, so it
-    is one Cholesky factorization of the submatrix shifted by the
-    threshold (scalars._psd_within), not an eigensolve. A tolerance outside
-    (0, inf), or a matrix that is empty or not square, has a non-finite
-    entry, is not Hermitian within operators.HERMITIAN_TOL, or has a
-    different number of points raises ValueError before any solve.
-    """
-    _check_tolerance(tolerance)
-    _check_hermitian(matrix.entries)
-    if matrix.points.shape != matrix.entries.shape[:1]:
-        n = len(matrix.entries)
-        raise ValueError(f"{matrix.points.size} points for a Pick matrix of order {n}")
-    lam_min = _min_eig(matrix.entries)
+def _report(matrix: PickMatrix, lam_min: float, tolerance: float) -> PickReport:
+    """Verdict and witness of a checked matrix whose minimal eigenvalue is lam_min (see psd_test)."""
     if lam_min >= -tolerance * max(1.0, float(np.trace(matrix.entries).real)):
         return PickReport(
             verdict="psd_pass", min_eigenvalue=lam_min, witness=None, trials=1, sampler_seed=None
@@ -302,6 +261,38 @@ def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickRepo
     )
 
 
+def psd_test(matrix: PickMatrix, tolerance: float = DEFAULT_PSD_TOL) -> PickReport:
+    """PSD verdict with witness extraction.
+
+    Pass iff the minimal eigenvalue is >= -tolerance * max(1, trace). On
+    failure the witness is the pair whose 2x2 principal minor has the most
+    negative eigenvalue (closed form, all pairs at once), provided that
+    minor fails the same trace-scaled threshold. Otherwise the smallest
+    failing prefix (>= 2 points, by weight in the minimal eigenvector) is
+    pruned by one deletion pass, so the witness has 2 points or, by
+    interlacing, no single removal keeps the failure. The witness carries
+    the labels of its rows from matrix.points, of which psd_test reads only
+    the shape, so a coefficient section is tested like a sampled matrix.
+
+    The verdict and every reported eigenvalue (min_eigenvalue and the
+    witness's) come from eigenvalue-only solves; eigenvectors are computed
+    once, and only when no pair fails and the prefix search needs their
+    order. Each step of that search needs only a fail-or-pass answer, so it
+    is one Cholesky factorization of the submatrix shifted by the
+    threshold (scalars._psd_within), not an eigensolve; cnp_scan runs the
+    same witness step once per scan. A tolerance outside (0, inf), or a
+    matrix that is empty or not square, has a non-finite entry, is not
+    Hermitian within operators.HERMITIAN_TOL, or has a different number of
+    points raises ValueError before any solve.
+    """
+    _check_tolerance(tolerance)
+    _check_hermitian(matrix.entries)
+    if matrix.points.shape != matrix.entries.shape[:1]:
+        n = len(matrix.entries)
+        raise ValueError(f"{matrix.points.size} points for a Pick matrix of order {n}")
+    return _report(matrix, _min_eig(matrix.entries), tolerance)
+
+
 def cnp_scan(
     symbol: PowerSeriesSymbol,
     alpha: WeightParameter | float,
@@ -314,14 +305,25 @@ def cnp_scan(
 
     The symbol is checked and normalized once per scan. Each trial draws
     its points from a stream seeded by (seed, trial index), so samples and
-    verdicts are reproducible. Returns the report of the worst trial,
-    annotated with the trial count and any per-trial division hazards. A
-    failing trial outranks every passing one (the threshold scales with
-    each trial's trace), then the lowest minimal eigenvalue is worst, so a
-    failing scan always carries a failing trial's witness. A tolerance
-    outside (0, inf), or a scan whose trials x points^3 exceeds
-    SCAN_WORK_MAX, is refused before any sampling. A scan in which every
-    trial hits a division hazard raises DivisionHazard, a ValueError.
+    verdicts are reproducible. Returns psd_test's report of the worst
+    trial, annotated with the trial count and the number of failing
+    trials. A failing trial outranks every passing one (the threshold
+    scales with each trial's trace), then the lowest minimal eigenvalue is
+    worst, the first of equals winning, so a failing scan always carries a
+    failing trial's witness.
+
+    A trial pays for a verdict, not a spectrum: one Cholesky factorization
+    at its threshold (scalars._psd_within) decides pass or fail, and a
+    trial of the worst trial's class is factored once more, as P - lambda_w
+    I for the worst minimal eigenvalue lambda_w; if that succeeds,
+    lambda_min(P) > lambda_w and the trial cannot win. Only a trial that
+    may become the worst gets an eigvalsh, and the witness is extracted
+    once. Against one psd_test per trial, only a minimal eigenvalue within
+    rounding of a threshold or of lambda_w can change the outcome; a
+    passing scan's trials sit at rounding level, so its min_eigenvalue may
+    be another trial's, within 1e-12 max(1, trace). A tolerance outside
+    (0, inf), or a scan whose trials x points^3 exceeds SCAN_WORK_MAX, is
+    refused before any sampling.
     """
     a = as_weight(alpha)
     n_points = _check_count(n_points, "points per trial", 3)
@@ -334,29 +336,19 @@ def cnp_scan(
             f"SCAN_WORK_MAX = {SCAN_WORK_MAX:g}; use fewer points or trials"
         )
     psi = _admitted_psi(symbol, a)
-    worst, worst_rank = None, None
-    hazards: list[str] = []
+    worst = None  # (fails, lambda_min, pick) of the worst trial so far
     failed = 0
     for trial in range(n_trials):
-        pts = sample_points(n_points, np.random.default_rng([seed, trial]), a)
-        try:
-            pick = _pick_on(psi, a, pts)
-        except DivisionHazard as exc:
-            hazards.append(f"trial {trial}: {exc}")
-            continue
-        report = psd_test(pick, tolerance)
-        failed += report.failed_trials
-        rank = (report.failed_trials, -report.min_eigenvalue)
-        if worst is None or rank > worst_rank:
-            worst, worst_rank = report, rank
-    if worst is None:
-        raise DivisionHazard(f"all {n_trials} trial(s) hit a division hazard; no Pick matrix was testable")
-    return PickReport(
-        verdict=worst.verdict,
-        min_eigenvalue=worst.min_eigenvalue,
-        witness=worst.witness,
-        trials=n_trials,
-        sampler_seed=seed,
-        failed_trials=failed,
-        hazards=tuple(hazards),
-    )
+        pick = _pick_on(psi, a, sample_points(n_points, np.random.default_rng([seed, trial]), a))
+        _check_hermitian(pick.entries)
+        fails = not _psd_within(pick.entries, tolerance)
+        failed += fails
+        if worst is not None:
+            # not a new worst: a pass under a failing worst, or lambda_min > lambda_w in its class
+            if fails < worst[0] or fails == worst[0] and _min_eig_above(pick.entries, worst[1]):
+                continue
+        lam = _min_eig(pick.entries)
+        if worst is None or (fails, -lam) > (worst[0], -worst[1]):
+            worst = (fails, lam, pick)
+    report = _report(worst[2], worst[1], tolerance)
+    return replace(report, trials=n_trials, sampler_seed=seed, failed_trials=failed)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import WORK_BUDGET, _kernel_form
-from .scalars import WeightParameter, _check_disk, _neg_power, as_weight
+from .scalars import WeightParameter, _check_disk, _power, as_weight
 from .symbols import PowerSeriesSymbol, _check_series, normalize
 
 KINDS = ("bergman", "sub", "conj_sub")
@@ -48,7 +48,7 @@ class KernelSpec:
 
 
 def _bergman(alpha: float, z, w):
-    return _neg_power(1.0 - z * np.conj(w), 2.0 + alpha)
+    return _power(1.0 - z * np.conj(w), -2.0 - alpha)
 
 
 def eval_kernel(spec: KernelSpec, z, w):
@@ -186,7 +186,7 @@ def conj_sub_quadrature(
     any batch size. On a block's rows phi comes from one inverse FFT per
     radius, and the integrand takes one principal power of the product of
     its two factors, which is exact because each factor has Re > 0, so their
-    arguments add without wrapping (see _neg_power). A request of more than
+    arguments add without wrapping (see _power). A request of more than
     WORK_BUDGET pairs x grid nodes (1525 pairs) raises ValueError before any
     compute.
     """
@@ -226,7 +226,7 @@ def conj_sub_quadrature(
         ub = np.conj(u)
         for j in range(0, z.size, _QUAD_BLOCK):
             q = (1.0 - zc[j : j + _QUAD_BLOCK] * ub) * (1.0 - u * wc[j : j + _QUAD_BLOCK])
-            out[j : j + _QUAD_BLOCK] += _neg_power(q, s) @ dens
+            out[j : j + _QUAD_BLOCK] += _power(q, -s) @ dens
     out = out.reshape(z.shape)
     return complex(out) if out.ndim == 0 else out
 

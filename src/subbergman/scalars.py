@@ -156,43 +156,42 @@ def _powers(base, n: int) -> np.ndarray:
     return p
 
 
-def _neg_power(u, s: float):
-    """u^-s on the principal branch, for |arg u| < pi and s > 0.
+def _power(u, s: float):
+    """u^s on the principal branch, for |arg u| < pi and real s != 0.
 
     That domain holds u = 1 - z conj(w) on the disk (Re u > 0), and also a
     product u = a b of two such factors, as in conj_sub_quadrature: their
     arguments lie in (-pi/2, pi/2), so arg u = arg a + arg b does not wrap
-    and u^-s = a^-s b^-s on the principal branch.
-    For integer s this is 1 / u^s and for half-integer s 1 / (u^m sqrt(u)),
-    m = floor(s) <= 8, u^m by repeated products; numpy's complex power takes
-    3-4x as long at m = 2, for integer s too, and catches up at m = 10-11 on
-    65536 entries. sqrt(u) is principal, with argument arg(u) / 2, so this is
-    the complex power to 1e-15 relative at |z|, |w| <= 0.999. Any other s is
-    the complex power itself, so the cost is bounded at any s.
+    and u^s = a^s b^s on the principal branch.
+    For integer |s| this is u^|s| and for half-integer |s| u^m sqrt(u),
+    m = floor(|s|) <= 8, u^m by repeated products, inverted when s < 0;
+    numpy's complex power takes 3-4x as long at m = 2, for integer s too,
+    and catches up at m = 10-11 on 65536 entries. sqrt(u) is principal, with
+    argument arg(u) / 2, so this is the complex power to 1e-15 relative at
+    |z|, |w| <= 0.999. Any other s is the complex power itself, so the cost
+    is bounded at any s.
     """
-    m = math.floor(s)
-    if m > 8 or s - m not in (0.0, 0.5):
-        return u**-s
-    p, products = (np.sqrt(u), m) if s > m else (u, m - 1)
+    m = math.floor(abs(s))
+    if m > 8 or abs(s) - m not in (0.0, 0.5):
+        return u**s
+    p, products = (np.sqrt(u), m) if abs(s) > m else (u, m - 1)
     for _ in range(products):
         p = p * u
-    return 1.0 / p
+    return p if s > 0 else 1.0 / p
 
 
-def _hermitian_gram(v: np.ndarray, z: np.ndarray, s: float, f=None) -> np.ndarray:
-    """Hermitian matrix of f((1 - v_i conj(v_j)) (1 - z_i conj(z_j))^-s) for 1-d v, z in the disk.
+def _hermitian_gram(v: np.ndarray, z: np.ndarray, entry) -> np.ndarray:
+    """Hermitian matrix of entry(1 - v_i conj(v_j), 1 - z_i conj(z_j)) for 1-d v, z in the disk.
 
     The entries are computed on the upper triangle i <= j only
-    (np.triu_indices), mapped there by f when one is given, and mirrored
-    by conjugation, so the result is exactly Hermitian with a real
-    diagonal. f must commute with conjugation, as 1 - 1/k does; it sees
-    the triangle as one array in np.triu_indices order.
+    (np.triu_indices) and mirrored by conjugation, so the result is exactly
+    Hermitian with a real diagonal. entry must commute with conjugation, as
+    a kernel a b^-s and a Pick entry 1 - b^s / a do; it sees each
+    triangle as one array in np.triu_indices order.
     """
     n = len(z)
     i, j = np.triu_indices(n)
-    t = (1.0 - v[i] * np.conj(v[j])) * _neg_power(1.0 - z[i] * np.conj(z[j]), s)
-    if f is not None:
-        t = f(t)
+    t = entry(1.0 - v[i] * np.conj(v[j]), 1.0 - z[i] * np.conj(z[j]))
     out = np.empty((n, n), dtype=complex)
     out[j, i] = np.conj(t)
     out[i, j] = t
@@ -201,22 +200,27 @@ def _hermitian_gram(v: np.ndarray, z: np.ndarray, s: float, f=None) -> np.ndarra
 
 
 def _psd_within(entries: np.ndarray, tol: float) -> bool:
-    """True when lambda_min(entries) >= -tol max(1, trace), by one Cholesky factorization.
+    """True when lambda_min(entries) >= -tol max(1, trace), by one Cholesky factorization."""
+    return _min_eig_above(entries, -tol * max(1.0, float(np.trace(entries).real)))
 
-    entries + tol max(1, trace) I is positive definite exactly when
-    lambda_min exceeds -tol max(1, trace), and Cholesky succeeds exactly on
-    positive definite input; the two rules differ only when lambda_min
-    lies within rounding of the threshold. Cholesky reads one triangle, so
-    entries must be Hermitian. No eigenvalue is computed: a caller that
-    reports one still needs eigvalsh.
+
+def _min_eig_above(entries: np.ndarray, lam: float) -> bool:
+    """True when lambda_min(entries) > lam, by one Cholesky factorization of entries - lam I.
+
+    Cholesky succeeds exactly on positive definite input, so the answer is
+    exact except when lambda_min lies within rounding of lam. Cholesky
+    reads one triangle, so entries must be Hermitian. No eigenvalue is
+    computed: a caller that reports one still needs eigvalsh. A non-finite
+    factor fails too: LAPACK can end in one without an error once entries
+    pass about 1e154 (Pick matrices from alpha about 510 on).
     """
     shifted = np.array(entries, dtype=complex)
-    shifted.flat[:: len(shifted) + 1] += tol * max(1.0, float(np.trace(shifted).real))
+    shifted.flat[:: len(shifted) + 1] -= lam
     try:
-        np.linalg.cholesky(shifted)
+        factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(np.isfinite(factor).all())
 
 
 def binomial_coeffs(s: float, n_max: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import WeightParameter, _hermitian_gram, _psd_within, as_weight, binomial_coeffs
+from .scalars import WeightParameter, _hermitian_gram, _power, _psd_within, as_weight, binomial_coeffs
 from .scalars import _BLOCK_ENTRIES, _check_complex, _check_count, _check_disk, _check_tolerance, _numeric
 
 # the tail bound a default-length series aims for; bind_symbol extends one that misses it
@@ -449,7 +449,8 @@ def admissibility_check(
     sup = float(np.max(np.abs(vals)))
     admissible = sup <= 1.0 + tolerance
     if admissible and a.alpha < -1:
-        admissible = _psd_within(_hermitian_gram(vals, pts, 2.0 + a.alpha), 1e-9)
+        s = 2.0 + a.alpha
+        admissible = _psd_within(_hermitian_gram(vals, pts, lambda dv, dz: dv * _power(dz, -s)), 1e-9)
     return AdmissibilityVerdict(admissible=admissible, sup_estimate=sup)
 
 

@@ -308,9 +308,26 @@ def test_cnp_test_fail_writes_witness(tmp_path, capsys):
     assert "witness written" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("alpha", ["1e3", "1e300"])
+@pytest.mark.parametrize("alpha", ["50", "100", "500"])
+def test_cnp_test_at_a_large_alpha_fails_with_a_witness_that_reverifies(tmp_path, alpha):
+    # the normalized Moebius kernel (1 - z conj(w))^-(1+alpha) is CNP only for alpha <= 0;
+    # its 1/K-form Pick entries stay finite where K itself under- or overflows
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cnp", "test", "--alpha", alpha, "--symbol", "mobius a=0.5", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "fail" and payload["hazards"] == []
+    rows = _read_csv(tmp_path / "witness.csv")
+    k = payload["witness"]["size"]
+    m = np.array([[complex(float(r[2 + 2 * j]), float(r[3 + 2 * j])) for j in range(k)] for r in rows[1:]])
+    assert np.linalg.eigvalsh(m).min() < -1e-6
+
+
+@pytest.mark.parametrize("alpha", ["2e3", "1e300"])
 def test_cnp_test_at_a_huge_alpha_exits_2_naming_alpha_without_warnings(tmp_path, capsys, alpha):
-    # at 1e3 the kernel overflows in the Pick build; at 1e300 every sampled radius rounds to 1
+    # past alpha about 1022 (1 - z conj(w))^(2+alpha) overflows in the Pick build;
+    # at 1e300 every sampled radius rounds to 1
     out = tmp_path / "r.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise instead of exiting 2
@@ -351,16 +368,16 @@ def test_cnp_test_over_the_scan_budget_exits_2_before_sampling(monkeypatch, caps
     assert "SCAN_WORK_MAX" in capsys.readouterr().err
 
 
-def test_cnp_test_with_every_trial_a_division_hazard_exits_2(monkeypatch, tmp_path, capsys):
-    def hazard(psi, alpha, points):
-        raise cnp.DivisionHazard("division hazard: forced")
+def test_cnp_test_with_a_refused_pick_build_exits_2(monkeypatch, tmp_path, capsys):
+    def refuse(psi, alpha, points):
+        raise ValueError("refused by the pick build")
 
-    monkeypatch.setattr(cnp, "_pick_on", hazard)
+    monkeypatch.setattr(cnp, "_pick_on", refuse)
     out = tmp_path / "r.json"
     argv = ["cnp", "test", "--alpha", "0", "--symbol", "mobius a=0.4", "--trials", "3", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: all 3 trial(s) hit a division hazard")
+    assert err.startswith("error: refused by the pick build")
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from subbergman import cnp
 from subbergman.cnp import (
-    DivisionHazard,
     PickMatrix,
     build_pick,
     cnp_scan,
@@ -26,6 +25,7 @@ from subbergman.symbols import (
     default_series_length,
     normalize,
     parse_symbol,
+    resolve_monomial,
     to_series,
 )
 
@@ -246,6 +246,69 @@ def test_failing_trial_outranks_a_lower_passing_one(monkeypatch):
     assert len(rep.witness.points) == 2
 
 
+def _scan_by_psd_test(series, alpha, n_points, n_trials, seed, tolerance):
+    """cnp_scan rebuilt from public pieces: one psd_test per trial, the first worst by (failed, -lambda_min)."""
+    reports = []
+    for t in range(n_trials):
+        pick = build_pick(series, alpha, sample_points(n_points, np.random.default_rng([seed, t]), alpha))
+        reports.append((psd_test(pick, tolerance), pick))
+    ranks = [(rep.failed_trials, -rep.min_eigenvalue) for rep, _ in reports]
+    worst, pick = reports[ranks.index(max(ranks))]
+    return worst, sum(rep.failed_trials for rep, _ in reports), float(np.trace(pick.entries).real)
+
+
+@pytest.mark.parametrize(
+    "spec, alpha, n_points, n_trials, seed, tolerance",
+    [
+        (MobiusSpec(a=0.4), -0.5, 30, 20, 7, 1e-9),
+        (MobiusSpec(a=0.3j), 0.0, 12, 7, 3, 1e-9),
+        (MobiusSpec(a=0.0), 0.5, 10, 3, 1, 1e-9),
+        (MonomialSpec(n=2, c=1.0), 0.0, 30, 20, 7, 1e-9),
+        (MonomialSpec(n=2, c=1.0), -0.5, 8, 1, 5, 1e-9),
+        (BlaschkeSpec(zeros=(0.5, -0.5)), -0.5, 16, 11, 2, 1e-9),
+        (MonomialSpec(n=2), -1.5, 20, 9, 4, 1e-9),
+        (MonomialSpec(n=3, c=0.2), 0.0, 40, 13, 9, 1e-9),
+        ("shift", 1.0, 20, 8, 7, 1e-9),
+        ("shift", 0.0, 25, 20, 11, 1e-9),
+        # passing and failing trials in one scan: 13 and 16 of 20 fail
+        ("shift", 0.01, 3, 20, 7, 3e-3),
+        ("shift", 0.01, 6, 20, 7, 3e-3),
+        # off-diagonal entries near 1e241, where a Cholesky can end in nan without an error
+        (MobiusSpec(a=0.5), 800.0, 30, 5, 7, 1e-9),
+    ],
+)
+def test_scan_matches_one_psd_test_per_trial(spec, alpha, n_points, n_trials, seed, tolerance):
+    if spec == "shift":
+        series = SHIFT
+    else:
+        series = to_series(resolve_monomial(spec, alpha), default_series_length(spec))
+    want, failed, trace = _scan_by_psd_test(series, alpha, n_points, n_trials, seed, tolerance)
+    got = cnp_scan(series, alpha, n_points=n_points, n_trials=n_trials, seed=seed, tolerance=tolerance)
+    assert (got.verdict, got.failed_trials, got.trials) == (want.verdict, failed, n_trials)
+    assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-12 * max(1.0, trace)
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        np.testing.assert_array_equal(got.witness.points, want.witness.points)
+        np.testing.assert_array_equal(got.witness.matrix, want.witness.matrix)
+        assert got.witness.min_eigenvalue == want.witness.min_eigenvalue
+
+
+@pytest.mark.parametrize(
+    "spec, verdict",
+    [(MobiusSpec(a=a), "psd_pass") for a in (0.0, 0.4, 0.3j)]
+    + [(MonomialSpec(n=2, c=1.0), "fail"), (BlaschkeSpec(zeros=(0.5, -0.5)), "fail")],
+)
+@pytest.mark.parametrize("alpha", [-0.5, 0.0])
+def test_scan_solves_eigenproblems_for_at_most_half_its_trials(monkeypatch, spec, verdict, alpha):
+    # the 20-trial scans of criteria 04 and 05: a trial needs a verdict, only a new worst a spectrum
+    series = to_series(spec, default_series_length(spec))
+    calls = _counting(monkeypatch, np.linalg, "eigvalsh")
+    rep = cnp_scan(series, alpha, n_points=30, n_trials=20, tolerance=1e-9)
+    assert rep.verdict == verdict
+    assert len(calls) <= 10
+
+
 def test_certificate_and_note_follow_the_verdict():
     rep = psd_test(build_pick(SHIFT, 0.0, [0.1, 0.2j, -0.3]))
     assert rep.verdict == "psd_pass"
@@ -436,36 +499,34 @@ def test_psd_test_refuses_bad_entries_before_any_solve(monkeypatch, entries, mes
     assert values == vectors == []
 
 
-def test_build_pick_raises_typed_division_hazard(monkeypatch):
-    # every |K| is below an absurdly large hazard threshold
-    monkeypatch.setattr(cnp, "DIVISION_HAZARD_TOL", 1e6)
-    with pytest.raises(DivisionHazard, match="division hazard") as info:
-        build_pick(SHIFT, 0.0, [0.1, 0.2])
-    assert isinstance(info.value, ValueError)
+@pytest.mark.parametrize("alpha", [50.0, 100.0, 500.0])
+def test_large_alpha_pick_matrices_are_finite_and_fail(alpha):
+    # 1 - 1/K is formed from 1/K, so a kernel too small or too large for a
+    # double still gives finite entries; the normalized Moebius kernel
+    # (1 - z conj(w))^-(1+alpha) is CNP only for alpha <= 0
+    series = to_series(MobiusSpec(a=0.5), 200)
+    pts = sample_points(30, np.random.default_rng([7, 0]), alpha)
+    pick = build_pick(series, alpha, pts)
+    psi = normalize(series).psi.eval(pts)
+    want = 1.0 - (1.0 - pts[:, None] * np.conj(pts)) ** (2.0 + alpha) / (1.0 - psi[:, None] * np.conj(psi))
+    np.testing.assert_allclose(pick.entries, want, rtol=1e-12, atol=1e-14)
+    rep = cnp_scan(series, alpha, n_points=30, n_trials=5, seed=7)
+    assert rep.verdict == "fail" and rep.hazards == ()
+    assert jacobi_eigenvalues(rep.witness.matrix)[-1] < -1e-6
 
 
-def test_scan_records_hazards_and_propagates_other_errors(monkeypatch):
+def test_pick_overflow_past_alpha_1022_names_alpha():
+    with pytest.raises(ValueError, match="alpha 1100 overflows"):
+        build_pick(SHIFT, 1100.0, [0.1, 0.99, -0.99])
+
+
+def test_scan_propagates_errors_of_the_pick_build(monkeypatch):
     # scans build each trial's matrix with the per-point-set step, not build_pick
-    real_pick_on = cnp._pick_on
-    calls = []
-
-    def hazard_on_first_trial(psi, alpha, points):
-        calls.append(len(points))
-        if len(calls) == 1:
-            raise DivisionHazard("division hazard: forced")
-        return real_pick_on(psi, alpha, points)
-
-    monkeypatch.setattr(cnp, "_pick_on", hazard_on_first_trial)
-    rep = cnp_scan(SHIFT, 1.0, n_points=8, n_trials=3, seed=7)
-    assert rep.hazards == ("trial 0: division hazard: forced",)
-    assert rep.trials == 3 and len(calls) == 3
-
     def other_error(psi, alpha, points):
-        # a message naming a hazard must not turn a plain ValueError into one
-        raise ValueError("not a division hazard")
+        raise ValueError("refused by the pick build")
 
     monkeypatch.setattr(cnp, "_pick_on", other_error)
-    with pytest.raises(ValueError, match="not a division hazard"):
+    with pytest.raises(ValueError, match="refused by the pick build"):
         cnp_scan(SHIFT, 1.0, n_points=8, n_trials=3, seed=7)
 
 

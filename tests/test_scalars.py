@@ -11,7 +11,7 @@ from subbergman import scalars
 from subbergman.scalars import (
     WeightParameter,
     _hermitian_gram,
-    _neg_power,
+    _power,
     _powers,
     _psd_within,
     as_weight,
@@ -96,12 +96,14 @@ def test_neg_power_matches_the_complex_power(s):
     for w in (z, z[::-1], 0.999 * np.exp(2j * np.pi * rng.uniform(size=r.size))):
         u = 1.0 - z[:, None] * np.conj(w)[None, :]
         want = u**-s
-        got = _neg_power(u, s)
+        got = _power(u, -s)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
         if s % 1 not in (0.0, 0.5):
             assert np.array_equal(got, want)
+        # the positive power, as the Pick build's (1 - z conj(w))^(2+alpha) takes it
+        assert np.max(np.abs(_power(u, s) - u**s) / np.abs(u**s)) <= 1e-14
     u = np.complex128(0.5 + 0.1j)
-    assert abs(_neg_power(u, s) - u**-s) <= 1e-14 * abs(u**-s)
+    assert abs(_power(u, -s) - u**-s) <= 1e-14 * abs(u**-s)
     # a product of two right-half-plane factors, as conj_sub_quadrature's
     # (1 - z conj(u)) (1 - u conj(w)), has |arg| < pi but may have Re < 0;
     # its principal power is the product of the factors' principal powers
@@ -110,7 +112,7 @@ def test_neg_power_matches_the_complex_power(s):
     b = np.append(1.0 - v * np.conj(z[::-1, None]), 1.0 - 0.999 * np.exp([0.04j, -0.05j, 0.002j]))
     assert np.sum((a * b).real < 0) > 3 and np.max(np.abs(np.angle(a * b))) > 3.0
     want = a**-s * b**-s
-    assert np.max(np.abs(_neg_power(a * b, s) - want) / np.abs(want)) <= 1e-14
+    assert np.max(np.abs(_power(a * b, -s) - want) / np.abs(want)) <= 1e-14
 
 
 @pytest.mark.parametrize("s", [9.0, 9.5, 1e6, 1e300])
@@ -119,7 +121,7 @@ def test_neg_power_past_eight_products_is_the_complex_power(s):
     # they would never end, and the complex power overflows to inf at once
     u = 1.0 - 0.1 * np.conj(np.array([0.2, 0.5j, -0.9]))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(_neg_power(u, s), u**-s, equal_nan=True)
+        assert np.array_equal(_power(u, -s), u**-s, equal_nan=True)
 
 
 def test_weight_parameter_validation():
@@ -196,13 +198,15 @@ def test_hermitian_gram_mirrors_the_full_outer_product(n, s):
     rng = np.random.default_rng(n)
     z = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
     v = 0.9 * z**2
-    m = _hermitian_gram(v, z, s)
+    m = _hermitian_gram(v, z, lambda dv, dz: dv * _power(dz, -s))
     full = (1.0 - v[:, None] * np.conj(v)) * (1.0 - z[:, None] * np.conj(z)) ** -s
     assert np.array_equal(m, m.conj().T)
     assert np.all(m.diagonal().imag == 0.0)
     np.testing.assert_allclose(m, full, rtol=1e-14, atol=0)
-    # f maps the triangle before the mirror
-    np.testing.assert_allclose(_hermitian_gram(v, z, s, lambda t: 1.0 - 1.0 / t), 1.0 - 1.0 / full, rtol=1e-13)
+    # the entry sees both triangles of differences; the Pick entry 1 - 1/K
+    pick = _hermitian_gram(v, z, lambda dv, dz: 1.0 - _power(dz, s) / dv)
+    assert np.array_equal(pick, pick.conj().T)
+    np.testing.assert_allclose(pick, 1.0 - 1.0 / full, rtol=1e-13)
 
 
 def _hermitian_with_spectrum(eigenvalues, seed):
