@@ -15,7 +15,7 @@ import numpy as np
 
 from .operators import _check_hermitian
 from .scalars import WeightParameter, _hermitian_gram, _min_eig_above, _power, _psd_within, as_weight, binomial_coeffs
-from .scalars import _check_count, _check_disk, _check_tolerance
+from .scalars import _check_count, _check_disk, _check_tolerance, _triangle
 from .symbols import PowerSeriesSymbol, _check_series, admissibility_check, normalize
 
 DEFAULT_PSD_TOL = 1e-9
@@ -39,9 +39,12 @@ def sample_points(n: int, rng: np.random.Generator, alpha: WeightParameter | flo
     Each round draws the uniforms of the candidates still missing in one
     block, radius then angle per candidate, and accepts them in order; so
     the points and the generator state afterwards are those of drawing one
-    candidate at a time. A sample that cannot keep its separation within
-    10000 n draws, or a radius that rounds to 1 (alpha from about 1e14),
-    raises ValueError.
+    candidate at a time. A round of k candidates is taken whole when no
+    more than k of their k x k distances (the k zeros of the diagonal) are
+    below MIN_SEPARATION, a count with no triangle mask, and none is that
+    close to an accepted point; otherwise they are accepted one by one. A
+    sample that cannot keep its separation within 10000 n draws, or a
+    radius that rounds to 1 (alpha from about 1e14), raises ValueError.
     """
     n = _check_count(n, "sample size", 0)
     expo = 1.0 / (2.0 + max(as_weight(alpha).alpha, 0.0))
@@ -61,7 +64,8 @@ def sample_points(n: int, rng: np.random.Generator, alpha: WeightParameter | flo
         if np.any(r >= 1.0):
             raise ValueError(f"alpha {float(alpha):g} pushes sampled radii to 1 in double precision")
         cand = r * np.exp(2j * np.pi * u[1::2])
-        crowded = np.triu(np.abs(cand[:, None] - cand[None, :]) < MIN_SEPARATION, 1).any()
+        # the k zero distances on the diagonal always count, so more than k means a pair is too close
+        crowded = np.count_nonzero(np.abs(cand[:, None] - cand[None, :]) < MIN_SEPARATION) > k
         if not crowded and not np.any(np.abs(cand[:, None] - pts[:have]) < MIN_SEPARATION):
             pts[have:] = cand
             break
@@ -137,21 +141,22 @@ def _admitted_psi(symbol: PowerSeriesSymbol, a: WeightParameter) -> PowerSeriesS
     return normalize(symbol).psi
 
 
-def _pick_on(psi: PowerSeriesSymbol, a: WeightParameter, pts: np.ndarray) -> PickMatrix:
+def _pick_on(psi: PowerSeriesSymbol, a: WeightParameter, pts: np.ndarray, tri: tuple | None = None) -> PickMatrix:
     """Per-point-set step: Pick matrix of the normalized kernel on checked points.
 
     psi is evaluated once per point. The entries 1 - 1/K(z_i, z_j) are
     1 - (1 - z_i conj(z_j))^(2+alpha) / (1 - psi(z_i) conj(psi(z_j))),
     formed on the upper triangle i <= j only and mirrored by conjugation
-    (scalars._hermitian_gram), so they are exactly Hermitian with a real
-    diagonal and need no symmetrization. K itself is never formed: the
-    divisor is at least 1 - |psi(z_i)| |psi(z_j)| > 0 for a contractive psi,
-    and |1 - z_i conj(z_j)| < 2, so the power overflows only past alpha
-    about 1022, which raises ValueError.
+    (scalars._hermitian_gram, at the triangle indices tri when given), so
+    they are exactly Hermitian with a real diagonal and need no
+    symmetrization. K itself is never formed: the divisor is at least
+    1 - |psi(z_i)| |psi(z_j)| > 0 for a contractive psi, and
+    |1 - z_i conj(z_j)| < 2, so the power overflows only past alpha about
+    1022, which raises ValueError.
     """
     s = 2.0 + a.alpha
     with np.errstate(all="ignore"):  # an overflowing power is refused, not warned about
-        entries = _hermitian_gram(psi.eval(pts), pts, lambda dv, dz: 1.0 - _power(dz, s) / dv)
+        entries = _hermitian_gram(psi.eval(pts), pts, lambda dv, dz: 1.0 - _power(dz, s) / dv, tri)
     if not np.all(np.isfinite(entries)):
         raise ValueError(f"sub-Bergman kernel at alpha {a.alpha:g} overflows at these points")
     return PickMatrix(points=pts, entries=entries)
@@ -312,11 +317,17 @@ def cnp_scan(
     worst, the first of equals winning, so a failing scan always carries a
     failing trial's witness.
 
-    A trial pays for a verdict, not a spectrum: one Cholesky factorization
-    at its threshold (scalars._psd_within) decides pass or fail, and a
-    trial of the worst trial's class is factored once more, as P - lambda_w
-    I for the worst minimal eigenvalue lambda_w; if that succeeds,
-    lambda_min(P) > lambda_w and the trial cannot win. Only a trial that
+    A trial pays for its points and a verdict, not a spectrum; the
+    triangle indices of its Pick build are made once per scan. Let
+    lambda_w be the worst trial's minimal eigenvalue. Under a passing worst
+    with lambda_w at or above the trial's own threshold, one Cholesky
+    factorization of P - lambda_w I settles the trial: if it succeeds,
+    lambda_min(P) > lambda_w, so the trial passes and cannot be the new
+    worst. Any other trial is factored at its threshold
+    (scalars._psd_within) for pass or fail, and then, in the worst trial's
+    class, as P - lambda_w I, unless that factorization has just failed;
+    if it succeeds, the trial cannot win. So a passing scan takes about one
+    factorization per trial and a failing one about two. Only a trial that
     may become the worst gets an eigvalsh, and the witness is extracted
     once. Against one psd_test per trial, only a minimal eigenvalue within
     rounding of a threshold or of lambda_w can change the outcome; a
@@ -336,14 +347,19 @@ def cnp_scan(
             f"SCAN_WORK_MAX = {SCAN_WORK_MAX:g}; use fewer points or trials"
         )
     psi = _admitted_psi(symbol, a)
+    tri = _triangle(n_points)  # every trial's Pick matrix has this shape
     worst = None  # (fails, lambda_min, pick) of the worst trial so far
     failed = 0
     for trial in range(n_trials):
-        pick = _pick_on(psi, a, sample_points(n_points, np.random.default_rng([seed, trial]), a))
+        pick = _pick_on(psi, a, sample_points(n_points, np.random.default_rng([seed, trial]), a), tri)
         _check_hermitian(pick.entries)
-        fails = not _psd_within(pick.entries, tolerance)
+        bar = -tolerance * max(1.0, float(np.trace(pick.entries).real))  # _psd_within's threshold
+        can_settle = worst is not None and not worst[0] and worst[1] >= bar
+        if can_settle and _min_eig_above(pick.entries, worst[1]):
+            continue  # lambda_min > lambda_w >= bar: a pass, and not a new worst
+        fails = not _min_eig_above(pick.entries, bar)
         failed += fails
-        if worst is not None:
+        if worst is not None and not can_settle:
             # not a new worst: a pass under a failing worst, or lambda_min > lambda_w in its class
             if fails < worst[0] or fails == worst[0] and _min_eig_above(pick.entries, worst[1]):
                 continue

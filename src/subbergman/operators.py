@@ -436,7 +436,11 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     re-verify witnesses. Returns eigenvalues sorted descending. Each
     rotation dephases the pivot entry and applies the classic symmetric
     Jacobi angle; sweeps stop when the off-diagonal Frobenius mass falls
-    below 1e-12 times the matrix scale, or after 60 sweeps.
+    below 1e-12 times the matrix scale, or after 60 sweeps. The sweeps run
+    on the matrix scaled by the power of two that brings its largest entry
+    into [1/2, 1), exact for every entry above 1e-308 times the largest, so
+    squared entries neither overflow (past about 1e154) nor underflow; the
+    eigenvalues are scaled back.
     """
     a = np.array(matrix, dtype=complex)
     _check_hermitian(a)
@@ -444,6 +448,8 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real])
+    exponent = int(np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(a.view(float), -exponent).view(complex)
     scale = max(float(np.linalg.norm(a)), 1e-300)
     for _ in range(60):
         off = np.sqrt(max(float(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2)), 0.0))
@@ -456,7 +462,7 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
                     continue
                 phase = apq / abs(apq)
                 tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                t = 1.0 if tau == 0 else np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
+                t = 1.0 if tau == 0 else np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))  # tau^2 can overflow
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 # unitary U: columns (p,q) -> (c x_p - conj(phase) s x_q,
@@ -473,4 +479,4 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
                 a[q, p] = 0.0
                 a[p, p] = a[p, p].real
                 a[q, q] = a[q, q].real
-    return np.sort(np.diag(a).real)[::-1]
+    return np.ldexp(np.sort(np.diag(a).real)[::-1], exponent)

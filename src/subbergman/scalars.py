@@ -180,21 +180,33 @@ def _power(u, s: float):
     return p if s > 0 else 1.0 / p
 
 
-def _hermitian_gram(v: np.ndarray, z: np.ndarray, entry) -> np.ndarray:
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, i n + j, j n + i) over the upper triangle i <= j of n x n, in np.triu_indices order.
+
+    The index pairs and their flat positions in both triangles, as
+    _hermitian_gram reads them; cnp_scan builds them once for all its trials.
+    """
+    i, j = np.triu_indices(n)
+    return i, j, i * n + j, j * n + i
+
+
+def _hermitian_gram(v: np.ndarray, z: np.ndarray, entry, tri=None) -> np.ndarray:
     """Hermitian matrix of entry(1 - v_i conj(v_j), 1 - z_i conj(z_j)) for 1-d v, z in the disk.
 
-    The entries are computed on the upper triangle i <= j only
-    (np.triu_indices) and mirrored by conjugation, so the result is exactly
-    Hermitian with a real diagonal. entry must commute with conjugation, as
-    a kernel a b^-s and a Pick entry 1 - b^s / a do; it sees each
-    triangle as one array in np.triu_indices order.
+    The entries are computed on the upper triangle i <= j only, at the
+    indices tri = _triangle(len(z)) (built here when None), and mirrored by
+    conjugation, so the result is exactly Hermitian with a real diagonal.
+    entry must commute with conjugation, as a kernel a b^-s and a Pick entry
+    1 - b^s / a do; it sees each triangle as one array in np.triu_indices
+    order.
     """
     n = len(z)
-    i, j = np.triu_indices(n)
+    i, j, upper, lower = _triangle(n) if tri is None else tri
     t = entry(1.0 - v[i] * np.conj(v[j]), 1.0 - z[i] * np.conj(z[j]))
     out = np.empty((n, n), dtype=complex)
-    out[j, i] = np.conj(t)
-    out[i, j] = t
+    flat = out.reshape(-1)
+    flat[lower] = np.conj(t)
+    flat[upper] = t
     out.flat[:: n + 1] = out.diagonal().real
     return out
 
@@ -210,14 +222,24 @@ def _min_eig_above(entries: np.ndarray, lam: float) -> bool:
     Cholesky succeeds exactly on positive definite input, so the answer is
     exact except when lambda_min lies within rounding of lam. Cholesky
     reads one triangle, so entries must be Hermitian. No eigenvalue is
-    computed: a caller that reports one still needs eigvalsh. A non-finite
-    factor fails too: LAPACK can end in one without an error once entries
-    pass about 1e154 (Pick matrices from alpha about 510 on).
+    computed: a caller that reports one still needs eigvalsh. entries is
+    copied, not changed (_factors_shifted works in place).
     """
-    shifted = np.array(entries, dtype=complex)
-    shifted.flat[:: len(shifted) + 1] -= lam
+    return _factors_shifted(np.array(entries, dtype=complex), lam)
+
+
+def _factors_shifted(m: np.ndarray, lam: float) -> bool:
+    """_min_eig_above on a complex matrix m that it overwrites: the diagonal becomes Re(m_ii) - lam.
+
+    np.linalg.cholesky reads only the lower triangle and the diagonal, so
+    a caller that builds m for this test alone need not fill the upper
+    triangle. A non-finite factor fails too: LAPACK can end in one without
+    an error once entries pass about 1e154 (Pick matrices from alpha about
+    510 on).
+    """
+    m.flat[:: len(m) + 1] = m.diagonal().real - lam
     try:
-        factor = np.linalg.cholesky(shifted)
+        factor = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return False
     return bool(np.isfinite(factor).all())

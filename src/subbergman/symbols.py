@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import WeightParameter, _hermitian_gram, _power, _psd_within, as_weight, binomial_coeffs
+from .scalars import WeightParameter, _factors_shifted, _power, as_weight, binomial_coeffs
 from .scalars import _BLOCK_ENTRIES, _check_complex, _check_count, _check_disk, _check_tolerance, _numeric
 
 # the tail bound a default-length series aims for; bind_symbol extends one that misses it
@@ -430,12 +430,13 @@ def admissibility_check(
     estimate decides. For alpha < -1 contractivity is strictly stronger;
     the check additionally requires (1 - phi(z_i) conj(phi(z_j))) K(z_i,z_j)
     to be PSD on the sample, with least eigenvalue >= -1e-9 max(1, trace).
-    That matrix is built on its upper triangle and mirrored
-    (scalars._hermitian_gram), and the PSD verdict is one Cholesky
-    factorization of it shifted by the threshold (scalars._psd_within), as
-    no eigenvalue is reported. A passing verdict is grid evidence, not a
-    proof. A tolerance outside (0, inf) raises ValueError before any
-    evaluation.
+    The PSD verdict is one Cholesky factorization of that matrix shifted by
+    the threshold, as no eigenvalue is reported. Cholesky reads the lower
+    triangle only, so only it is formed, as the conjugates of the entries
+    (j, i), j <= i, a row block at a time, straight into the array that is
+    factored in place (scalars._factors_shifted): the peak is that array
+    and its factor. A passing verdict is grid evidence, not a proof. A
+    tolerance outside (0, inf) raises ValueError before any evaluation.
     """
     _check_series(symbol)
     a = as_weight(alpha)
@@ -450,7 +451,14 @@ def admissibility_check(
     admissible = sup <= 1.0 + tolerance
     if admissible and a.alpha < -1:
         s = 2.0 + a.alpha
-        admissible = _psd_within(_hermitian_gram(vals, pts, lambda dv, dz: dv * _power(dz, -s)), 1e-9)
+        n = len(pts)
+        gram = np.zeros((n, n), dtype=complex)
+        rows = max(1, (_BLOCK_ENTRIES >> 3) // n)  # 64 kB temporaries: the matrix and its factor set the peak
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            dv = 1.0 - vals[:r1] * np.conj(vals[r0:r1, None])
+            gram[r0:r1, :r1] = np.conj(dv * _power(1.0 - pts[:r1] * np.conj(pts[r0:r1, None]), -s))
+        admissible = _factors_shifted(gram, -1e-9 * max(1.0, float(np.trace(gram).real)))
     return AdmissibilityVerdict(admissible=admissible, sup_estimate=sup)
 
 

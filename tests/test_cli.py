@@ -369,7 +369,7 @@ def test_cnp_test_over_the_scan_budget_exits_2_before_sampling(monkeypatch, caps
 
 
 def test_cnp_test_with_a_refused_pick_build_exits_2(monkeypatch, tmp_path, capsys):
-    def refuse(psi, alpha, points):
+    def refuse(psi, alpha, points, tri):
         raise ValueError("refused by the pick build")
 
     monkeypatch.setattr(cnp, "_pick_on", refuse)

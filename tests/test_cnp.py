@@ -230,7 +230,7 @@ def test_failing_trial_outranks_a_lower_passing_one(monkeypatch):
     b = np.diag([-1.5e-9, 0.3, 0.3]).astype(complex)
     trials = iter([a, b])
 
-    def pick_on(psi, alpha, pts):
+    def pick_on(psi, alpha, pts, tri):
         entries = next(trials)
         return PickMatrix(points=np.linspace(0.1, 0.5, len(entries)).astype(complex), entries=entries)
 
@@ -307,6 +307,25 @@ def test_scan_solves_eigenproblems_for_at_most_half_its_trials(monkeypatch, spec
     rep = cnp_scan(series, alpha, n_points=30, n_trials=20, tolerance=1e-9)
     assert rep.verdict == verdict
     assert len(calls) <= 10
+
+
+@pytest.mark.parametrize(
+    "spec, alpha, verdict, most",
+    [
+        # criterion 04: a trial under a passing worst is settled by one factorization (39 when
+        # each passing trial took two)
+        (MobiusSpec(a=0.4), -0.5, "psd_pass", 25),
+        (MobiusSpec(a=0.3j), 0.0, "psd_pass", 25),
+        # a failing scan still factors each trial for its verdict and once more against lambda_w
+        (MonomialSpec(n=2, c=1.0), 0.0, "fail", 39),
+    ],
+)
+def test_scan_factors_a_passing_trial_once(monkeypatch, spec, alpha, verdict, most):
+    series = to_series(spec, default_series_length(spec))
+    calls = _counting(monkeypatch, np.linalg, "cholesky")
+    rep = cnp_scan(series, alpha, n_points=30, n_trials=20, tolerance=1e-9)
+    assert rep.verdict == verdict
+    assert len(calls) <= most
 
 
 def test_certificate_and_note_follow_the_verdict():
@@ -522,7 +541,7 @@ def test_pick_overflow_past_alpha_1022_names_alpha():
 
 def test_scan_propagates_errors_of_the_pick_build(monkeypatch):
     # scans build each trial's matrix with the per-point-set step, not build_pick
-    def other_error(psi, alpha, points):
+    def other_error(psi, alpha, points, tri):
         raise ValueError("refused by the pick build")
 
     monkeypatch.setattr(cnp, "_pick_on", other_error)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subbergman import operators
-from subbergman.cnp import build_pick
+from subbergman.cnp import build_pick, cnp_scan
 from subbergman.operators import (
     DENSE_SIZE_MAX,
     WORK_BUDGET,
@@ -645,6 +645,29 @@ def test_jacobi_matches_eigvalsh_random_hermitian():
         want = np.sort(np.linalg.eigvalsh(h))[::-1]
         scale = max(1.0, np.max(np.abs(want)))
         np.testing.assert_allclose(got, want, atol=1e-10 * scale)
+
+
+def _alpha_1000_witness():
+    # a failing scan at alpha 1000: its 2-point witness has entries near 1.9e301
+    return cnp_scan(to_series(MobiusSpec(a=0.5), 64), 1000.0, n_points=30, n_trials=20, seed=7).witness.matrix
+
+
+def _hermitian_at_1e_minus_300():
+    x = np.random.default_rng(29).standard_normal((6, 12)).view(complex)
+    return 1e-300 * (x + x.conj().T) / 2.0
+
+
+def _rotation_angle_past_1e154():
+    # the 0.5 entry keeps the sweeps going; the first rotation's tau = (a_qq - a_pp) / (2 |a_pq|) is -5e159
+    return np.array([[1.0, 1e-160, 0.5], [1e-160, 0.0, 0.0], [0.5, 0.0, 0.3]], dtype=complex)
+
+
+@pytest.mark.parametrize("build", [_alpha_1000_witness, _hermitian_at_1e_minus_300, _rotation_angle_past_1e154])
+def test_jacobi_matches_eigvalsh_where_squares_leave_double_range(build):
+    # the squares overflow or underflow; a RuntimeWarning fails the test (pyproject filterwarnings)
+    h = build()
+    want = np.linalg.eigvalsh(h)[::-1]
+    np.testing.assert_allclose(jacobi_eigenvalues(h), want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_jacobi_on_known_matrix():

@@ -14,6 +14,7 @@ from subbergman.scalars import (
     _power,
     _powers,
     _psd_within,
+    _triangle,
     as_weight,
     basis_weights,
     binomial_coeffs,
@@ -207,6 +208,10 @@ def test_hermitian_gram_mirrors_the_full_outer_product(n, s):
     pick = _hermitian_gram(v, z, lambda dv, dz: 1.0 - _power(dz, s) / dv)
     assert np.array_equal(pick, pick.conj().T)
     np.testing.assert_allclose(pick, 1.0 - 1.0 / full, rtol=1e-13)
+    # triangle indices built once by the caller give the same matrix, bitwise
+    tri = _triangle(n)
+    assert np.array_equal(_hermitian_gram(v, z, lambda dv, dz: dv * _power(dz, -s), tri), m)
+    assert np.array_equal(_hermitian_gram(v, z, lambda dv, dz: 1.0 - _power(dz, s) / dv, tri), pick)
 
 
 def _hermitian_with_spectrum(eigenvalues, seed):

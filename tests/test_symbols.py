@@ -1,5 +1,6 @@
 """Symbol tests: series conversions against closed forms, normalization, parsing."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -342,6 +343,23 @@ def test_admissibility_below_hardy_matches_the_eigenvalue_rule(n, scaled, alpha)
     # the full eigensolve agrees on the coarse grid that cnp_scan uses
     coarse = admissibility_check(series, alpha, grid=16, tolerance=1e-6)
     assert (coarse.admissible, coarse.sup_estimate) == _admissibility_reference(series, alpha, 16, 1e-6)
+
+
+def test_admissibility_below_hardy_memory():
+    # the 241-point Pick sample of grid 16 is formed in row blocks straight into the
+    # array that is factored, so the peak is that array and its Cholesky factor,
+    # 2 x 0.89 MB (2.72 MB when the triangle was gathered, mirrored and copied)
+    spec = resolve_monomial(MonomialSpec(n=2), -1.5)
+    series = to_series(spec, default_series_length(spec))
+    tracemalloc.start()
+    try:
+        verdict = admissibility_check(series, -1.5, grid=16, tolerance=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * 2**20
+    assert verdict.admissible
+    assert (verdict.admissible, verdict.sup_estimate) == _admissibility_reference(series, -1.5, 16, 1e-6)
 
 
 def test_admissibility_grid_minimum():
