@@ -15,7 +15,7 @@ import numpy as np
 
 from .operators import _check_hermitian
 from .scalars import WeightParameter, _hermitian_gram, _min_eig_above, _power, _psd_within, as_weight, binomial_coeffs
-from .scalars import _check_count, _check_disk, _check_tolerance, _triangle
+from .scalars import _check_count, _check_disk, _check_tolerance, _trace_scale, _triangle
 from .symbols import PowerSeriesSymbol, _check_series, admissibility_check, normalize
 
 DEFAULT_PSD_TOL = 1e-9
@@ -172,10 +172,9 @@ def build_pick(symbol: PowerSeriesSymbol, alpha: WeightParameter | float, points
     pts = _check_disk(points, "Pick point").astype(complex, copy=False)
     if pts.ndim != 1 or len(pts) < 1:
         raise ValueError("need a nonempty 1-d point list")
-    if len(pts) > 1:
-        diff = np.abs(pts[:, None] - pts[None, :])
-        if float(np.min(diff[~np.eye(len(pts), dtype=bool)])) == 0.0:
-            raise ValueError("points must be pairwise distinct")
+    # the n zero differences on the diagonal always count, so more than n means a repeated point
+    if np.count_nonzero(pts[:, None] - pts[None, :] == 0) > len(pts):
+        raise ValueError("points must be pairwise distinct")
     return _pick_on(_admitted_psi(symbol, a), a, pts)
 
 
@@ -243,14 +242,14 @@ def _grow_then_shrink(entries: np.ndarray, vec: np.ndarray, tolerance: float) ->
 
 def _report(matrix: PickMatrix, lam_min: float, tolerance: float) -> PickReport:
     """Verdict and witness of a checked matrix whose minimal eigenvalue is lam_min (see psd_test)."""
-    if lam_min >= -tolerance * max(1.0, float(np.trace(matrix.entries).real)):
+    if lam_min >= -tolerance * _trace_scale(matrix.entries):
         return PickReport(
             verdict="psd_pass", min_eigenvalue=lam_min, witness=None, trials=1, sampler_seed=None
         )
     i, j, pair_min = _worst_pair(matrix.entries)
-    d = matrix.entries.diagonal().real
-    if pair_min < -tolerance * max(1.0, d[i] + d[j]):
-        keep = np.isin(np.arange(len(d)), (i, j))
+    pair = np.isin(np.arange(len(matrix.entries)), (i, j))
+    if pair_min < -tolerance * _trace_scale(matrix.entries[np.ix_(pair, pair)]):
+        keep = pair
     else:
         vec = np.linalg.eigh(matrix.entries)[1][:, 0]
         keep = _grow_then_shrink(matrix.entries, vec, tolerance)
@@ -317,22 +316,17 @@ def cnp_scan(
     worst, the first of equals winning, so a failing scan always carries a
     failing trial's witness.
 
-    A trial pays for its points and a verdict, not a spectrum; the
-    triangle indices of its Pick build are made once per scan. Let
-    lambda_w be the worst trial's minimal eigenvalue. Under a passing worst
-    with lambda_w at or above the trial's own threshold, one Cholesky
-    factorization of P - lambda_w I settles the trial: if it succeeds,
-    lambda_min(P) > lambda_w, so the trial passes and cannot be the new
-    worst. Any other trial is factored at its threshold
-    (scalars._psd_within) for pass or fail, and then, in the worst trial's
-    class, as P - lambda_w I, unless that factorization has just failed;
-    if it succeeds, the trial cannot win. So a passing scan takes about one
-    factorization per trial and a failing one about two. Only a trial that
-    may become the worst gets an eigvalsh, and the witness is extracted
-    once. Against one psd_test per trial, only a minimal eigenvalue within
-    rounding of a threshold or of lambda_w can change the outcome; a
-    passing scan's trials sit at rounding level, so its min_eigenvalue may
-    be another trial's, within 1e-12 max(1, trace). A tolerance outside
+    The Pick build's triangle indices are made once per scan. One rule
+    decides each trial, with lambda_w the worst trial's minimal eigenvalue.
+    After the first, a trial takes one Cholesky (scalars._min_eig_above) at
+    its threshold under a failing worst, or at max(threshold, lambda_w)
+    under a passing one, and passes if it succeeds; a failing trial under a
+    failing worst takes one more at lambda_w, and fails if it succeeds;
+    neither can be the new worst. Every other trial takes one eigvalsh,
+    whose eigenvalue alone decides its verdict and rank. Only an eigenvalue
+    within rounding of a threshold or of lambda_w can make this differ from
+    one psd_test per trial, and then a passing scan's min_eigenvalue may be
+    another trial's, within 1e-12 max(1, trace). A tolerance outside
     (0, inf), or a scan whose trials x points^3 exceeds SCAN_WORK_MAX, is
     refused before any sampling.
     """
@@ -352,18 +346,17 @@ def cnp_scan(
     failed = 0
     for trial in range(n_trials):
         pick = _pick_on(psi, a, sample_points(n_points, np.random.default_rng([seed, trial]), a), tri)
-        _check_hermitian(pick.entries)
-        bar = -tolerance * max(1.0, float(np.trace(pick.entries).real))  # _psd_within's threshold
-        can_settle = worst is not None and not worst[0] and worst[1] >= bar
-        if can_settle and _min_eig_above(pick.entries, worst[1]):
-            continue  # lambda_min > lambda_w >= bar: a pass, and not a new worst
-        fails = not _min_eig_above(pick.entries, bar)
-        failed += fails
-        if worst is not None and not can_settle:
-            # not a new worst: a pass under a failing worst, or lambda_min > lambda_w in its class
-            if fails < worst[0] or fails == worst[0] and _min_eig_above(pick.entries, worst[1]):
-                continue
+        bar = -tolerance * _trace_scale(pick.entries)  # psd_test's threshold
+        if worst is not None:
+            fails_w, lam_w, _ = worst
+            if _min_eig_above(pick.entries, bar if fails_w else max(bar, lam_w)):
+                continue  # a pass, and lambda_min > lambda_w under a passing worst: not a new worst
+            if fails_w and _min_eig_above(pick.entries, lam_w):
+                failed += 1
+                continue  # a fail with lambda_min > lambda_w: not a new worst
         lam = _min_eig(pick.entries)
+        fails = lam < bar
+        failed += fails
         if worst is None or (fails, -lam) > (worst[0], -worst[1]):
             worst = (fails, lam, pick)
     report = _report(worst[2], worst[1], tolerance)

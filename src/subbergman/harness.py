@@ -34,7 +34,7 @@ from .operators import (
     inclusion_eigenvalues,
     jacobi_eigenvalues,
 )
-from .scalars import _check_count, as_weight
+from .scalars import _check_count, _trace_scale, as_weight
 from .symbols import (
     SERIES_TAIL_TOL,
     BlaschkeSpec,
@@ -423,7 +423,7 @@ def _check_cnp_nonmoebius_fail(alpha, spec, series, n):
     metrics["witness_indices"] = report.witness.points.tolist()
     metrics["witness_min_jacobi"] = lam
     # the trace-scaled quantity that psd_test's threshold compares with its tolerance
-    metrics["witness_margin"] = -lam / max(1.0, np.trace(witness).real)
+    metrics["witness_margin"] = -lam / _trace_scale(witness)
     return ("pass" if lam < -WITNESS_TOL else "fail"), "", metrics
 
 

@@ -211,9 +211,14 @@ def _hermitian_gram(v: np.ndarray, z: np.ndarray, entry, tri=None) -> np.ndarray
     return out
 
 
+def _trace_scale(entries: np.ndarray) -> float:
+    """max(1, Re trace(entries)): a PSD test passes when lambda_min >= -tolerance times this."""
+    return max(1.0, float(np.trace(entries).real))
+
+
 def _psd_within(entries: np.ndarray, tol: float) -> bool:
-    """True when lambda_min(entries) >= -tol max(1, trace), by one Cholesky factorization."""
-    return _min_eig_above(entries, -tol * max(1.0, float(np.trace(entries).real)))
+    """True when lambda_min(entries) >= -tol _trace_scale(entries), by one Cholesky factorization."""
+    return _min_eig_above(entries, -tol * _trace_scale(entries))
 
 
 def _min_eig_above(entries: np.ndarray, lam: float) -> bool:

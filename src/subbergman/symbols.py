@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import WeightParameter, _factors_shifted, _power, as_weight, binomial_coeffs
+from .scalars import WeightParameter, _factors_shifted, _power, _trace_scale, as_weight, binomial_coeffs
 from .scalars import _BLOCK_ENTRIES, _check_complex, _check_count, _check_disk, _check_tolerance, _numeric
 
 # the tail bound a default-length series aims for; bind_symbol extends one that misses it
@@ -429,7 +429,7 @@ def admissibility_check(
     For alpha >= -1 the multiplier ball is the H-infinity ball, so the sup
     estimate decides. For alpha < -1 contractivity is strictly stronger;
     the check additionally requires (1 - phi(z_i) conj(phi(z_j))) K(z_i,z_j)
-    to be PSD on the sample, with least eigenvalue >= -1e-9 max(1, trace).
+    to be PSD on the sample, least eigenvalue >= -1e-9 scalars._trace_scale.
     The PSD verdict is one Cholesky factorization of that matrix shifted by
     the threshold, as no eigenvalue is reported. Cholesky reads the lower
     triangle only, so only it is formed, as the conjugates of the entries
@@ -458,7 +458,7 @@ def admissibility_check(
             r1 = min(r0 + rows, n)
             dv = 1.0 - vals[:r1] * np.conj(vals[r0:r1, None])
             gram[r0:r1, :r1] = np.conj(dv * _power(1.0 - pts[:r1] * np.conj(pts[r0:r1, None]), -s))
-        admissible = _factors_shifted(gram, -1e-9 * max(1.0, float(np.trace(gram).real)))
+        admissible = _factors_shifted(gram, -1e-9 * _trace_scale(gram))
     return AdmissibilityVerdict(admissible=admissible, sup_estimate=sup)
 
 

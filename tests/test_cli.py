@@ -613,7 +613,7 @@ def test_berezin_over_the_work_budget_exits_2_before_building(monkeypatch, capsy
     assert "work budget" in capsys.readouterr().err
 
 
-def test_parser_defaults_are_the_default_config():
+def test_parser_defaults_are_the_library_defaults():
     parser = cli._build_parser()
     common = ["--alpha", "0", "--symbol", "series 0,1"]
     ct = parser.parse_args(["cnp", "test", *common])
@@ -736,19 +736,8 @@ def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "target, setting, message",
+    "target, flag, message",
     [
-        ("berezin_identity", "matrix_size=0", "matrix_size"),
-        ("hardy_degenerate", "matrix_size=100000", "matrix_size"),
-        ("cnp_moebius_pass", "cnp_points=5000", "cnp_points"),
-        ("blaschke_decay", "fit_hi=150", "fit_hi"),
-        ("all", "fit_lo=20", "fit_lo"),
-        ("all", "boundary_size=600", "boundary_size"),
-        ("all", "cnp_points=30", "cnp_points"),
-        ("all", "cnp_trials=5", "cnp_trials"),
-        ("all", "psd_tol=1e-9", "psd_tol"),
-        ("rescaling_identity", "seed=-1", "seed"),
-        ("boundary_ratio", "ratio_threshold=nan", "ratio_threshold"),
         ("berezin_identity", "--size=0", "--size"),
         ("all", "--size=2", "--size"),
         ("hardy_degenerate", "--size=4097", "--size"),
@@ -756,14 +745,11 @@ def test_verify_unknown_config_key_exits_2(tmp_path, capsys):
         ("all", "--size=many", "--size"),
     ],
 )
-def test_verify_config_mistakes_exit_2_without_report(
-    monkeypatch, tmp_path, capsys, target, setting, message
-):
+def test_verify_config_mistakes_exit_2_without_report(monkeypatch, tmp_path, capsys, target, flag, message):
     # a section size outside [3, DENSE_SIZE_MAX] is a validation error, not a failed
-    # cell; --set key=value and --config are usage errors, as verify has no such flags
+    # cell; --config is a usage error, as verify has no such flag
     monkeypatch.setattr(operators, "basis_weights", _no_dense_build)
-    flags = [setting] if setting.startswith("--") else ["--set", setting]
-    rc = _exit_code(["verify", target, *flags, "--out", str(tmp_path / "reports")])
+    rc = _exit_code(["verify", target, flag, "--out", str(tmp_path / "reports")])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()

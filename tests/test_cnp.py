@@ -257,7 +257,9 @@ def _scan_by_psd_test(series, alpha, n_points, n_trials, seed, tolerance):
     return worst, sum(rep.failed_trials for rep, _ in reports), float(np.trace(pick.entries).real)
 
 
-@pytest.mark.parametrize(
+# reaches every branch of cnp_scan's rule: a first trial, a pass settled by one factorization
+# under a passing or a failing worst, a fail settled at lambda_w, and an eigvalsh under either
+_SCAN_ROWS = pytest.mark.parametrize(
     "spec, alpha, n_points, n_trials, seed, tolerance",
     [
         (MobiusSpec(a=0.4), -0.5, 30, 20, 7, 1e-9),
@@ -277,11 +279,15 @@ def _scan_by_psd_test(series, alpha, n_points, n_trials, seed, tolerance):
         (MobiusSpec(a=0.5), 800.0, 30, 5, 7, 1e-9),
     ],
 )
+
+
+def _row_series(spec, alpha):
+    return SHIFT if spec == "shift" else to_series(resolve_monomial(spec, alpha), default_series_length(spec))
+
+
+@_SCAN_ROWS
 def test_scan_matches_one_psd_test_per_trial(spec, alpha, n_points, n_trials, seed, tolerance):
-    if spec == "shift":
-        series = SHIFT
-    else:
-        series = to_series(resolve_monomial(spec, alpha), default_series_length(spec))
+    series = _row_series(spec, alpha)
     want, failed, trace = _scan_by_psd_test(series, alpha, n_points, n_trials, seed, tolerance)
     got = cnp_scan(series, alpha, n_points=n_points, n_trials=n_trials, seed=seed, tolerance=tolerance)
     assert (got.verdict, got.failed_trials, got.trials) == (want.verdict, failed, n_trials)
@@ -292,6 +298,38 @@ def test_scan_matches_one_psd_test_per_trial(spec, alpha, n_points, n_trials, se
         np.testing.assert_array_equal(got.witness.points, want.witness.points)
         np.testing.assert_array_equal(got.witness.matrix, want.witness.matrix)
         assert got.witness.min_eigenvalue == want.witness.min_eigenvalue
+
+
+@_SCAN_ROWS
+def test_scan_trials_are_exactly_hermitian_and_finite(monkeypatch, spec, alpha, n_points, n_trials, seed, tolerance):
+    # cnp_scan runs no Hermitian check on its trials: _pick_on mirrors each entry by
+    # conjugation and refuses a non-finite one, which this asserts of every trial it builds
+    built = []
+    pick_on = cnp._pick_on
+
+    def recording(*args):
+        pick = pick_on(*args)
+        built.append(pick.entries)
+        return pick
+
+    monkeypatch.setattr(cnp, "_pick_on", recording)
+    cnp_scan(_row_series(spec, alpha), alpha, n_points=n_points, n_trials=n_trials, seed=seed, tolerance=tolerance)
+    assert len(built) == n_trials
+    for m in built:
+        assert np.array_equal(m, m.conj().T)
+        assert np.all(m.diagonal().imag == 0.0)
+        assert np.all(np.isfinite(m))
+
+
+def test_only_psd_test_checks_that_a_matrix_is_hermitian(monkeypatch):
+    # psd_test takes matrices from its callers; cnp_scan builds its own
+    def check(entries):
+        raise RuntimeError("Hermitian check ran")
+
+    monkeypatch.setattr(cnp, "_check_hermitian", check)
+    assert cnp_scan(SHIFT, 1.0, n_points=20, n_trials=4, seed=7).verdict == "fail"
+    with pytest.raises(RuntimeError, match="Hermitian check ran"):
+        psd_test(build_pick(SHIFT, 0.0, [0.1, 0.2j, -0.3]))
 
 
 @pytest.mark.parametrize(
@@ -312,12 +350,11 @@ def test_scan_solves_eigenproblems_for_at_most_half_its_trials(monkeypatch, spec
 @pytest.mark.parametrize(
     "spec, alpha, verdict, most",
     [
-        # criterion 04: a trial under a passing worst is settled by one factorization (39 when
-        # each passing trial took two)
-        (MobiusSpec(a=0.4), -0.5, "psd_pass", 25),
-        (MobiusSpec(a=0.3j), 0.0, "psd_pass", 25),
-        # a failing scan still factors each trial for its verdict and once more against lambda_w
-        (MonomialSpec(n=2, c=1.0), 0.0, "fail", 39),
+        # criterion 04: every trial after the first is settled by one factorization
+        (MobiusSpec(a=0.4), -0.5, "psd_pass", 19),
+        (MobiusSpec(a=0.3j), 0.0, "psd_pass", 19),
+        # a failing trial under a failing worst takes a second one, at lambda_w
+        (MonomialSpec(n=2, c=1.0), 0.0, "fail", 38),
     ],
 )
 def test_scan_factors_a_passing_trial_once(monkeypatch, spec, alpha, verdict, most):

@@ -58,14 +58,6 @@ SHIFT = PowerSeriesSymbol(np.array([0.0, 1.0]))
 # verify once read is now a harness constant, and its flag a usage error.
 
 
-def _not_a_parameter(key, value):
-    # the size is the only parameter of run_scenario and the only setting of verify
-    assert list(inspect.signature(run_scenario).parameters) == ["scenario", "matrix_size"]
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "all", f"--{key.replace('_', '-')}", str(value)])
-    assert exc.value.code == 2
-
-
 def test_run_scenario_records_its_section_size():
     # a run is at MATRIX_SIZE unless given another size, and its report records the size
     scenario = builtin_scenarios()["inclusion_asymptote"]
@@ -77,69 +69,23 @@ def test_run_scenario_records_its_section_size():
 
 
 def test_run_scenario_refuses_a_size_that_is_not_an_integer():
-    _not_a_parameter("matrix_sise", 100)
+    # the size is the only parameter of run_scenario and the only setting of verify
+    assert list(inspect.signature(run_scenario).parameters) == ["scenario", "matrix_size"]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--matrix-sise", "100"])
+    assert exc.value.code == 2
     scenario = builtin_scenarios()["inclusion_asymptote"]
     for size in ("many", "120", 120.0, None, True):
         with pytest.raises(ValueError, match="--size"):
             run_scenario(scenario, size)
 
 
-@pytest.mark.parametrize(
-    "key",
-    [
-        "fit_lo",
-        "fit_hi",
-        "boundary_size",
-        "boundary_radius",
-        "cnp_points",
-        "cnp_trials",
-        "psd_tol",
-        "seed",
-        "berezin_points",
-        "berezin_radius",
-        "rescaling_points",
-        "directions",
-        "ratio_radii",
-        "ratio_threshold",
-    ],
-)
-def test_fit_window_is_not_a_config_key(key):
-    # blaschke_decay and singular_noncompact read the range of the defect, with no window
-    # and no boundary Berezin sample; the CNP cells read a coefficient section, with no
-    # sampled points and a fixed tolerance; the sample points, the ratio grid and its
-    # threshold are constants beside their checks, so no setting can make a cell fail
-    _not_a_parameter(key, 150)
-
-
-@pytest.mark.parametrize(
-    "override",
-    [
-        {"matrix_size": 0},
-        {"directions": 0},
-        {"rescaling_points": 1},
-        {"berezin_radius": 1.0},
-        {"berezin_radius": 0.0},
-        {"ratio_radii": "0.5,1.2"},
-        {"ratio_radii": "0.5,x"},
-        {"matrix_size": DENSE_SIZE_MAX + 1},
-        {"seed": -1},
-        {"ratio_threshold": "nan"},
-        {"ratio_threshold": "inf"},
-        {"ratio_threshold": -5.0},
-        {"ratio_threshold": 0.0},
-        {"matrix_size": 2},
-    ],
-)
-def test_merge_rejects_values_no_check_can_run_with(monkeypatch, override):
-    # matrix_size must lie in [3, DENSE_SIZE_MAX], checked before any cell runs; no other
-    # value is a parameter
+@pytest.mark.parametrize("size", [0, 2, DENSE_SIZE_MAX + 1])
+def test_run_scenario_refuses_sizes_outside_3_to_dense_max(monkeypatch, size):
+    # the size must lie in [3, DENSE_SIZE_MAX], checked before any cell runs
     monkeypatch.setattr(harness, "bind_symbol", lambda *args: pytest.fail("a cell ran"))
-    (key, value), = override.items()
-    if key != "matrix_size":
-        _not_a_parameter(key, value)
-        return
     with pytest.raises(ValueError, match="--size"):
-        run_scenario(builtin_scenarios()["blaschke_decay"], value)
+        run_scenario(builtin_scenarios()["blaschke_decay"], size)
 
 
 # ---------------------------------------------------------------------------

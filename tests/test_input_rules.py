@@ -129,6 +129,16 @@ def test_points_off_the_open_disk_are_refused(points):
     _all_refuse(_point_entries(points), points)
 
 
+@pytest.mark.parametrize("points, distinct", [([0.5, 0.5 + 0j], False), ([0, 1e-300], True)])
+def test_build_pick_refuses_a_repeated_point_only(points, distinct):
+    # the points need only differ: 1e-300 is far below any separation the sampler keeps
+    if distinct:
+        assert build_pick(SERIES, 0.0, points).entries.shape == (2, 2)
+    else:
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            build_pick(SERIES, 0.0, points)
+
+
 _BAD_TOLERANCE = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
 
 
