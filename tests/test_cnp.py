@@ -365,6 +365,25 @@ def test_scan_factors_a_passing_trial_once(monkeypatch, spec, alpha, verdict, mo
     assert len(calls) <= most
 
 
+@pytest.mark.parametrize(
+    "spec, verdict",
+    [(MobiusSpec(a=a), "psd_pass") for a in (0.0, 0.4, 0.3j)]
+    + [(MonomialSpec(n=2, c=1.0), "fail"), (BlaschkeSpec(zeros=(0.5, -0.5)), "fail")],
+)
+@pytest.mark.parametrize("alpha", [-0.5, 0.0])
+def test_scan_factorization_count_does_not_depend_on_the_seed(monkeypatch, spec, verdict, alpha):
+    # criteria 04 and 05: each trial after the first takes one factorization when every
+    # trial passes, and two when every trial fails; a failing pair leaves the witness step none
+    series = to_series(spec, default_series_length(spec))
+    calls = _counting(monkeypatch, np.linalg, "cholesky")
+    per_trial = 1 if verdict == "psd_pass" else 2
+    for seed in range(1, 11):
+        calls.clear()
+        rep = cnp_scan(series, alpha, n_points=30, n_trials=20, seed=seed, tolerance=1e-9)
+        assert (rep.verdict, rep.failed_trials) == (verdict, 0 if verdict == "psd_pass" else 20)
+        assert len(calls) == per_trial * 19
+
+
 def test_certificate_and_note_follow_the_verdict():
     rep = psd_test(build_pick(SHIFT, 0.0, [0.1, 0.2j, -0.3]))
     assert rep.verdict == "psd_pass"

@@ -129,11 +129,19 @@ def test_points_off_the_open_disk_are_refused(points):
     _all_refuse(_point_entries(points), points)
 
 
-@pytest.mark.parametrize("points, distinct", [([0.5, 0.5 + 0j], False), ([0, 1e-300], True)])
+@pytest.mark.parametrize(
+    "points, distinct",
+    [
+        ([0.5, 0.5 + 0j], False),
+        ([0, 1e-300], True),
+        ([0.1, 0.2j, 0.1], False),
+        ([0.3, -0.3, 0.3j], True),
+    ],
+)
 def test_build_pick_refuses_a_repeated_point_only(points, distinct):
     # the points need only differ: 1e-300 is far below any separation the sampler keeps
     if distinct:
-        assert build_pick(SERIES, 0.0, points).entries.shape == (2, 2)
+        assert build_pick(SERIES, 0.0, points).entries.shape == (len(points), len(points))
     else:
         with pytest.raises(ValueError, match="pairwise distinct"):
             build_pick(SERIES, 0.0, points)

@@ -11,9 +11,11 @@ from subbergman import scalars
 from subbergman.scalars import (
     WeightParameter,
     _hermitian_gram,
+    _min_eig_above,
     _power,
     _powers,
     _psd_within,
+    _trace_scale,
     _triangle,
     as_weight,
     basis_weights,
@@ -283,6 +285,29 @@ def test_psd_within_leaves_its_input_unchanged():
     assert _psd_within(entries, 1e-9)
     assert np.array_equal(entries, np.eye(3))
     assert not _psd_within(-entries, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "diagonal, scale",
+    [
+        ([0.0, 0.0, 0.0], 1.0),
+        ([0.2, 0.3], 1.0),
+        ([2.0, 3.0], 5.0),
+        ([-4.0, 1.0], 1.0),
+        ([1.0 + 5j, 2.0 - 1j], 3.0),  # only the real part of the trace counts
+    ],
+)
+def test_trace_scale_is_the_real_trace_but_never_below_one(diagonal, scale):
+    entries = np.diag(np.asarray(diagonal, dtype=complex)) + np.triu(np.full((len(diagonal),) * 2, 7.0), 1)
+    assert _trace_scale(entries) == scale and type(_trace_scale(entries)) is float
+
+
+@pytest.mark.parametrize("lam, above", [(-1.0, True), (0.5, True), (1.0, False), (2.5, False)])
+def test_min_eig_above_is_strict(lam, above):
+    # lambda_min = 1 exactly: a shift by it leaves a zero pivot, which Cholesky refuses
+    entries = np.diag([3.0, 1.0, 2.0]).astype(complex)
+    assert _min_eig_above(entries, lam) is above
+    assert np.array_equal(entries, np.diag([3.0, 1.0, 2.0]))
 
 
 def _plain_weights(alpha: float, n_max: int) -> np.ndarray:
